@@ -50,7 +50,7 @@ def _subgroup_flags(H, subs):
             trig = f.is_square(rationality_discriminant(f, alpha, beta))
             isog = None
             if trig:
-                g = trigonal_map_for(S, H)
+                g = trigonal_map_for(S, H, _kernel=(alpha, beta))
                 fib = build_fibration(g, g.curve)
                 isog = isogeny_is_rational(fib)
         except DegenerateConfiguration:

@@ -36,6 +36,12 @@ class ZeroPolynomial(TrigonalError):
     code = "zero_polynomial"
 
 
+class NotSquarefree(TrigonalError):
+    """A polynomial that must have distinct roots has a repeated factor."""
+
+    code = "not_squarefree"
+
+
 class NotMonicCubic(TrigonalError):
     code = "not_monic_cubic"
 

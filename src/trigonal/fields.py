@@ -321,9 +321,13 @@ def _irreducible_mod_p(f, p) -> bool:
 
 
 class ExtField(_FieldOps):
-    """Context for F_{p^k} = F_p[x]/(modulus).  Elements are k-tuples of ints."""
+    """Context for F_{p^k} = F_p[x]/(modulus).  Elements are k-tuples of ints.
 
-    def __init__(self, base: PrimeField, modulus):
+    xp, x^p mod modulus as an ascending coefficient sequence, seeds the
+    Frobenius matrices when the caller has already computed it.
+    """
+
+    def __init__(self, base: PrimeField, modulus, xp=None):
         self.base = base
         self.p = base.p
         self.k = len(modulus) - 1
@@ -333,6 +337,7 @@ class ExtField(_FieldOps):
         self.zero = (0,) * self.k
         self.one = (1,) + (0,) * (self.k - 1)
         self._frob = {}
+        self._xp = None if xp is None else list(xp)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -430,7 +435,7 @@ class ExtField(_FieldOps):
         mat = self._frob.get(j)
         if mat is None:
             f = list(self.modulus)
-            xp = _ppow_xp(f, self.p)
+            xp = self._xp if self._xp is not None else _ppow_xp(f, self.p)
             cur = [0, 1]
             for _ in range(j):
                 cur = _pcompose(cur, xp, f, self.p)

@@ -6,6 +6,11 @@ classic squarefree / distinct-degree / equal-degree pipeline; the randomized
 equal-degree splitting draws from an rng seeded by the SHA-256 of the input's
 canonical encoding, so results are bit-stable across runs and call orders,
 and the returned factor list is canonically sorted on top of that.
+
+Both splitting steps take one x^q per polynomial (q the field order) and
+reach x^(q^d) and h^((q^d - 1)/2) through the q-power Frobenius matrix
+instead of powers with q^d-sized exponents (von zur Gathen and Shoup,
+"Computing Frobenius maps and factoring polynomials", 1992).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .errors import NotMonicCubic, ZeroPolynomial
+from .errors import ContextMismatch, NotMonicCubic, ZeroPolynomial
 
 
 class Poly:
@@ -178,7 +183,8 @@ class Poly:
                     r.pop()
             return Poly(f, q), Poly(f, r)
         b = other.c
-        binv = f.inv(b[-1])
+        monic = b[-1] == f.one
+        binv = None if monic else f.inv(b[-1])
         r = list(self.c)
         n = len(b)
         q = [f.zero] * max(0, len(r) - n + 1)
@@ -186,7 +192,7 @@ class Poly:
             if r[-1] == f.zero:
                 r.pop()
                 continue
-            qc = f.mul(r[-1], binv)
+            qc = r[-1] if monic else f.mul(r[-1], binv)
             d = len(r) - n
             q[d] = qc
             for i in range(n):
@@ -232,13 +238,19 @@ class Poly:
         return Poly(f, out)
 
     def pow_mod(self, n: int, modulus: "Poly"):
+        """self^n mod modulus, left to right.
+
+        Every multiplication is by the reduced base, which costs almost
+        nothing when the base is x.
+        """
         r = Poly.one(self.field)
         b = self % modulus
-        while n:
-            if n & 1:
-                r = (r * b) % modulus
-            b = (b * b) % modulus
-            n >>= 1
+        if n:
+            r = b
+            for bit in bin(n)[3:]:
+                r = (r * r) % modulus
+                if bit == "1":
+                    r = (r * b) % modulus
         return r
 
     def compose_mod(self, g: "Poly", modulus: "Poly") -> "Poly":
@@ -337,43 +349,110 @@ def _random_poly(field, degree, rng):
     return Poly(field, [field.random(rng) for _ in range(degree)] + [field.one], trim=False)
 
 
+def _frobenius_columns(xr: Poly, modulus: Poly) -> list:
+    """[x^(i*r) mod modulus for i < deg modulus], from xr = x^r mod modulus."""
+    cols = [Poly.one(xr.field)]
+    for _ in range(1, modulus.degree):
+        cols.append((cols[-1] * xr) % modulus)
+    return cols
+
+
+def _apply_frobenius(u: Poly, cols, sigma=None) -> Poly:
+    """u^r mod modulus as sum_i sigma(u_i) * x^(i*r), cols from _frobenius_columns.
+
+    sigma is a -> a^r on the coefficients, left out when r is the order of
+    their field (the map is then linear) or a power of it.
+    """
+    f = u.field
+    if f.k == 1:
+        p = f.p
+        out = [0] * len(cols)
+        for ui, col in zip(u.c, cols):
+            if ui:
+                for t, ct in enumerate(col.c):
+                    out[t] += ui * ct
+        return Poly(f, [x % p for x in out])
+    out = [f.zero] * len(cols)
+    for ui, col in zip(u.c, cols):
+        if ui != f.zero:
+            if sigma is not None:
+                ui = sigma(ui)
+            for t, ct in enumerate(col.c):
+                out[t] = f.add(out[t], f.mul(ui, ct))
+    return Poly(f, out)
+
+
+def _conjugate_product(h: Poly, modulus: Poly, e: int, n: int, cols, sigma=None) -> Poly:
+    """h^(e * (1 + r + ... + r^(n-1))) mod modulus, with u -> u^r given by cols and sigma.
+
+    For e = (r - 1) / 2 that is h^((r^n - 1) / 2): one power with an r-sized
+    exponent and n - 1 Frobenius maps instead of a power with an r^n-sized one.
+    """
+    b = h.pow_mod(e, modulus)
+    acc = b
+    for _ in range(n - 1):
+        b = _apply_frobenius(b, cols, sigma)
+        acc = (acc * b) % modulus
+    return acc
+
+
 def _distinct_degree(poly: Poly):
-    """[(product of irreducibles of degree d, d)] for monic squarefree input."""
+    """([(product of irreducibles of degree d, d)], x^q mod poly or None) for monic squarefree input.
+
+    x^q mod poly (q the field order) is one pow_mod; each further x^(q^d)
+    is the q-power Frobenius matrix of F_q[x]/(poly) applied to the last
+    one.  The matrix is built only when a second degree is needed, so
+    quadratics and cubics never build it.  h stays reduced modulo the input
+    while the cofactor shrinks: the gcd with the cofactor is unchanged.
+    """
     f = poly.field
-    q = f.order
-    out = []
-    h = Poly.x(f)
     x = Poly.x(f)
+    out = []
+    xq = h = cols = None
+    rest = poly
     d = 0
-    while poly.degree > 2 * (d + 1) - 1 and poly.degree > 0:
+    while rest.degree > 2 * d + 1:
         d += 1
-        h = h.pow_mod(q, poly)
-        g = gcd(h - x, poly)
+        if xq is None:
+            xq = h = x.pow_mod(f.order, poly)
+        else:
+            if cols is None:
+                cols = _frobenius_columns(xq, poly)
+            h = _apply_frobenius(h, cols)
+        g = gcd(h - x, rest)
         if g.degree > 0:
             out.append((g, d))
-            poly = poly // g
-            h = h % poly
-    if poly.degree > 0:
-        out.append((poly, poly.degree))
-    return out
+            rest = rest // g
+    if rest.degree > 0:
+        out.append((rest, rest.degree))
+    return out, xq
 
 
-def _equal_degree(poly: Poly, d: int, rng) -> list:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles."""
+def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles.
+
+    h^((q^d - 1) / 2) is the product of the d Frobenius conjugates of
+    h^((q - 1) / 2).  xq, x^q modulo poly or a multiple of it, saves the
+    pow_mod that builds the Frobenius matrix for d > 1 when the caller has it.
+    """
     f = poly.field
     if poly.degree == d:
         return [poly]
-    e = (f.order**d - 1) // 2
+    cols = None
+    if d > 1:
+        xq = Poly.x(f).pow_mod(f.order, poly) if xq is None else xq % poly
+        cols = _frobenius_columns(xq, poly)
+    e = (f.order - 1) // 2
     while True:
         h = _random_poly(f, rng.randrange(1, poly.degree), rng)
         g = gcd(h, poly)
         if 0 < g.degree < poly.degree:
             break
-        t = h.pow_mod(e, poly) - Poly.one(f)
+        t = _conjugate_product(h, poly, e, d, cols) - Poly.one(f)
         g = gcd(t, poly)
         if 0 < g.degree < poly.degree:
             break
-    return _equal_degree(g, d, rng) + _equal_degree(poly // g, d, rng)
+    return _equal_degree(g, d, rng, xq) + _equal_degree(poly // g, d, rng, xq)
 
 
 def factorize(poly: Poly, rng=None):
@@ -385,8 +464,9 @@ def factorize(poly: Poly, rng=None):
         rng = _poly_rng(poly)
     factors = []
     for part, mult in squarefree_decomposition(poly):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
+        parts, xq = _distinct_degree(part)
+        for prod, d in parts:
+            for irr in _equal_degree(prod, d, rng, xq):
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: fm[0].sort_key())
     return lc, factors
@@ -420,6 +500,36 @@ def roots(poly: Poly, rng=None) -> list:
     out = [f.neg(h.c[0]) for h in _equal_degree(lin, 1, rng)]
     out.sort(key=f.encode)
     return out
+
+
+def split_root(poly: Poly, xp: Poly, field):
+    """One root in field = F_{p^m} of a monic irreducible poly over F_p whose degree divides m.
+
+    xp is x^p mod poly over F_p.  As poly has F_p coefficients, the p-power
+    map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jp) mod poly), sigma
+    the Frobenius of the field, so h^((p^m - 1) / 2) is the product of the
+    m conjugates of h^((p - 1) / 2).  No x^(p^m) distinct-degree step runs
+    (poly is known to split), and splitting stops at the first linear factor.
+    """
+    K = field
+    if K.k % poly.degree:
+        raise ContextMismatch(f"a degree-{poly.degree} irreducible does not split in {K!r}")
+    rng = _poly_rng(poly)
+
+    def sigma(a):
+        return K.frobenius_power(a, 1)
+
+    pk = poly.map_coeffs(K.from_int, K)
+    cols = [c.map_coeffs(K.from_int, K) for c in _frobenius_columns(xp, poly)]
+    e = (K.p - 1) // 2
+    one = Poly.one(K)
+    g = pk
+    while g.degree > 1:
+        h = _random_poly(K, rng.randrange(1, pk.degree), rng)
+        s = gcd(_conjugate_product(h, pk, e, K.k, cols, sigma) - one, g)
+        if 0 < s.degree < g.degree:
+            g = s if 2 * s.degree <= g.degree else g // s
+    return K.neg(g.c[0])
 
 
 def exact_square_root(s: Poly):

@@ -191,11 +191,17 @@ def parse_isogeny_report(obj) -> dict:
     S = subgroup_from_json(obj["subgroup"])
     tm = obj["trigonal_map"]
     gmap = tuple(f.from_int(int(tm[k])) for k in ("n1", "n0", "d1", "d0"))
+    mob = obj["mobius_pretransform"]
+    if mob is not None:
+        if not isinstance(mob, list) or len(mob) != 4:
+            raise ValueError("mobius_pretransform must be null or four field elements")
+        mob = tuple(f.from_int(int(c)) for c in mob)
     out = {
         "curve": H,
         "subgroup": S,
         "subgroup_index": obj["subgroup_index"],
         "trigonal_map": gmap,
+        "mobius_pretransform": mob,
         "G": {k: poly_from_json(v, f) for k, v in obj["G"].items()},
         "f_polys": {k: poly_from_json(v, f) for k, v in obj["f_polys"].items()},
         "s": poly_from_json(obj["s"], f),

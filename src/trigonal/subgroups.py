@@ -10,6 +10,16 @@ by factoring over the half-degree extension, and two equal-size orbits
 cross-pair at m offsets over the degree-m extension.  Extensions of degree
 above 4 only ever appear in subgroup_elements, which materializes divisor
 classes over the splitting field.
+
+Each curve's octic is split once (OrbitSplit): the distinct-degree step
+alone gives the pattern, and a pattern without tractable subgroups stops
+there.  A cross pairing needs the roots of the second orbit o2 in the
+degree-m field K, ordered as the least root by encoding followed by its
+Frobenius conjugates, so finding any one root fixes the whole chain.  For
+m = 2 that root has a closed form with one F_p square root; for m = 3, 4
+split_root skips the x^(p^m) step (o2 is known to split in K) and builds
+h^((p^m - 1)/2) from the m Frobenius conjugates of h^((p - 1)/2), splitting
+only until one linear factor appears.
 """
 
 from __future__ import annotations
@@ -17,11 +27,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import HCurve, OddModel, cantor_add, two_torsion_from_pair
-from .errors import NotAPartitionOf8, TooLarge
-from .fields import embed, make_extension
-from .polyring import BinaryForm, Poly, roots
+from .errors import ContextMismatch, NotAPartitionOf8, NotSquarefree, TooLarge
+from .fields import ExtField, embed, make_extension
+from .polyring import (
+    BinaryForm,
+    Poly,
+    _distinct_degree,
+    _equal_degree,
+    _poly_rng,
+    is_squarefree,
+    roots,
+    split_root,
+)
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -92,21 +112,47 @@ class TractableSubgroup:
         return f"TractableSubgroup({[q.encode() for q in self.quads]})"
 
 
-def _orbits_of(H: HCurve):
-    """Frobenius orbits of Weierstrass points as irreducible factors (None = the v factor)."""
-    _, factors = H.form.factor()
-    orbits = []
-    for g, m in factors:
-        assert m == 1
-        if g.affine().degree == 0:  # the factor v
-            orbits.append((1, None))
-        else:
-            orbits.append((g.affine().degree, g.affine().monic()[0]))
-    return orbits
+class Orbit(NamedTuple):
+    """One Frobenius orbit of Weierstrass points."""
+
+    size: int
+    poly: Poly | None  # its monic irreducible factor of F; None for the factor v
+    xp: Poly | None  # x^p mod poly
+
+
+class OrbitSplit:
+    """The Frobenius orbits of a curve's Weierstrass points, found once per curve.
+
+    Construction runs only the distinct-degree step on the monic affine
+    part F of F~: for each orbit size d, the product of the orbits of that
+    size.  That fixes the pattern.  orbits() runs the equal-degree step.
+    x^p mod F is computed once; reduced modulo each orbit factor, it seeds
+    the Frobenius matrices of the orbit's algebra and of its root finding.
+    """
+
+    def __init__(self, H: HCurve):
+        F = H.F.monic()[0]
+        if not is_squarefree(F):
+            raise NotSquarefree("F~ has a repeated factor")
+        self.F = F
+        self.has_v = H.form.v_multiplicity == 1
+        self.parts, self.xp = _distinct_degree(F)
+        sizes = [d for g, d in self.parts for _ in range(g.degree // d)]
+        sizes += [1] * self.has_v
+        self.pattern = tuple(sorted(sizes, reverse=True))
+
+    def orbits(self):
+        """[Orbit], the factor v first, then by the distinct-degree parts."""
+        rng = _poly_rng(self.F)
+        out = [Orbit(1, None, None)] if self.has_v else []
+        for g, d in self.parts:
+            for h in _equal_degree(g, d, rng, self.xp):
+                out.append(Orbit(d, h, self.xp % h))
+        return out
 
 
 def pattern_of(H: HCurve):
-    return tuple(sorted((d for d, _ in _orbits_of(H)), reverse=True))
+    return OrbitSplit(H).pattern
 
 
 def _matchings(orbits):
@@ -138,6 +184,28 @@ def _quad_from_pair(field, r1, r2) -> BinaryForm:
     return BinaryForm(f, 2, (f.mul(r1, r2), f.neg(f.add(r1, r2)), f.one))
 
 
+def _quadratic_roots(poly: Poly, field):
+    """Both roots of an F_p-irreducible x^2 + b1 x + b0 in the degree-2 field.
+
+    With field = F_p[y]/(y^2 + a1 y + a0), (2y + a1)^2 is the modulus
+    discriminant D, and disc(poly) / D is a square in F_p because both
+    discriminants are non-squares.  The roots are
+    (-b1 +- (2y + a1) * sqrt(disc(poly) / D)) / 2: one F_p square root.
+    """
+    if field.k != 2:
+        raise ContextMismatch(f"{field!r} is not a quadratic extension")
+    F = poly.field
+    b0, b1 = poly[0], poly[1]
+    a0, a1 = field.modulus[0], field.modulus[1]
+    disc = F.sub(F.sqr(b1), F.mul(F.from_int(4), b0))
+    D = F.sub(F.sqr(a1), F.mul(F.from_int(4), a0))
+    s = F.sqrt(F.div(disc, D))
+    if s is None:
+        raise ContextMismatch(f"{poly!r} does not split in {field!r}")
+    half = F.inv(F.from_int(2))
+    return [(F.mul(F.sub(F.mul(a1, r), b1), half), r) for r in (s, F.neg(s))]
+
+
 class _Materializer:
     """Caches per-orbit factorizations and root lists used by the matchings.
 
@@ -145,8 +213,8 @@ class _Materializer:
     (needed for serialization and cross-run comparison).  Fast mode represents
     them inside F_p[x]/(h) for the orbit's own factor h: the antipodal
     quadratic is Y^2 - (theta + theta^sigma) Y + theta theta^sigma with sigma
-    the p^(m/2)-power Frobenius, which costs a few modular compositions
-    instead of a factorization over F_{p^(m/2)}.  Either representation spans
+    the p^(m/2)-power Frobenius, which costs m/2 products with the p-power
+    matrix instead of a factorization over F_{p^(m/2)}.  Either representation spans
     the same rational row space downstream.
     """
 
@@ -158,98 +226,107 @@ class _Materializer:
         self._root_cache = {}
         self._alg_cache = {}
 
-    def _algebra(self, poly: Poly):
+    def _algebra(self, orbit: Orbit):
         """F_p[x]/(poly) as an extension context with the orbit's own modulus."""
-        key = poly.encode()
+        key = orbit.poly.encode()
         A = self._alg_cache.get(key)
         if A is None:
-            from .fields import ExtField
-
-            A = ExtField(self.H.field, tuple(poly.c))
+            A = ExtField(self.H.field, orbit.poly.c, orbit.xp.c)
             self._alg_cache[key] = A
         return A
 
-    def self_quads(self, orbit):
-        m, poly = orbit
+    def self_quads(self, orbit: Orbit):
+        m, poly = orbit.size, orbit.poly
         key = (m, poly.encode() if poly else None)
         got = self._self_cache.get(key)
         if got is None:
             if m == 2:
                 got = [BinaryForm(self.H.field, 2, (poly[0], poly[1], self.H.field.one))]
             elif self.fast:
-                A = self._algebra(poly)
-                theta = (0, 1) + (0,) * (m - 2)
-                pi = A.frobenius_power(theta, m // 2)
-                tau1 = A.add(theta, pi)
-                tau0 = A.mul(theta, pi)
-                base = BinaryForm(A, 2, (tau0, A.neg(tau1), A.one))
-                got = [base]
-                for i in range(1, m // 2):
-                    got.append(
-                        BinaryForm(A, 2, tuple(A.frobenius_power(c, i) for c in base.c))
-                    )
+                # every conjugate comes from the p-power matrix alone, so the
+                # algebra builds (and the subgroup keeps) no other matrix
+                A = self._algebra(orbit)
+                theta = pi = (0, 1) + (0,) * (m - 2)
+                for _ in range(m // 2):
+                    pi = A.frobenius_power(pi, 1)
+                coeffs = (A.mul(theta, pi), A.neg(A.add(theta, pi)), A.one)
+                got = [BinaryForm(A, 2, coeffs)]
+                for _ in range(1, m // 2):
+                    coeffs = tuple(A.frobenius_power(c, 1) for c in coeffs)
+                    got.append(BinaryForm(A, 2, coeffs))
             else:
                 K = make_extension(self.p, m // 2)
                 pk, _ = poly.map_coeffs(lambda c: K.from_int(c), K).monic()
-                from .polyring import _equal_degree, _poly_rng
-
                 facs = _equal_degree(pk, 2, _poly_rng(pk))
-                assert all(g.degree == 2 for g in facs)
+                if any(g.degree != 2 for g in facs):
+                    raise ContextMismatch(f"{poly!r} does not split into quadratics over {K!r}")
                 facs.sort(key=lambda g: g.sort_key())
                 got = [BinaryForm(K, 2, (g[0], g[1], K.one)) for g in facs]
             self._self_cache[key] = got
         return got
 
-    def ordered_roots(self, orbit, m, field):
-        """Roots of the orbit in the given field, Frobenius-ordered from the least."""
-        size, poly = orbit
+    def ordered_roots(self, orbit: Orbit, field):
+        """Roots of the orbit in the given field, Frobenius-ordered from the least.
+
+        One root is found (closed form for size 2, split_root otherwise) and
+        its conjugates give the rest, so the chain is the same whichever
+        root the search lands on.
+        """
+        size, poly = orbit.size, orbit.poly
         key = (size, poly.encode() if poly else None, id(field))
         got = self._root_cache.get(key)
         if got is None:
             if poly is None:
                 got = [None]
-            elif self.fast and getattr(field, "modulus", None) == tuple(poly.c):
+            elif self.fast and field.modulus == poly.c:
                 # the orbit's own algebra: its roots are theta and conjugates
                 theta = (0, 1) + (0,) * (size - 2)
                 got = [theta]
                 for _ in range(size - 1):
                     got.append(field.frobenius_power(got[-1], 1))
             else:
-                pk = poly.map_coeffs(lambda c: field.from_int(c), field)
-                rs = roots(pk)
-                assert len(rs) == size
-                r = min(rs, key=field.encode)
-                got = [r]
-                for _ in range(size - 1):
-                    got.append(field.frobenius_power(got[-1], 1))
+                if size == 2:
+                    conj = _quadratic_roots(poly, field)
+                else:
+                    conj = [split_root(poly, orbit.xp, field)]
+                    for _ in range(size - 1):
+                        conj.append(field.frobenius_power(conj[-1], 1))
+                if len(set(conj)) != size:
+                    raise ContextMismatch(f"{poly!r} does not have {size} roots in {field!r}")
+                i = min(range(size), key=lambda j: field.encode(conj[j]))
+                got = conj[i:] + conj[:i]
             self._root_cache[key] = got
         return got
 
-    def cross_quads(self, o1, o2, j):
-        m = o1[0]
+    def cross_quads(self, o1: Orbit, o2: Orbit, j):
+        m = o1.size
         f = self.H.field
         if m == 1:
-            r1 = None if o1[1] is None else f.neg(o1[1][0])
-            r2 = None if o2[1] is None else f.neg(o2[1][0])
+            r1 = None if o1.poly is None else f.neg(o1.poly[0])
+            r2 = None if o2.poly is None else f.neg(o2.poly[0])
             return [_quad_from_pair(f, r1, r2)]
-        K = self._algebra(o1[1]) if self.fast else make_extension(self.p, m)
-        rs1 = self.ordered_roots(o1, m, K)
-        rs2 = self.ordered_roots(o2, m, K)
+        K = self._algebra(o1) if self.fast else make_extension(self.p, m)
+        rs1 = self.ordered_roots(o1, K)
+        rs2 = self.ordered_roots(o2, K)
         return [_quad_from_pair(K, rs1[i], rs2[(i + j) % m]) for i in range(m)]
 
 
-def enumerate_tractable(H: HCurve, fast: bool = False):
+def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None = None):
     """All F_q-rational tractable subgroups of Jac(H)[2] (canonically sorted).
 
     With fast=True, quadratics over extensions are represented in quotient
     algebras by the orbit's own irreducible factor instead of the canonical
     contexts: same subgroups and same downstream linear algebra, no
-    extension-field factorizations (used on the survey hot path).
+    extension-field factorizations (used on the survey hot path).  split is
+    the curve's OrbitSplit when the caller already has it; a pattern with no
+    tractable subgroup returns before the equal-degree step.
     """
-    orbits = _orbits_of(H)
-    if sum(1 for d, _ in orbits if d % 2) % 2:
+    if split is None:
+        split = OrbitSplit(H)
+    if not count_for_pattern(split.pattern):
         return []
-    orbits.sort(key=lambda o: (-o[0], o[1].encode() if o[1] else ()))
+    orbits = split.orbits()
+    orbits.sort(key=lambda o: (-o.size, o.poly.encode() if o.poly else ()))
     mat = _Materializer(H, fast)
     out = []
     for matching in _matchings(orbits):
@@ -260,7 +337,8 @@ def enumerate_tractable(H: HCurve, fast: bool = False):
             else:
                 _, o1, o2, j = item
                 quads.extend(mat.cross_quads(o1, o2, j))
-        assert len(quads) == 4
+        if len(quads) != 4:
+            raise NotAPartitionOf8(f"a pairing of the orbits gave {len(quads)} quadratics, not 4")
         out.append(TractableSubgroup.from_quads(quads))
     out.sort(key=lambda s: s.key())
     return out
@@ -280,7 +358,7 @@ def _pairings(items):
 
 
 def splitting_degree(H: HCurve) -> int:
-    return math.lcm(*(d for d, _ in _orbits_of(H)))
+    return math.lcm(*pattern_of(H))
 
 
 def brute_force_tractable(H: HCurve):

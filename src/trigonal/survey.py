@@ -5,7 +5,9 @@ so any execution order (and any worker count) produces identical statistics,
 which merge as plain sums.  Per trial: sample a squarefree octic form, read
 off the factor pattern, enumerate the tractable subgroups, and test each for
 a rational trigonal map (square pencil discriminant) and then for a rational
-isogeny (square leading coefficient of s).
+isogeny (square leading coefficient of s).  Each piece of per-curve work runs
+once: the octic's orbit split feeds both the pattern and the enumeration, and
+the pencil found for the discriminant feeds the trigonal map.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import hashlib
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .curves import HCurve
 from .errors import DegenerateConfiguration
 from .fields import prime_field
 from .polyring import BinaryForm
-from .subgroups import count_for_pattern, enumerate_tractable, pattern_of
+from .subgroups import OrbitSplit, count_for_pattern, enumerate_tractable
 from .trigmaps import build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
 CSV_HEADER = ("trial", "pattern", "num_tractable", "num_trig_rational", "num_isog_rational", "success")
@@ -126,19 +127,21 @@ def random_curve(p: int, rng) -> HCurve:
         coeffs = [rng.randrange(p) for _ in range(9)]
         if not any(coeffs):
             continue
-        form = BinaryForm(f, 8, coeffs)
-        if form.is_squarefree():
-            return HCurve(f, form)
+        try:
+            return HCurve(f, BinaryForm(f, 8, coeffs))
+        except ValueError:  # not squarefree
+            continue
 
 
 def survey_trial(p: int, master_seed: int, index: int, depth: str):
     """One trial: (pattern tuple, num_tractable, trig flags, isog flags, degenerate count)."""
     rng = trial_rng(master_seed, index)
     H = random_curve(p, rng)
-    pattern = pattern_of(H)
+    split = OrbitSplit(H)
+    pattern = split.pattern
     if depth == "subgroups":
         return pattern, count_for_pattern(pattern), (), (), 0
-    subs = enumerate_tractable(H, fast=True)
+    subs = enumerate_tractable(H, fast=True, split=split)
     f = H.field
     trig_flags = []
     isog_flags = []
@@ -158,7 +161,7 @@ def survey_trial(p: int, master_seed: int, index: int, depth: str):
             isog_flags.append(False)
             continue
         try:
-            g = trigonal_map_for(S, H)
+            g = trigonal_map_for(S, H, _kernel=(alpha, beta))
             fib = build_fibration(g, g.curve)
         except DegenerateConfiguration:
             degenerate += 1
@@ -218,6 +221,10 @@ def run_survey(cfg: SurveyConfig):
             stats.merge(st)
             rows.extend(rw)
     else:
+        # imported here: the process machinery costs every other caller of
+        # this module about 2 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for st, rw in pool.map(_run_range, ranges):
                 stats.merge(st)

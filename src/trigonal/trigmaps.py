@@ -267,17 +267,19 @@ def _try_build(field, alpha, beta, roots, which, H, S):
     return g
 
 
-def trigonal_map_for(S: TractableSubgroup, H: HCurve, _depth=0) -> TrigonalMap:
+def trigonal_map_for(S: TractableSubgroup, H: HCurve, _depth=0, _kernel=None) -> TrigonalMap:
     """An F_q-rational trigonal map for S in normal form.
 
     Picks the canonical pencil root, falling back to the second root when the
     first line degenerates (meets the twisted cubic).  Raises NotRational when
     the Prop.-3 style discriminant is a non-square, and DegenerateConfiguration
     if no usable map remains after 8 random Mobius changes of the x-coordinate.
+    _kernel is kernel_basis(build_M(S, H), H.field) when the caller has it.
     """
     field = H.field
-    M = build_M(S, H)
-    alpha, beta = kernel_basis(M, field)
+    if _kernel is None:
+        _kernel = kernel_basis(build_M(S, H), field)
+    alpha, beta = _kernel
     roots = _pencil_roots(field, alpha, beta)
     last = None
     for which in range(len(roots)):

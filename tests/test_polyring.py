@@ -12,8 +12,13 @@ from trigonal.polyring import (
     BinaryForm,
     BiPoly,
     Poly,
+    _distinct_degree,
+    _equal_degree,
+    _random_poly,
     exact_square_root,
     factorize,
+    gcd,
+    is_irreducible,
     is_squarefree,
     reduce_mod_cubic,
     roots,
@@ -230,3 +235,92 @@ def test_roots_basic():
     x = Poly.x(F7)
     f = (x - Poly.const(F7, 3)) * (x - Poly.const(F7, 5)) * (x * x + Poly.one(F7))
     assert set(roots(f)) == {3, 5}
+
+
+# --- Frobenius-matrix distinct- and equal-degree steps ----------------------
+
+P30 = 750175891  # deterministic_prime(30, 0), 3 mod 4
+
+
+def _plain_distinct_degree(poly):
+    """Reference: every x^(q^d) by a fresh pow_mod modulo the shrinking cofactor."""
+    f = poly.field
+    out = []
+    h = x = Poly.x(f)
+    d = 0
+    while poly.degree > 2 * d + 1:
+        d += 1
+        h = h.pow_mod(f.order, poly)
+        g = gcd(h - x, poly)
+        if g.degree > 0:
+            out.append((g, d))
+            poly = poly // g
+            h = h % poly
+    if poly.degree > 0:
+        out.append((poly, poly.degree))
+    return out
+
+
+def _plain_equal_degree(poly, d, rng):
+    """Reference: Cantor-Zassenhaus with the power (q^d - 1) / 2 taken directly."""
+    f = poly.field
+    if poly.degree == d:
+        return [poly]
+    e = (f.order**d - 1) // 2
+    while True:
+        h = _random_poly(f, rng.randrange(1, poly.degree), rng)
+        g = gcd(h, poly)
+        if 0 < g.degree < poly.degree:
+            break
+        g = gcd(h.pow_mod(e, poly) - Poly.one(f), poly)
+        if 0 < g.degree < poly.degree:
+            break
+    return _plain_equal_degree(g, d, rng) + _plain_equal_degree(poly // g, d, rng)
+
+
+@pytest.mark.parametrize("field", [prime_field(37), prime_field(53), prime_field(P30), make_extension(13, 2)], ids=repr)
+def test_distinct_degree_matches_plain_pow_mod(field):
+    rng = random.Random(31)
+    checked = 0
+    for degree in list(range(4, 13)) * 3 + [7] * 6:
+        f = _random_poly(field, degree, rng)
+        if not is_squarefree(f):
+            continue
+        parts, xq = _distinct_degree(f)
+        assert parts == _plain_distinct_degree(f)
+        assert xq == Poly.x(field).pow_mod(field.order, f)
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("p", [37, 53, P30])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_equal_degree_matches_plain_power(p, d):
+    # same rng, same random choices: the split (and its order) is identical
+    F = prime_field(p)
+    rng = random.Random(32 + d)
+    for count in (2, 3):
+        prod = Poly.one(F)
+        seen = set()
+        while len(seen) < count:
+            g = _random_poly(F, d, rng)
+            if g.encode() not in seen and is_irreducible(g):
+                seen.add(g.encode())
+                prod = prod * g
+        seed = rng.random()
+        got = _equal_degree(prod, d, random.Random(seed))
+        assert got == _plain_equal_degree(prod, d, random.Random(seed))
+        assert sorted(g.encode() for g in got) == sorted(seen)
+
+
+def test_monic_divisor_skips_the_inverse():
+    E = make_extension(13, 2)
+    rng = random.Random(33)
+    for _ in range(20):
+        a = Poly(E, [E.random(rng) for _ in range(7)])
+        b = Poly(E, [E.random(rng) for _ in range(3)] + [E.one])
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        two = E.from_int(2)
+        q2, r2 = a.divmod(b.scale(two))  # the non-monic path
+        assert (q2.scale(two), r2) == (q, r)

@@ -1,0 +1,35 @@
+"""Isogeny reports: the Mobius pre-transform survives a parse and re-serialization."""
+
+import pytest
+
+from trigonal import serialize
+from trigonal.curves import Mobius
+from trigonal.trigmaps import TrigonalMap
+
+
+def _report(H, S, g, R, pre):
+    g2 = TrigonalMap(g.field, g.n1, g.n0, g.d1, g.d0, g.curve, g.subgroup, pre, H)
+    return serialize.isogeny_report(H, S, 0, g2, R.fib, R.plane, R.X, +1)
+
+
+def test_mobius_pretransform_roundtrip(ex37_curve, ex37_subgroup, ex37_map, ex37_R, F37):
+    pre = Mobius(F37, 3, 5, 7, 2)
+    doc = _report(ex37_curve, ex37_subgroup, ex37_map, ex37_R, pre)
+    assert doc["mobius_pretransform"] == ["3", "5", "7", "2"]
+    parsed = serialize.parse_isogeny_report(doc)
+    assert parsed["mobius_pretransform"] == pre.m
+    rebuilt = Mobius(F37, *parsed["mobius_pretransform"])
+    assert _report(ex37_curve, ex37_subgroup, ex37_map, ex37_R, rebuilt) == doc
+
+
+def test_identity_pretransform_parses_as_none(ex37_curve, ex37_subgroup, ex37_map, ex37_R, F37):
+    doc = _report(ex37_curve, ex37_subgroup, ex37_map, ex37_R, Mobius.identity(F37))
+    assert doc["mobius_pretransform"] is None
+    assert serialize.parse_isogeny_report(doc)["mobius_pretransform"] is None
+
+
+def test_malformed_pretransform_rejected(ex37_curve, ex37_subgroup, ex37_map, ex37_R, F37):
+    doc = _report(ex37_curve, ex37_subgroup, ex37_map, ex37_R, Mobius(F37, 3, 5, 7, 2))
+    doc["mobius_pretransform"] = ["1", "2", "3"]
+    with pytest.raises(ValueError):
+        serialize.parse_isogeny_report(doc)

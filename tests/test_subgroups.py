@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import curve_with_pattern
-from trigonal.curves import cantor_add
+from trigonal.curves import HCurve, cantor_add
 from trigonal.errors import NotAPartitionOf8
 from trigonal.fields import make_extension, prime_field
-from trigonal.polyring import Poly
+from trigonal.polyring import Poly, roots
 from trigonal.subgroups import (
     PATTERN_COUNTS,
+    OrbitSplit,
+    _Materializer,
     brute_force_tractable,
     count_for_pattern,
     enumerate_tractable,
@@ -174,3 +176,97 @@ def test_partition_generator():
     assert len(parts) == 22
     assert all(sum(t) == 8 for t in parts)
     assert sum(partition_weight(t) for t in parts) == 1
+
+
+# --- one factorization per curve, one root per cross orbit -------------------
+
+P30 = 750175891  # deterministic_prime(30, 0), 3 mod 4; 37 and 53 are 1 mod 4
+
+
+def _roots_chain(poly, field):
+    """Reference chain: all roots by roots(), the least by encoding, then its conjugates."""
+    rs = roots(poly.map_coeffs(field.from_int, field))
+    assert len(rs) == poly.degree
+    chain = [min(rs, key=field.encode)]
+    for _ in range(poly.degree - 1):
+        chain.append(field.frobenius_power(chain[-1], 1))
+    return chain
+
+
+@pytest.mark.parametrize("p", [37, 53, P30])
+@pytest.mark.parametrize("pattern", [(2, 2, 2, 2), (3, 3, 1, 1), (4, 4)], ids=str)
+@pytest.mark.parametrize("fast", [False, True], ids=["canonical", "fast"])
+def test_cross_orbit_chain_matches_roots(p, pattern, fast):
+    F = prime_field(p)
+    m = pattern[0]
+    rng = random.Random(40 + p + m)
+    for _ in range(2):
+        H = curve_with_pattern(F, pattern, rng)
+        orbits = [o for o in OrbitSplit(H).orbits() if o.size == m]
+        mat = _Materializer(H, fast)
+        for o1 in orbits:
+            K = mat._algebra(o1) if fast else make_extension(p, m)
+            for o2 in orbits:
+                assert mat.ordered_roots(o2, K) == _roots_chain(o2.poly, K)
+
+
+def _v_curve(F, rng):
+    """A curve with F of degree 7, so v is one of the Weierstrass orbits."""
+    while True:
+        coeffs = [F.random(rng) for _ in range(7)] + [F.one, F.zero]
+        try:
+            return HCurve.from_coeffs(F, coeffs)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("p", [37, 101, P30])
+def test_distinct_degree_pattern_matches_factorization(p):
+    from trigonal.survey import random_curve
+
+    F = prime_field(p)
+    rng = random.Random(41)
+    curves = [random_curve(p, rng) for _ in range(25)] + [_v_curve(F, rng) for _ in range(5)]
+    for H in curves:
+        split = OrbitSplit(H)
+        _, factors = H.form.factor()
+        assert all(mult == 1 for _, mult in factors)
+        assert split.pattern == tuple(sorted((g.d for g, _ in factors), reverse=True))
+        assert split.pattern == pattern_of(H)
+        # the equal-degree step recovers exactly the irreducible factors
+        got = sorted(o.poly.encode() for o in split.orbits() if o.poly is not None)
+        want = sorted(g.affine().monic()[0].encode() for g, _ in factors if g.affine().degree > 0)
+        assert got == want
+        assert split.has_v == (H.F.degree == 7)
+        for o in split.orbits():
+            if o.poly is not None:
+                assert o.xp == Poly.x(F).pow_mod(p, o.poly)
+
+
+def test_typed_errors_survive_python_O():
+    # the orbit checks raise TrigonalError subclasses, not asserts
+    code = """
+import types
+from trigonal.errors import ContextMismatch, NotSquarefree
+from trigonal.fields import make_extension, prime_field
+from trigonal.polyring import BinaryForm, Poly, split_root
+from trigonal.subgroups import OrbitSplit
+F = prime_field(37)
+sq = Poly.from_ints(F, [1, 2, 1]) * Poly.from_ints(F, [3, 0, 5, 0, 0, 1])
+try:
+    OrbitSplit(types.SimpleNamespace(F=sq, form=BinaryForm.from_affine(sq, 8)))
+except NotSquarefree:
+    print("ok1")
+cubic = Poly.from_ints(F, [3, 0, 0, 1])  # -3 is not a cube mod 37
+try:
+    split_root(cubic, Poly.x(F).pow_mod(37, cubic), make_extension(37, 2))
+except ContextMismatch:
+    print("ok2")
+"""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.split() == ["ok1", "ok2"], out.stderr

@@ -120,3 +120,15 @@ def test_bad_config_rejected():
         SurveyConfig(p=P30, samples=0)
     with pytest.raises(ValueError):
         SurveyConfig(p=P30, samples=5, depth="everything")
+
+
+def test_criterion_8_rows_frozen():
+    # CSV rows of the first 300 trials of criterion 8's seed, recorded before
+    # the survey's factorization and root finding were rewritten: any drift
+    # in a trial's pattern, counts or flags changes the digest
+    import hashlib
+
+    cfg = SurveyConfig(p=P30, samples=300, seed=20080514, depth="full", threads=1)
+    _, rows = run_survey(cfg)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "54485f61898c9b048ded6dc9a155ba51b0b71b996007fd5cc8e51cafc8fd6e36"
