@@ -83,25 +83,26 @@ def cmd_analyze(args):
 
 
 def _pick_subgroup(H, subs, index):
+    """(index, kernel): the kernel is the picked subgroup's pencil, None when index is given."""
     if not subs:
         raise NotRational("curve has no rational tractable subgroup")
     if index is not None:
         if not 0 <= index < len(subs):
             raise NotRational(f"subgroup index {index} out of range 0..{len(subs) - 1}")
-        return index
+        return index, None
     f = H.field
     for i, S in enumerate(subs):
         alpha, beta = kernel_basis(build_M(S, H), f)
         if f.is_square(rationality_discriminant(f, alpha, beta)):
-            return i
+            return i, (alpha, beta)
     raise NotRational("no subgroup admits a rational trigonal map")
 
 
 def _build(H, index=None, sign=+1):
     subs = enumerate_tractable(H)
-    i = _pick_subgroup(H, subs, index)
+    i, kernel = _pick_subgroup(H, subs, index)
     S = subs[i]
-    g = trigonal_map_for(S, H)
+    g = trigonal_map_for(S, H, _kernel=kernel)
     fib = build_fibration(g, g.curve)
     R = build_correspondence(fib, sign)
     return subs, i, S, g, fib, R

@@ -9,6 +9,15 @@ on H and reduces with Cantor arithmetic.  reverse(phi(.)) acts as
 multiplication by +/-2 with a consensus sign per construction, which is the
 functional certificate used throughout verification.
 
+phi lifts each point without factoring its fiber.  P = (x1, y1) makes x1 a
+root of the cubic G(t, x), so over F_{q^(2j)} (j the degree of P's field)
+the cubic is (x - x1) times a quadratic with coefficients in F_{q^j}, which
+splits with one square root.  The b with b(x1) = y1 are glued by CRT from
+y1 and the square roots of F at the other two roots, and the sheet test
+keeps the two with rho(b22) = b2.  fiber_points, which factors the fiber
+cubic, enumerates whole fibers: it counts X's points and is the test oracle
+for the lift.  Both glue square roots with the same code.
+
 Classes are always re-represented as a difference of two good degree-3
 effective divisors before evaluation (support must avoid Weierstrass points,
 zeros of D(x), infinity, and ramified fibers), by adding random auxiliary
@@ -24,9 +33,9 @@ from dataclasses import dataclass
 
 from .construction import CorrespondenceR, CurveXModel, embed_poly
 from .curves import DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
-from .errors import BadSupport, ModelMismatch, RamifiedFiber, TooLarge
+from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import QuotientField, embed, make_extension, project
-from .polyring import Poly, factorize, roots
+from .polyring import Poly, factorize, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
 
@@ -62,55 +71,70 @@ class XDivisor:
         return not self.entries
 
 
-def _etale_square_roots(F: Poly, Gt: Poly, field):
-    """All b in field[x]/(Gt) with b^2 = F, as (b0, b1, b2) pairs modulo +/-.
+def _square_root_parts(F: Poly, factors, field):
+    """One square root of F modulo each irreducible factor h, as [(h, r)].
 
-    One square root per irreducible factor, all sign combinations, glued by
-    CRT; empty when some factor sees a non-residue.
+    None when F is a non-residue modulo some factor: then F has no square
+    root in the etale algebra at all.
     """
-    _, factors = factorize(Gt)
     parts = []
-    for h, m in factors:
-        assert m == 1
+    for h in factors:
         if h.degree == 1:
-            x0 = field.neg(h[0])
-            rt = field.sqrt(F.eval(x0))
+            rt = field.sqrt(F.eval(field.neg(h[0])))
             if rt is None:
-                return []
+                return None
             parts.append((h, Poly.const(field, rt)))
         else:
-            Q = QuotientField(field, h.c)
             val = F % h
-            vt = tuple(val[i] for i in range(h.degree))
-            rt = Q.sqrt(vt)
+            rt = QuotientField(field, h.c).sqrt(tuple(val[i] for i in range(h.degree)))
             if rt is None:
-                return []
+                return None
             parts.append((h, Poly(field, rt)))
-    from .polyring import xgcd
+    return parts
 
+
+def _etale_square_roots(Gt: Poly, parts, field):
+    """Every b in field[x]/(Gt) with b = +/-r modulo each factor, as (b0, b1, b2).
+
+    parts is [(h, r)] over the irreducible factors of Gt.  The sign on the
+    first factor stays +, which picks one of b and -b; the other signs take
+    all combinations, glued by CRT.
+    """
     crt = []
     for h, _ in parts:
         m_i = Gt // h
         g, s, _ = xgcd(m_i, h)
-        assert g.degree == 0 and g.c[0] == field.one
+        if g.degree != 0:
+            raise NotSquarefree("the fiber cubic has a repeated factor")
         crt.append((m_i * s) % Gt)
     out = []
-    seen = set()
-    nparts = len(parts)
-    for mask in range(2 ** (nparts - 1)):  # first sign fixed: b ~ -b
+    for mask in range(2 ** (len(parts) - 1)):
         b = Poly.zero(field)
-        for i, ((h, rt), u) in enumerate(zip(parts, crt)):
-            sgn = 1 if i == 0 or not (mask >> (i - 1)) & 1 else -1
-            term = (rt if sgn > 0 else -rt) * u
-            b = (b + term) % Gt
-        b0, b1, b2 = b[0], b[1], b[2]
-        bn = (field.neg(b0), field.neg(b1), field.neg(b2))
-        rep = min((b0, b1, b2), bn, key=lambda v: tuple(field.encode(x) for x in v))
-        k = tuple(field.encode(x) for x in rep)
-        if k not in seen:
-            seen.add(k)
-            out.append(rep)
+        for i, ((_, rt), u) in enumerate(zip(parts, crt)):
+            term = rt * u
+            b = b - term if i and (mask >> (i - 1)) & 1 else b + term
+        b = b % Gt
+        out.append((b[0], b[1], b[2]))
     return out
+
+
+def _fiber_point(X: CurveXModel, field, t0, b, scale):
+    """The X-point with coordinates b_ij = scale * b_i * b_j, checked against the model."""
+    coords = tuple(
+        field.mul(scale, field.mul(u, v))
+        for u, v in ((b[0], b[0]), (b[0], b[1]), (b[0], b[2]), (b[1], b[1]), (b[1], b[2]), (b[2], b[2]))
+    )
+    pt = XPoint(field, t0, coords)
+    if not X.contains(field, t0, pt.bmap()):
+        raise ModelMismatch("fiber point misses the model of X")
+    return pt
+
+
+def _fiber_cubic(fib, t0, field) -> Poly:
+    """G(t0, x) over field; RamifiedFiber when the fiber over t0 degenerates."""
+    if fib.ramified_at(t0, field):
+        raise RamifiedFiber("t0 lies under a degenerate fiber")
+    return Poly(field, [embed_poly(c, fib.field, field).eval(t0) for c in fib.G.cx])
 
 
 def fiber_points(X: CurveXModel, t0, field) -> list:
@@ -123,26 +147,24 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     of u^2 = F/nu with coordinates b_ij = nu * u_i u_j; a character-parity
     argument shows this branch is empty whenever the construction is
     isogeny-rational (lc(s) a square), but it does populate fibers on the
-    non-rational side.
+    non-rational side.  G(t0, x) is factored once for both branches.
     """
     fib = X.fib
-    base = fib.field
-    if fib.ramified_at(t0, field):
-        raise RamifiedFiber("t0 lies under a degenerate fiber")
-    Gt = Poly(field, [embed_poly(c, base, field).eval(t0) for c in fib.G.cx])
-    F = embed_poly(fib.curve.F, base, field)
+    Gt = _fiber_cubic(fib, t0, field)
+    F = embed_poly(fib.curve.F, fib.field, field)
+    _, factors = factorize(Gt)
+    if any(m != 1 for _, m in factors):
+        raise NotSquarefree("the fiber cubic has a repeated factor")
+    hs = [h for h, _ in factors]
     nu = field.nonresidue()
     out = []
     for scale, FF in ((field.one, F), (nu, F.scale(field.inv(nu)))):
-        for b0, b1, b2 in _etale_square_roots(FF, Gt, field):
-            coords = tuple(
-                field.mul(scale, field.mul(x, y))
-                for x, y in ((b0, b0), (b0, b1), (b0, b2), (b1, b1), (b1, b2), (b2, b2))
-            )
-            pt = XPoint(field, t0, coords)
-            assert X.contains(field, t0, pt.bmap()), "fiber point misses the model"
-            out.append(pt)
-    out.sort(key=lambda p: p.key())
+        parts = _square_root_parts(FF, hs, field)
+        if parts is None:
+            continue
+        for b in _etale_square_roots(Gt, parts, field):
+            out.append(_fiber_point(X, field, t0, b, scale))
+    out.sort(key=XPoint.key)
     return out
 
 
@@ -228,22 +250,42 @@ def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
 
 
 def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
-    """The two correspondence points above a good curve point, over F_{q^(2j)}."""
+    """The two correspondence points above a good curve point, over F_{q^(2j)}.
+
+    x1 is a root of G(t0, x), so the fiber needs no factorization: the
+    residual quadratic G(t0, x) / (x - x1) has its coefficients in F_{q^j},
+    so it splits over F_{q^(2j)} with one square root of its discriminant.
+    Gluing y1 at x1 with both signs of the square roots of F at the other
+    two roots gives every b with b(x1) = y1.  For such b the sheet test
+    y1 * rho = b02 + b12 x1 + b22 x1^2 reads y1 * rho = y1 * b2, so the
+    points under P are the ones with rho(b22) = b2.  The points over t0
+    whose b is anti-fixed by Frobenius are never among them: there F(x1) / nu
+    would be a square, but it is y1^2 / nu.
+    """
     K2 = make_extension(K.p, 2 * K.k)
     t2 = embed(t0, K, K2)
     x2 = embed(x1, K, K2)
     y2 = embed(y1, K, K2)
-    pts = fiber_points(R.X, t2, K2)
+    fib = R.fib
+    Gt = _fiber_cubic(fib, t2, K2)
+    lin = Poly(K2, [K2.neg(x2), K2.one])
+    quad, rem = Gt.divmod(lin)
+    if not rem.is_zero:
+        raise ModelMismatch("x(P) is not a root of G(t(P), x)")
+    c0, c1 = quad[0], quad[1]
+    sd = K2.sqrt(K2.sub(K2.sqr(c1), K2.mul(K2.from_int(4), c0)))
+    half = K2.inv(K2.from_int(2))
+    rest = [Poly(K2, [K2.mul(K2.add(c1, r), half), K2.one]) for r in (sd, K2.neg(sd))]
+    parts = _square_root_parts(embed_poly(fib.curve.F, fib.field, K2), rest, K2)
     picked = []
-    for q in pts:
-        b = q.bmap()
-        rho = R.rho(K2, t2, b["b22"])
-        lhs = K2.mul(y2, rho)
-        rhs = K2.add(b["b02"], K2.add(K2.mul(b["b12"], x2), K2.mul(b["b22"], K2.sqr(x2))))
-        if lhs == rhs:
-            picked.append(q)
+    if parts is not None:
+        for b in _etale_square_roots(Gt, [(lin, Poly.const(K2, y2))] + parts, K2):
+            q = _fiber_point(R.X, K2, t2, b, K2.one)
+            if R.rho(K2, t2, q.b[5]) == b[2]:
+                picked.append(q)
     if len(picked) != 2:
         raise BadSupport(f"expected 2 matching fiber points, found {len(picked)}")
+    picked.sort(key=XPoint.key)
     return picked
 
 
@@ -306,7 +348,8 @@ def _mumford_transform(a: Poly, b: Poly, matrix, w_scale, field, target_F: Poly)
     for _ in range(5 - n):
         b2 = b2 * lin
     b2 = b2.scale(f.mul(w_scale, f.inv(f.pow(det, 4)))) % a2
-    assert ((b2 * b2 - target_F) % a2).is_zero, "transported pair misses the target curve"
+    if not ((b2 * b2 - target_F) % a2).is_zero:
+        raise ModelMismatch("transported pair misses the target curve")
     return a2, b2
 
 
@@ -423,20 +466,22 @@ def fiber_partition_oracle(fib, t0, field) -> int:
     ones fixed by the q^k-power Frobenius.  Must equal len(fiber_points).
     """
     base = fib.field
-    if fib.ramified_at(t0, field):
-        raise RamifiedFiber("oracle needs an unramified fiber")
-    Gt = Poly(field, [embed_poly(c, base, field).eval(t0) for c in fib.G.cx])
+    Gt = _fiber_cubic(fib, t0, field)
     _, factors = factorize(Gt)
     e = math.lcm(*(h.degree for h, _ in factors))
     M = make_extension(base.p, field.k * e * 2)
     GM = embed_poly(Gt, field, M)
     xs = roots(GM)
-    assert len(xs) == 3
+    if len(xs) != 3:
+        raise NotSquarefree("the fiber cubic has a repeated root")
     FM = embed_poly(fib.curve.F, base, M)
     pts = []
     for x in xs:
         y = M.sqrt(FM.eval(x))
-        assert y is not None and y != M.zero
+        if y is None:
+            raise ContextMismatch("the oracle's field does not hold the fiber's y-values")
+        if y == M.zero:
+            raise RamifiedFiber("the fiber contains a Weierstrass point")
         pts.append((x, y))
 
     def enc_pt(x, y):

@@ -152,3 +152,30 @@ def test_sign_selects_sheet(capsys, curve_file):
     code, out_m, _ = run_cli(capsys, "isogeny", "--curve", curve_file, "--sign", "-")
     assert json.loads(out_p)["sign"] == "+"
     assert json.loads(out_m)["sign"] == "-"
+
+
+def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
+    # _pick_subgroup hands its pencil to trigonal_map_for, so build_M runs
+    # once per subgroup it looks at, and the report is the one recorded
+    # before that hand-over
+    import hashlib
+
+    from trigonal import cli, trigmaps
+
+    calls = {}
+    real = trigmaps.build_M
+
+    def counting(S, H):
+        calls[S.key()] = calls.get(S.key(), 0) + 1
+        return real(S, H)
+
+    monkeypatch.setattr(cli, "build_M", counting)
+    monkeypatch.setattr(trigmaps, "build_M", counting)
+    recorded = "ae20dc9ad1c3fa3c23fed78315e2ebe75ecff427b8a1a9d3336dac1b6a8f234c"
+    # without an index the pick computes the pencil; with one, trigonal_map_for does
+    for extra in ((), ("--subgroup", "0")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "isogeny", "--curve", curve_file, *extra)
+        assert code == 0
+        assert list(calls.values()) == [1]
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import constructions
 from ex37 import EX37_DLP_MULTIPLIER, EX37_JAC_ORDER
-from trigonal.construction import build_correspondence
+from trigonal.construction import build_correspondence, embed_poly
 from trigonal.curves import (
     DivisorClass,
     OddModel,
@@ -15,7 +15,7 @@ from trigonal.curves import (
     random_class,
     two_torsion_from_pair,
 )
-from trigonal.errors import RamifiedFiber
+from trigonal.errors import BadSupport, RamifiedFiber
 from trigonal.evaluation import (
     XDivisor,
     consensus_sign,
@@ -28,6 +28,7 @@ from trigonal.evaluation import (
     _phi_point,
 )
 from trigonal.fields import embed, make_extension, prime_field
+from trigonal.polyring import Poly
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -212,3 +213,101 @@ def test_transport_linearity_random():
         lhs = reverse_on_xdivisor(phi_on_class(cantor_mul(Dodd, m), R), R, model)
         rhs = cantor_mul(reverse_on_xdivisor(phi_on_class(Dodd, R), R, model), m)
         assert lhs == rhs
+
+
+def _rho_filtered_fiber(R, K, x1, y1, t0):
+    """The reference lift: all fiber points over F_{q^(2j)}, then the sheet test."""
+    K2 = make_extension(K.p, 2 * K.k)
+    t2, x2, y2 = (embed(v, K, K2) for v in (t0, x1, y1))
+    picked = []
+    for q in fiber_points(R.X, t2, K2):
+        b = q.bmap()
+        rhs = K2.add(b["b02"], K2.add(K2.mul(b["b12"], x2), K2.mul(b["b22"], K2.sqr(x2))))
+        if K2.mul(y2, R.rho(K2, t2, b["b22"])) == rhs:
+            picked.append(q)
+    if len(picked) != 2:
+        raise BadSupport(f"expected 2 matching fiber points, found {len(picked)}")
+    return picked
+
+
+def _good_points(fib, K, rng, count):
+    """Random good points (x, y, t0) of the construction's curve over K."""
+    g = fib.gmap
+    F = embed_poly(fib.curve.F, fib.field, K)
+    N = embed_poly(g.N, g.field, K)
+    D = embed_poly(g.D, g.field, K)
+    out = []
+    for _ in range(50 * count):
+        x = K.random(rng)
+        fx, d = F.eval(x), D.eval(x)
+        if fx == K.zero or d == K.zero or not K.is_square(fx):
+            continue
+        t0 = K.div(N.eval(x), d)
+        if not fib.ramified_at(t0, K):
+            out.append((x, K.sqrt(fx), t0))
+            if len(out) == count:
+                break
+    return out
+
+
+def _lift_outcome(lift, R, K, x1, y1, t0):
+    try:
+        return [q.key() for q in lift(R, K, x1, y1, t0)]
+    except BadSupport:
+        return "bad_support"
+
+
+def test_phi_point_matches_rho_filtered_fiber_points(ex37_fibration):
+    # the lift from the known root picks exactly the fiber points that the
+    # sheet test picks among all of fiber_points, on both sheets and both
+    # y signs, and fails with BadSupport on exactly the same points (the first
+    # F_53 construction drawn here is not isogeny-rational, which is where
+    # the y-lifts at conjugate roots can fail)
+    rng = random.Random(57)
+    fibs = [ex37_fibration] + [fib for _, _, _, fib in constructions(53, 3, rng)]
+    residual = {"split": 0, "irreducible": 0}
+    outcomes = {"points": 0, "bad_support": 0}
+    for fib in fibs:
+        sheets = [build_correspondence(fib, sign) for sign in (+1, -1)]
+        for k in (1, 2):
+            K = make_extension(fib.field.p, k)
+            for x1, y1, t0 in _good_points(fib, K, rng, 4):
+                Gt = Poly(K, [embed_poly(c, fib.field, K).eval(t0) for c in fib.G.cx])
+                quad = Gt // Poly(K, [K.neg(x1), K.one])
+                disc = K.sub(K.sqr(quad[1]), K.mul(K.from_int(4), quad[0]))
+                residual["split" if K.is_square(disc) else "irreducible"] += 1
+                for R in sheets:
+                    for y in (y1, K.neg(y1)):
+                        got = _lift_outcome(_phi_point, R, K, x1, y, t0)
+                        assert got == _lift_outcome(_rho_filtered_fiber, R, K, x1, y, t0)
+                        outcomes["points" if got != "bad_support" else "bad_support"] += 1
+    assert residual["split"] and residual["irreducible"], residual
+    assert outcomes["points"] >= 40 and outcomes["bad_support"], outcomes
+
+
+def test_typed_errors_survive_python_O():
+    # the evaluation checks raise TrigonalError subclasses, not asserts
+    code = """
+from trigonal.errors import ModelMismatch, NotSquarefree
+from trigonal.evaluation import _etale_square_roots, _mumford_transform
+from trigonal.fields import prime_field
+from trigonal.polyring import Poly
+F = prime_field(37)
+h1, h2 = Poly.from_ints(F, [36, 1]), Poly.from_ints(F, [35, 1])
+one = Poly.one(F)
+try:
+    _etale_square_roots(h1 * h1 * h2, [(h1, one), (h1, one), (h2, one)], F)
+except NotSquarefree:
+    print("ok1")
+try:
+    _mumford_transform(h1, Poly.const(F, 5), (1, 0, 0, 1), 1, F, Poly.from_ints(F, [1, 0, 0, 0, 0, 0, 0, 1]))
+except ModelMismatch:
+    print("ok2")
+"""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.split() == ["ok1", "ok2"], out.stderr
