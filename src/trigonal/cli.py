@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .construction import build_correspondence, build_fibration, isogeny_is_rational
+from .construction import assess, build_correspondence
 from .curves import (
     DivisorClass,
     OddModel,
@@ -24,46 +24,20 @@ from .curves import (
     point_class,
     random_class,
 )
-from .errors import NotRational, TrigonalError
+from .errors import NotRational, TooLarge, TrigonalError
 from .evaluation import consensus_sign, fiber_partition_oracle, fiber_points, phi_on_class
 from .fields import make_extension
 from .subgroups import enumerate_tractable, expectation, pattern_of
 from .survey import SurveyConfig, deterministic_prime, pattern_str, run_survey
-from .trigmaps import build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
-ZETA_GUARD = 1 << 30
-
-
-def _load_curve(path):
-    return serialize.load_curve(path)
-
-
-def _subgroup_flags(H, subs):
-    """(trig_rational, isogeny_rational-or-None) per subgroup; None/None when degenerate."""
-    from .errors import DegenerateConfiguration
-
-    f = H.field
-    out = []
-    for S in subs:
-        try:
-            alpha, beta = kernel_basis(build_M(S, H), f)
-            trig = f.is_square(rationality_discriminant(f, alpha, beta))
-            isog = None
-            if trig:
-                g = trigonal_map_for(S, H, _kernel=(alpha, beta))
-                fib = build_fibration(g, g.curve)
-                isog = isogeny_is_rational(fib)
-        except DegenerateConfiguration:
-            out.append((None, None))
-            continue
-        out.append((trig, isog))
-    return out
+# the isogeny report counts points for zeta_h only up to p^3 = 2^21
+_REPORT_ZETA_ORDER = 1 << 21
 
 
 def cmd_analyze(args):
-    H = _load_curve(args.curve)
+    H = serialize.load_curve(args.curve)
     subs = enumerate_tractable(H)
-    flags = _subgroup_flags(H, subs)
+    verdicts = [assess(S, H) for S in subs]
     doc = {
         "curve": serialize.curve_to_json(H),
         "pattern": pattern_str(pattern_of(H)),
@@ -72,10 +46,10 @@ def cmd_analyze(args):
             {
                 "index": i,
                 "quadratics": serialize.subgroup_to_json(S),
-                "trigonal_rational": trig,
-                "isogeny_rational": isog,
+                "trigonal_rational": v.trig,
+                "isogeny_rational": v.isog,
             }
-            for i, (S, (trig, isog)) in enumerate(zip(subs, flags))
+            for i, (S, v) in enumerate(zip(subs, verdicts))
         ],
     }
     print(json.dumps(doc, indent=2))
@@ -83,39 +57,39 @@ def cmd_analyze(args):
 
 
 def _pick_subgroup(H, subs, index):
-    """(index, kernel): the kernel is the picked subgroup's pencil, None when index is given."""
+    """(index, verdict) of the first subgroup whose verdict has a map, or of subgroup index.
+
+    A given index whose verdict has no map raises the verdict's failure, or
+    NotRational.
+    """
     if not subs:
         raise NotRational("curve has no rational tractable subgroup")
-    if index is not None:
-        if not 0 <= index < len(subs):
-            raise NotRational(f"subgroup index {index} out of range 0..{len(subs) - 1}")
-        return index, None
-    f = H.field
-    for i, S in enumerate(subs):
-        alpha, beta = kernel_basis(build_M(S, H), f)
-        if f.is_square(rationality_discriminant(f, alpha, beta)):
-            return i, (alpha, beta)
+    if index is not None and not 0 <= index < len(subs):
+        raise NotRational(f"subgroup index {index} out of range 0..{len(subs) - 1}")
+    for i in range(len(subs)) if index is None else (index,):
+        v = assess(subs[i], H)
+        if v.map is not None:
+            return i, v
+        if index is not None:
+            raise v.failure or NotRational(f"subgroup {index} admits no rational trigonal map")
     raise NotRational("no subgroup admits a rational trigonal map")
 
 
 def _build(H, index=None, sign=+1):
     subs = enumerate_tractable(H)
-    i, kernel = _pick_subgroup(H, subs, index)
-    S = subs[i]
-    g = trigonal_map_for(S, H, _kernel=kernel)
-    fib = build_fibration(g, g.curve)
-    R = build_correspondence(fib, sign)
-    return subs, i, S, g, fib, R
+    i, v = _pick_subgroup(H, subs, index)
+    R = build_correspondence(v.fibration, sign)
+    return subs, i, subs[i], v.map, v.fibration, R
 
 
-def _zeta_if_cheap(H, guard=1 << 21):
-    if H.field.p ** 3 > guard:
+def _zeta_if_cheap(H):
+    if H.field.p ** 3 > _REPORT_ZETA_ORDER:
         return None
     return [str(c) for c in l_polynomial(H)]
 
 
 def cmd_isogeny(args):
-    H = _load_curve(args.curve)
+    H = serialize.load_curve(args.curve)
     sign = +1 if args.sign != "-" else -1
     subs, i, S, g, fib, R = _build(H, args.subgroup, sign)
     verification = {"zeta_h": _zeta_if_cheap(H), "roundtrip_sign": None}
@@ -125,7 +99,7 @@ def cmd_isogeny(args):
 
 
 def cmd_map(args):
-    H = _load_curve(args.curve)
+    H = serialize.load_curve(args.curve)
     spec = args.divisor
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
@@ -156,13 +130,13 @@ def cmd_map(args):
 
 
 def cmd_verify(args):
-    H = _load_curve(args.curve)
+    H = serialize.load_curve(args.curve)
     _, _, S, g, fib, R = _build(H, args.subgroup, +1)
     rng = random.Random(args.seed)
     doc = {"curve": serialize.curve_to_json(H)}
-    if H.field.p ** 3 <= ZETA_GUARD:
+    try:
         doc["zeta_h"] = [str(c) for c in l_polynomial(H)]
-    else:
+    except TooLarge:
         doc["zeta_h"] = None
     model = OddModel.from_curve(H)
     classes = [random_class(H, 1, rng) for _ in range(args.trials)]

@@ -11,6 +11,10 @@ selecting the two sheets (the negated sheet induces the negated isogeny).
 The construction is rational over F_q exactly when alpha = lc(s) is a square;
 otherwise delta1 (and with it rho and the correspondence) lives over F_{q^2}
 and the object is flagged non-rational but still fully inspectable.
+
+assess(S, H) runs the whole chain of tests that decides a subgroup's fate
+(chord matrix, pencil discriminant, trigonal map, fibration, lc(s) a
+square); the survey and the CLI both read their flags from its Verdict.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import HCurve
-from .errors import SquareRootObstruction
+from .errors import DegenerateConfiguration, SquareRootObstruction
 from .fields import embed, make_extension
 from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
-from .trigmaps import TrigonalMap
+from .subgroups import TractableSubgroup
+from .trigmaps import TrigonalMap, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
 X_VARS = ("b00", "b01", "b02", "b11", "b12", "b22")
 
@@ -135,6 +140,43 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
 def isogeny_is_rational(fib: TrigonalFibration) -> bool:
     """Prop.-6 style criterion: the leading coefficient of s is a square."""
     return fib.field.is_square(fib.alpha)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The fate of one subgroup.
+
+    trig (a rational trigonal map exists) and isog (the isogeny is rational)
+    are True, False, or None when the chain stopped before their test.
+    failure is the DegenerateConfiguration that stopped it, if any.
+    """
+
+    trig: bool | None
+    isog: bool | None
+    map: TrigonalMap | None = None
+    fibration: TrigonalFibration | None = None
+    failure: DegenerateConfiguration | None = None
+
+
+def assess(S: TractableSubgroup, H: HCurve, full: bool = True) -> Verdict:
+    """Decide S: chord matrix, pencil discriminant, map, fibration, lc(s) a square.
+
+    With full=False the chain stops after the discriminant.  The map and
+    fibration are kept in the verdict for callers that go on to build the
+    correspondence.
+    """
+    f = H.field
+    trig = None
+    try:
+        alpha, beta = kernel_basis(build_M(S, H), f)
+        trig = f.is_square(rationality_discriminant(f, alpha, beta))
+        if not (trig and full):
+            return Verdict(trig, None)
+        g = trigonal_map_for(S, H, _kernel=(alpha, beta))
+        fib = build_fibration(g, g.curve)
+    except DegenerateConfiguration as exc:
+        return Verdict(trig, None, failure=exc)
+    return Verdict(trig, isogeny_is_rational(fib), g, fib)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .errors import (
     NotAFactor,
     TooLarge,
 )
-from .fields import embed, make_extension
+from .fields import _prime_divisors, embed, make_extension
 from .polyring import BinaryForm, Poly, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
@@ -56,19 +56,6 @@ class Mobius:
         a, b, c, d = self.m
         f = self.field
         return Mobius(f, d, f.neg(b), f.neg(c), a)
-
-    def apply_x(self, x):
-        """Image of an x-coordinate; None encodes x = infinity."""
-        f = self.field
-        a, b, c, d = self.m
-        if x is None:
-            if c == f.zero:
-                return None
-            return f.div(a, c)
-        den = f.add(f.mul(c, x), d)
-        if den == f.zero:
-            return None
-        return f.div(f.add(f.mul(a, x), b), den)
 
     def apply_uvw(self, pt, w_scale=None):
         """Image of a weighted-projective point (u, v, w).
@@ -285,24 +272,10 @@ class DivisorClass:
         n = group_order
         assert cantor_mul(self, n).is_identity
         o = n
-        for q in _prime_factors(n):
+        for q in _prime_divisors(n):
             while o % q == 0 and cantor_mul(self, o // q).is_identity:
                 o //= q
         return o
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _reduce_mumford(F: Poly, a: Poly, b: Poly):
@@ -458,46 +431,28 @@ def count_points(H: HCurve, k: int) -> int:
     if p**k > _COUNT_GUARD:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
     field = make_extension(p, k)
-    F = H.F.map_coeffs(lambda c: field.from_int(c) if field.k > 1 else c, field)
-    if field.k == 1:
-        squares = [False] * p
-        for y in range((p + 1) // 2):
-            squares[y * y % p] = True
-        n = 0
-        for x in range(p):
-            fx = F.eval(x)
-            if fx == 0:
-                n += 1
-            elif squares[fx]:
-                n += 2
-    else:
-        squares = set()
-        for i in range(field.order):
-            z = field.decode(i)
-            squares.add(field.encode(field.mul(z, z)))
-        n = 0
-        zero = field.zero
-        for i in range(field.order):
-            x = field.decode(i)
-            fx = F.eval(x)
-            if fx == zero:
-                n += 1
-            elif field.encode(fx) in squares:
-                n += 2
+    F = H.F.map_coeffs(field.from_int, field)
+    squares = {field.mul(z, z) for z in field.elements()}
+    n = 0
+    for x in field.elements():
+        fx = F.eval(x)
+        if fx == field.zero:
+            n += 1
+        elif fx in squares:
+            n += 2
     # points at infinity
     if H.F.degree == 7:
         n += 1
-    else:
-        lc = H.F.lc
-        lc_k = field.from_int(lc) if field.k > 1 else lc
-        if field.is_square(lc_k):
-            n += 2
+    elif field.is_square(field.from_int(H.F.lc)):
+        n += 2
     return n
 
 
 def l_polynomial(H: HCurve):
     """Integer coefficients [1, c1, ..., c6] of the zeta numerator L(T)."""
     q = H.field.p
+    if q**3 > _COUNT_GUARD:
+        raise TooLarge(f"{q}^3 exceeds the enumeration guard 2^30")
     n1 = count_points(H, 1)
     n2 = count_points(H, 2)
     n3 = count_points(H, 3)

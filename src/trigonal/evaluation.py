@@ -32,12 +32,10 @@ import random
 from dataclasses import dataclass
 
 from .construction import CorrespondenceR, CurveXModel, embed_poly
-from .curves import DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
+from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
-from .fields import QuotientField, embed, make_extension, project
+from .fields import ExtField, embed, make_extension, project
 from .polyring import Poly, factorize, roots, xgcd
-
-_COUNT_GUARD = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def _square_root_parts(F: Poly, factors, field):
             parts.append((h, Poly.const(field, rt)))
         else:
             val = F % h
-            rt = QuotientField(field, h.c).sqrt(tuple(val[i] for i in range(h.degree)))
+            rt = ExtField(field, h.c).sqrt(tuple(val[i] for i in range(h.degree)))
             if rt is None:
                 return None
             parts.append((h, Poly(field, rt)))

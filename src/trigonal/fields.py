@@ -1,11 +1,18 @@
-"""Exact arithmetic in prime fields F_p (p > 3) and extensions F_{p^k}.
+"""Exact arithmetic in prime fields F_p (p > 3) and their extensions.
 
 Elements are plain data, interpreted by a field context that is passed
 around with them: an element of F_p is an int in [0, p), and an element
-of F_{p^k} is a length-k tuple of ints (coefficients on the polynomial
-basis 1, x, ..., x^{k-1} of F_p[x]/(modulus), constant term first).
+of an extension is a tuple of base-field elements (coefficients on the
+polynomial basis 1, x, ..., x^{n-1} of base[x]/(modulus), constant term
+first).
 
-Extension contexts are built by make_extension(p, k) with a modulus chosen
+One quotient-ring context, ExtField(base, modulus), serves every extension:
+F_{p^k} itself, the orbit algebras F_p[x]/(orbit polynomial) of the subgroup
+enumeration, and the etale factors over F_{q^j} in which phi takes square
+roots.  Over F_p it runs on int tuples with a Frobenius-matrix fast path;
+over an extension base it goes through the base context's operations.
+
+The F_{p^k} contexts are built by make_extension(p, k) with a modulus chosen
 deterministically from (p, k): the lexicographically least monic irreducible
 of degree k, i.e. the one minimizing the base-p digit value of its non-leading
 coefficients.  Repeated calls return the same cached context, so encodings
@@ -20,9 +27,9 @@ and safe to share across threads/processes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 
+from . import polyring
 from .errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
@@ -223,127 +230,87 @@ class PrimeField(_FieldOps):
         return a
 
 
-# --- minimal list-based polynomial helpers over F_p (for modulus search) ---
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
-    return _ptrim([x % p for x in c])
-
-
-def _pmod(a, b, p):
-    a = [x % p for x in a]
-    _ptrim(a)
-    n = len(b)
-    binv = pow(b[-1], -1, p)
-    while len(a) >= n:
-        q = a[-1] * binv % p
-        d = len(a) - n
-        for i in range(n):
-            a[d + i] = (a[d + i] - q * b[i]) % p
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppow_xp(f, p):
-    """x^p mod f by square-and-multiply."""
-    r = [1]
-    b = [0, 1]
-    n = p
-    while n:
-        if n & 1:
-            r = _pmod(_pmul(r, b, p), f, p)
-        b = _pmod(_pmul(b, b, p), f, p)
-        n >>= 1
-    return r
-
-
-def _pcompose(g, h, f, p):
-    """g(h) mod f."""
-    r = []
-    for c in reversed(g):
-        r = _pmod(_pmul(r, h, p), f, p)
-        if c:
-            r = _ptrim([(r[0] + c) % p] + r[1:]) if r else [c]
-    return r
-
-
 def _irreducible_mod_p(f, p) -> bool:
     """Rabin irreducibility test for monic f over F_p."""
+    F = prime_field(p)
     k = len(f) - 1
     if k == 1:
         return True
-    xp = _ppow_xp(f, p)
-    powers = {1: xp}
-    cur = xp
-    for j in range(2, k + 1):
-        cur = _pcompose(cur, xp, f, p)
-        powers[j] = cur
-    # x^{p^k} must equal x
-    if powers[k] != [0, 1]:
+    fp = polyring.Poly(F, f)
+    x = polyring.Poly.x(F)
+    xp = x.pow_mod(p, fp)
+    cols = polyring._frobenius_columns(xp, fp)
+    # powers[j] = x^(p^j) mod f
+    powers = [x, xp]
+    for _ in range(k - 1):
+        powers.append(polyring._apply_frobenius(powers[-1], cols))
+    if powers[k] != x:
         return False
-    kk = k
-    for r in _SMALL_PRIMES:
-        if r > kk:
-            break
-        if kk % r == 0:
-            h = powers[k // r][:]
-            # gcd(x^{p^{k/r}} - x, f) must be 1
-            hm = h[:] if h else [0]
-            while len(hm) < 2:
-                hm.append(0)
-            hm[1] = (hm[1] - 1) % p
-            g = _pgcd(f, _ptrim(hm), p)
-            if len(g) != 1:
-                return False
-            while kk % r == 0:
-                kk //= r
-    return True
+    # gcd(x^(p^(k/r)) - x, f) must be 1 for every prime r | k
+    return all(polyring.gcd(fp, powers[k // r] - x).degree == 0 for r in _prime_divisors(k))
 
 
 class ExtField(_FieldOps):
-    """Context for F_{p^k} = F_p[x]/(modulus).  Elements are k-tuples of ints.
+    """Context for base[x]/(modulus), modulus monic irreducible over the base context.
+
+    Elements are tuples of base elements, constant term first, encoded as
+    base-order digits.  Over F_p (base.k == 1) they are tuples of ints and
+    the arithmetic runs on ints directly, with a Frobenius matrix for
+    frobenius_power.  Over an extension base (a tower, as for the etale
+    factors over F_{q^j}) the arithmetic goes through the base context.
 
     xp, x^p mod modulus as an ascending coefficient sequence, seeds the
     Frobenius matrices when the caller has already computed it.
     """
 
-    def __init__(self, base: PrimeField, modulus, xp=None):
+    def __init__(self, base, modulus, xp=None):
+        if modulus[-1] != base.one:
+            raise ContextMismatch("the modulus of an extension must be monic")
         self.base = base
         self.p = base.p
-        self.k = len(modulus) - 1
-        assert modulus[-1] == 1, "modulus must be monic"
+        self.deg = len(modulus) - 1
+        self.k = base.k * self.deg
         self.modulus = tuple(modulus)
-        self.order = self.p ** self.k
-        self.zero = (0,) * self.k
-        self.one = (1,) + (0,) * (self.k - 1)
+        self.order = base.order**self.deg
+        self.zero = (base.zero,) * self.deg
+        self.one = (base.one,) + (base.zero,) * (self.deg - 1)
         self._frob = {}
         self._xp = None if xp is None else list(xp)
+        if base.k > 1:
+            for name in ("add", "sub", "neg", "mul", "inv", "frobenius_power"):
+                setattr(self, name, getattr(self, "_tower_" + name))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
     def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return (self.base.from_int(n),) + self.zero[1:]
+
+    def encode(self, a) -> int:
+        n = 0
+        B = self.base
+        for c in reversed(a):
+            n = n * B.order + B.encode(c)
+        return n
+
+    def decode(self, n: int):
+        if not 0 <= n < self.order:
+            raise ValueError("encoding out of range")
+        out = []
+        B = self.base
+        for _ in range(self.deg):
+            n, r = divmod(n, B.order)
+            out.append(B.decode(r))
+        return tuple(out)
+
+    def elements(self):
+        return (self.decode(i) for i in range(self.order))
+
+    def random(self, rng):
+        B = self.base
+        return tuple(B.random(rng) for _ in range(self.deg))
+
+    # -- over F_p: int coefficients ------------------------------------------
 
     def add(self, a, b):
         p = self.p
@@ -382,71 +349,49 @@ class ExtField(_FieldOps):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
-        # extended Euclid on coefficient lists
-        r0 = list(self.modulus)
-        r1 = _ptrim(list(a))
-        s0, s1 = [], [1]
-        while r1:
+        k = self.k
+        # extended Euclid on int coefficient lists: s0 * a = r0 and
+        # s1 * a = r1 modulo the modulus; the cofactors have degree <= k
+        r0, r1 = list(self.modulus), list(a)
+        s0, s1 = [0] * (k + 1), [1] + [0] * k
+        while True:
+            while r1 and not r1[-1]:
+                r1.pop()
+            if not r1:
+                break
             binv = pow(r1[-1], -1, p)
-            q = []
-            r = r0[:]
-            while len(r) >= len(r1):
-                qc = r[-1] * binv % p
-                d = len(r) - len(r1)
-                q.extend([0] * (d + 1 - len(q)))
-                q[d] = qc
-                for i in range(len(r1)):
-                    r[d + i] = (r[d + i] - qc * r1[i]) % p
-                _ptrim(r)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
+            n = len(r1)
+            while len(r0) >= n:
+                qc = r0[-1] * binv % p
+                if qc:
+                    d = len(r0) - n
+                    for i in range(n):
+                        r0[d + i] = (r0[d + i] - qc * r1[i]) % p
+                    for i in range(k + 1 - d):
+                        s0[d + i] = (s0[d + i] - qc * s1[i]) % p
+                r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         c = pow(r0[0], -1, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
-
-    def encode(self, a) -> int:
-        n = 0
-        for c in reversed(a):
-            n = n * self.p + c
-        return n
-
-    def decode(self, n: int):
-        if not 0 <= n < self.order:
-            raise ValueError("encoding out of range")
-        out = []
-        for _ in range(self.k):
-            n, r = divmod(n, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def elements(self):
-        return (self.decode(i) for i in range(self.order))
-
-    def random(self, rng):
-        p = self.p
-        return tuple(rng.randrange(p) for _ in range(self.k))
+        return tuple(x * c % p for x in s0[:k])
 
     def _frobenius_matrix(self, j: int):
-        """Columns of a -> a^(p^j) as a linear map over F_p."""
-        j %= self.k
+        """Columns of a -> a^(p^j) as a linear map over F_p, for 0 < j < k."""
         mat = self._frob.get(j)
         if mat is None:
-            f = list(self.modulus)
-            xp = self._xp if self._xp is not None else _ppow_xp(f, self.p)
-            cur = [0, 1]
-            for _ in range(j):
-                cur = _pcompose(cur, xp, f, self.p)
-            # columns: images of basis powers x^i = cur^i mod f
-            cols = []
-            acc = [1]
-            for _ in range(self.k):
-                col = tuple(acc[i] if i < len(acc) else 0 for i in range(self.k))
-                cols.append(col)
-                acc = _pmod(_pmul(acc, cur, self.p), f, self.p)
-            mat = tuple(cols)
+            F = self.base
+            f = polyring.Poly(F, self.modulus)
+            xp = polyring.Poly(F, self._xp) if self._xp is not None else polyring.Poly.x(F).pow_mod(self.p, f)
+            cols = polyring._frobenius_columns(xp, f)
+            # x^(p^j) mod f, by j - 1 further p-power maps; the columns are
+            # the images x^(i p^j) mod f of the basis powers x^i
+            xpj = xp
+            for _ in range(j - 1):
+                xpj = polyring._apply_frobenius(xpj, cols)
+            if j > 1:
+                cols = polyring._frobenius_columns(xpj, f)
+            mat = tuple(col.c + (0,) * (self.k - len(col.c)) for col in cols)
             self._frob[j] = mat
         return mat
 
@@ -464,47 +409,21 @@ class ExtField(_FieldOps):
                     out[t] += ai * col[t]
         return tuple(x % p for x in out)
 
+    # -- over an extension base: arithmetic through the base context ---------
 
-class QuotientField(_FieldOps):
-    """F[x]/(h) for an irreducible h over an arbitrary base context.
-
-    Internal plumbing for square roots in etale-algebra factors; the public
-    extension contexts (make_extension) always sit directly over F_p.
-    """
-
-    def __init__(self, base, modulus):
-        self.base = base
-        self.p = base.p
-        self.modulus = tuple(modulus)  # tuple of base elements, monic
-        self.deg = len(modulus) - 1
-        assert modulus[-1] == base.one
-        self.k = base.k * self.deg
-        self.order = base.order**self.deg
-        self.zero = (base.zero,) * self.deg
-        self.one = (base.one,) + (base.zero,) * (self.deg - 1)
-
-    def __repr__(self):
-        return f"{self.base!r}[x]/(deg {self.deg})"
-
-    def from_base(self, c):
-        return (c,) + (self.base.zero,) * (self.deg - 1)
-
-    def from_int(self, n: int):
-        return self.from_base(self.base.from_int(n))
-
-    def add(self, a, b):
+    def _tower_add(self, a, b):
         F = self.base
         return tuple(F.add(x, y) for x, y in zip(a, b))
 
-    def sub(self, a, b):
+    def _tower_sub(self, a, b):
         F = self.base
         return tuple(F.sub(x, y) for x, y in zip(a, b))
 
-    def neg(self, a):
+    def _tower_neg(self, a):
         F = self.base
         return tuple(F.neg(x) for x in a)
 
-    def mul(self, a, b):
+    def _tower_mul(self, a, b):
         F = self.base
         n = self.deg
         c = [F.zero] * (2 * n - 1)
@@ -521,62 +440,16 @@ class QuotientField(_FieldOps):
                     c[d + j] = F.sub(c[d + j], F.mul(ci, m[j]))
         return tuple(c[:n])
 
-    def inv(self, a):
-        F = self.base
+    def _tower_inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
+        F = self.base
+        g, s, _ = polyring.xgcd(polyring.Poly(F, a), polyring.Poly(F, self.modulus))
+        if g.degree != 0:
+            raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
+        return s.c + (F.zero,) * (self.deg - len(s.c))
 
-        def trim(v):
-            while v and v[-1] == F.zero:
-                v.pop()
-            return v
-
-        def pmulF(u, v):
-            if not u or not v:
-                return []
-            c = [F.zero] * (len(u) + len(v) - 1)
-            for i, ui in enumerate(u):
-                if ui != F.zero:
-                    for j, vj in enumerate(v):
-                        c[i + j] = F.add(c[i + j], F.mul(ui, vj))
-            return trim(c)
-
-        r0 = list(self.modulus)
-        r1 = trim(list(a))
-        s0, s1 = [], [F.one]
-        while r1:
-            binv = F.inv(r1[-1])
-            q = []
-            r = r0[:]
-            while len(r) >= len(r1):
-                qc = F.mul(r[-1], binv)
-                d = len(r) - len(r1)
-                q.extend([F.zero] * (d + 1 - len(q)))
-                q[d] = qc
-                for i in range(len(r1)):
-                    r[d + i] = F.sub(r[d + i], F.mul(qc, r1[i]))
-                trim(r)
-            r0, r1 = r1, r
-            qs = pmulF(q, s1)
-            ln = max(len(s0), len(qs))
-            s0, s1 = s1, trim([F.sub(s0[i] if i < len(s0) else F.zero, qs[i] if i < len(qs) else F.zero) for i in range(ln)])
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible")
-        c = F.inv(r0[0])
-        out = [F.mul(x, c) for x in s0]
-        out += [F.zero] * (self.deg - len(out))
-        return tuple(out[: self.deg])
-
-    def encode(self, a) -> int:
-        n = 0
-        B = self.base
-        for c in reversed(a):
-            n = n * B.order + B.encode(c)
-        return n
-
-    def random(self, rng):
-        B = self.base
-        return tuple(B.random(rng) for _ in range(self.deg))
+    _tower_frobenius_power = _FieldOps.frobenius_power
 
 
 # --- context construction and caching -------------------------------------
@@ -703,8 +576,6 @@ def _root_powers(src: ExtField, dst: ExtField):
     key = (src.p, src.modulus, dst.k, dst.modulus)
     tab = _embed_cache.get(key)
     if tab is None:
-        from . import polyring
-
         mod = polyring.Poly(dst, [dst.from_int(c) for c in src.modulus])
         rts = polyring.roots(mod)
         if not rts:

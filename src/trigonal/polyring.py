@@ -253,16 +253,6 @@ class Poly:
                     r = (r * b) % modulus
         return r
 
-    def compose_mod(self, g: "Poly", modulus: "Poly") -> "Poly":
-        """self(g) mod modulus."""
-        f = self.field
-        r = Poly.zero(f)
-        for c in reversed(self.c):
-            r = (r * g) % modulus
-            if c != f.zero:
-                r = r + Poly.const(f, c)
-        return r
-
     def map_coeffs(self, fn, new_field):
         return Poly(new_field, [fn(x) for x in self.c])
 
@@ -576,12 +566,6 @@ class BiPoly:
     def deg_x(self):
         return len(self.cx) - 1
 
-    def eval_t(self, t0, target_field=None, embed_fn=None) -> Poly:
-        """Specialize t -> t0, giving a Poly in x (optionally over an extension)."""
-        if target_field is None:
-            return Poly(self.field, [c.eval(t0) for c in self.cx])
-        return Poly(target_field, [embed_fn(c).eval(t0) for c in self.cx])
-
     def eval(self, t0, x0):
         f = self.field
         y = f.zero
@@ -662,12 +646,6 @@ class BinaryForm:
                 y = f.add(y, f.mul(ci, f.mul(up, vps[self.d - i])))
             up = f.mul(up, u)
         return y
-
-    def eval_point(self, pt):
-        """Evaluate at a point of P^1 given as x (field element) or None for (1:0)."""
-        if pt is None:
-            return self.c[self.d]
-        return self.affine().eval(pt)
 
     def scale(self, c):
         f = self.field

@@ -3,11 +3,12 @@
 Trials are independent: trial i draws its rng from SHA-256(master seed, i),
 so any execution order (and any worker count) produces identical statistics,
 which merge as plain sums.  Per trial: sample a squarefree octic form, read
-off the factor pattern, enumerate the tractable subgroups, and test each for
-a rational trigonal map (square pencil discriminant) and then for a rational
-isogeny (square leading coefficient of s).  Each piece of per-curve work runs
-once: the octic's orbit split feeds both the pattern and the enumeration, and
-the pencil found for the discriminant feeds the trigonal map.
+off the factor pattern, enumerate the tractable subgroups, and read each
+one's construction.assess verdict: a rational trigonal map (square pencil
+discriminant) and then a rational isogeny (square leading coefficient of s).
+Each piece of per-curve work runs once: the octic's orbit split feeds both
+the pattern and the enumeration, and assess hands the pencil found for the
+discriminant to the trigonal map.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .construction import build_fibration
+from .construction import assess
 from .curves import HCurve
-from .errors import DegenerateConfiguration
-from .fields import prime_field
+from .fields import is_prime, prime_field
 from .polyring import BinaryForm
 from .subgroups import OrbitSplit, count_for_pattern, enumerate_tractable
-from .trigmaps import build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
 CSV_HEADER = ("trial", "pattern", "num_tractable", "num_trig_rational", "num_isog_rational", "success")
 
@@ -142,33 +141,10 @@ def survey_trial(p: int, master_seed: int, index: int, depth: str):
     if depth == "subgroups":
         return pattern, count_for_pattern(pattern), (), (), 0
     subs = enumerate_tractable(H, fast=True, split=split)
-    f = H.field
-    trig_flags = []
-    isog_flags = []
-    degenerate = 0
-    for S in subs:
-        try:
-            M = build_M(S, H)
-            alpha, beta = kernel_basis(M, f)
-        except DegenerateConfiguration:
-            degenerate += 1
-            trig_flags.append(False)
-            isog_flags.append(False)
-            continue
-        trig = f.is_square(rationality_discriminant(f, alpha, beta))
-        trig_flags.append(trig)
-        if depth == "trigonal" or not trig:
-            isog_flags.append(False)
-            continue
-        try:
-            g = trigonal_map_for(S, H, _kernel=(alpha, beta))
-            fib = build_fibration(g, g.curve)
-        except DegenerateConfiguration:
-            degenerate += 1
-            isog_flags.append(False)
-            continue
-        isog_flags.append(f.is_square(fib.alpha))
-    return pattern, len(subs), tuple(trig_flags), tuple(isog_flags), degenerate
+    verdicts = [assess(S, H, full=depth == "full") for S in subs]
+    trig = tuple(bool(v.trig) for v in verdicts)
+    isog = tuple(bool(v.isog) for v in verdicts)
+    return pattern, len(subs), trig, isog, sum(v.failure is not None for v in verdicts)
 
 
 def _run_range(args):
@@ -239,8 +215,6 @@ def run_survey(cfg: SurveyConfig):
 
 def deterministic_prime(bits: int, seed: int) -> int:
     """A reproducible prime with the given bit length, derived from the seed."""
-    from .fields import is_prime
-
     rng = random.Random(int.from_bytes(hashlib.sha256(f"trigonal-prime:{bits}:{seed}".encode()).digest(), "big"))
     assert bits >= 3
     while True:

@@ -210,16 +210,6 @@ class TrigonalMap:
         f = self.field
         return Poly(f, [self.d0, self.d1, f.one])
 
-    def apply(self, x):
-        """g(x) as a point of P^1 (None encodes infinity)."""
-        if x is None:
-            return None
-        f = self.field
-        den = self.D.eval(x)
-        if den == f.zero:
-            return None
-        return f.div(self.N.eval(x), den)
-
     def coeffs(self):
         return (self.n1, self.n0, self.d1, self.d0)
 

@@ -160,7 +160,7 @@ def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
     # before that hand-over
     import hashlib
 
-    from trigonal import cli, trigmaps
+    from trigonal import construction, trigmaps
 
     calls = {}
     real = trigmaps.build_M
@@ -169,7 +169,7 @@ def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
         calls[S.key()] = calls.get(S.key(), 0) + 1
         return real(S, H)
 
-    monkeypatch.setattr(cli, "build_M", counting)
+    monkeypatch.setattr(construction, "build_M", counting)
     monkeypatch.setattr(trigmaps, "build_M", counting)
     recorded = "ae20dc9ad1c3fa3c23fed78315e2ebe75ecff427b8a1a9d3336dac1b6a8f234c"
     # without an index the pick computes the pencil; with one, trigonal_map_for does
@@ -179,3 +179,44 @@ def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
         assert code == 0
         assert list(calls.values()) == [1]
         assert hashlib.sha256(out.encode()).hexdigest() == recorded
+
+
+def _write_curve(tmp_path, p, coeffs):
+    path = tmp_path / f"h{p}.json"
+    path.write_text(json.dumps({"p": str(p), "f": [str(c) for c in coeffs]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs, picked",
+    [
+        # subgroup 0 has a chord matrix of rank 3
+        (7, [4, 4, 1, 5, 5, 3, 0, 4, 1], 2),
+        # subgroup 0 has a square discriminant but every map built from it degenerates
+        (5, [1, 1, 1, 0, 0, 0, 1, 4, 0], 1),
+    ],
+)
+def test_isogeny_skips_degenerate_subgroups(capsys, tmp_path, p, coeffs, picked):
+    path = _write_curve(tmp_path, p, coeffs)
+    code, out, err = run_cli(capsys, "isogeny", "--curve", path)
+    assert code == 0, err
+    assert json.loads(out)["subgroup_index"] == picked
+    # asked for by index, the degenerate subgroup reports why it failed
+    code, _, err = run_cli(capsys, "isogeny", "--curve", path, "--subgroup", "0")
+    assert code == 1
+    assert json.loads(err)["error"] == "degenerate_configuration"
+
+
+def test_analyze_flags_a_map_failure_after_a_square_discriminant(capsys, tmp_path):
+    path = _write_curve(tmp_path, 5, [0, 3, 0, 2, 4, 1, 4, 4, 0])
+    code, out, _ = run_cli(capsys, "analyze", "--curve", path)
+    assert code == 0
+    flags = [(s["trigonal_rational"], s["isogeny_rational"]) for s in json.loads(out)["subgroups"]]
+    # subgroup 5: a square discriminant (the survey counts it trig-rational), then a degenerate map
+    assert flags == [
+        (True, True), (True, False), (False, None), (False, None), (True, False), (True, None), (False, None),
+    ]
+    code, _, err = run_cli(capsys, "isogeny", "--curve", path, "--subgroup", "5")
+    assert code == 1 and json.loads(err)["error"] == "degenerate_configuration"
+    code, _, err = run_cli(capsys, "isogeny", "--curve", path, "--subgroup", "2")
+    assert code == 1 and json.loads(err)["error"] == "not_rational"

@@ -18,6 +18,7 @@ from ex37 import (
     EX37_X_ROWS,
 )
 from trigonal.construction import (
+    assess,
     build_correspondence,
     build_fibration,
     build_plane_model,
@@ -25,10 +26,13 @@ from trigonal.construction import (
     embed_poly,
     isogeny_is_rational,
 )
-from trigonal.errors import SquareRootObstruction
+from trigonal.curves import HCurve
+from trigonal.errors import DegenerateConfiguration, SquareRootObstruction
 from trigonal.evaluation import fiber_points
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import Poly, exact_square_root
+from trigonal.subgroups import enumerate_tractable
+from trigonal.trigmaps import verify_trigonal
 
 
 def test_worked_example_G(ex37_fibration):
@@ -292,3 +296,33 @@ def test_delta0_from_symmetric_functions():
     disc = sp.expand(((x1 - x2) * (x2 - x3) * (x3 - x1)) ** 2)
     delta0 = f1**2 - 4 * f0 * f2
     assert sp.expand(lhs - disc * delta0) == 0
+
+
+def test_assess_reaches_each_step():
+    H = HCurve.from_coeffs(prime_field(5), [0, 3, 0, 2, 4, 1, 4, 4, 0])
+    subs = enumerate_tractable(H)
+    verdicts = [assess(S, H) for S in subs]
+    assert [(v.trig, v.isog) for v in verdicts] == [
+        (True, True), (True, False), (False, None), (False, None), (True, False), (True, None), (False, None),
+    ]
+    for v in verdicts:
+        if v.map is not None:
+            assert verify_trigonal(v.map, v.map.subgroup)
+            assert v.isog == isogeny_is_rational(v.fibration)
+        else:
+            assert v.fibration is None and v.isog is None
+    # subgroup 5 fails after its discriminant
+    assert isinstance(verdicts[5].failure, DegenerateConfiguration)
+    assert all(v.failure is None for i, v in enumerate(verdicts) if i != 5)
+    # full=False stops after the discriminant
+    short = [assess(S, H, full=False) for S in subs]
+    assert [v.trig for v in short] == [v.trig for v in verdicts]
+    assert all(v.map is None and v.isog is None and v.failure is None for v in short)
+
+
+def test_assess_records_a_degenerate_chord_matrix():
+    H = HCurve.from_coeffs(prime_field(7), [4, 4, 1, 5, 5, 3, 0, 4, 1])
+    v = assess(enumerate_tractable(H)[0], H)
+    assert v.trig is None and v.isog is None and v.map is None
+    assert isinstance(v.failure, DegenerateConfiguration)
+    assert "rank 3" in str(v.failure)

@@ -213,3 +213,17 @@ def test_divisor_class_order(ex37_curve):
     for q in (2, 13, 2141):
         if o % q == 0:
             assert not cantor_mul(D, o // q).is_identity
+
+
+def test_l_polynomial_guard_precedes_counting(monkeypatch):
+    from trigonal import curves
+
+    # 1031^3 > 2^30 although 1031 and 1031^2 are below it
+    H = HCurve.from_coeffs(prime_field(1031), [1, 1, 0, 0, 0, 0, 0, 0, 1])
+
+    def no_count(*args):
+        raise AssertionError("count_points ran before the guard")
+
+    monkeypatch.setattr(curves, "count_points", no_count)
+    with pytest.raises(TooLarge):
+        l_polynomial(H)

@@ -176,3 +176,82 @@ def test_extfield_with_custom_modulus():
     a = A.decode(1000)
     assert A.mul(a, A.inv(a)) == A.one
     assert A.frobenius_power(a, 3) == a
+
+
+# make_extension(p, k).modulus as recorded before the modulus search moved
+# onto Poly; encodings frozen elsewhere are built on these moduli
+_P30 = 750175891  # survey.deterministic_prime(30, 0)
+_P160 = 1126306621479607957118579180556230119350271587529  # (160, 0)
+FROZEN_MODULI = {
+    (37, 2): (2, 0, 1),
+    (37, 3): (2, 0, 0, 1),
+    (37, 4): (2, 0, 0, 0, 1),
+    (37, 5): (5, 1, 0, 0, 0, 1),
+    (37, 6): (2, 0, 0, 0, 0, 0, 1),
+    (101, 2): (2, 0, 1),
+    (101, 3): (1, 1, 0, 1),
+    (101, 4): (2, 0, 0, 0, 1),
+    (101, 5): (2, 0, 0, 0, 0, 1),
+    (101, 6): (3, 1, 0, 0, 0, 0, 1),
+    (_P30, 2): (1, 0, 1),
+    (_P30, 3): (3, 0, 0, 1),
+    (_P30, 4): (3, 1, 0, 0, 1),
+    (_P160, 2): (7, 0, 1),
+    (_P160, 3): (3, 0, 0, 1),
+    (_P160, 4): (7, 0, 0, 0, 1),
+}
+
+
+def test_deterministic_moduli_frozen():
+    from trigonal.survey import deterministic_prime
+
+    assert (deterministic_prime(30, 0), deterministic_prime(160, 0)) == (_P30, _P160)
+    for (p, k), modulus in FROZEN_MODULI.items():
+        assert make_extension(p, k).modulus == modulus, (p, k)
+
+
+def _irreducible_over(K, degree, rng):
+    while True:
+        m = [K.random(rng) for _ in range(degree)] + [K.one]
+        if is_irreducible(Poly(K, m)):
+            return m
+
+
+@pytest.mark.parametrize("k, degree", [(2, 3), (3, 2)])
+def test_extfield_over_a_tower_base(k, degree):
+    # F_{37^k}[x]/(h) with h irreducible of the given degree: a field of order 37^6
+    K = make_extension(37, k)
+    rng = random.Random(10 * k + degree)
+    A = ExtField(K, _irreducible_over(K, degree, rng))
+    assert A.order == 37**6 and A.k == 6
+    elements = [A.random(rng) for _ in range(24)]
+    for a, b, c in zip(elements, elements[1:], elements[2:]):
+        assert A.mul(a, A.add(b, c)) == A.add(A.mul(a, b), A.mul(a, c))
+        assert A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c))
+        assert A.mul(a, b) == A.mul(b, a)
+        assert A.add(A.sub(a, b), b) == a and A.add(a, A.neg(a)) == A.zero
+        assert A.mul(a, A.one) == a
+    for a in elements[:8]:
+        if a == A.zero:
+            continue
+        assert A.mul(a, A.inv(a)) == A.one
+        a2 = A.mul(a, a)
+        r = A.sqrt(a2)
+        assert A.mul(r, r) == a2
+        euler = A.pow(a, (A.order - 1) // 2) == A.one
+        assert A.is_square(a) == euler == (A.sqrt(a) is not None)
+        assert A.pow(a, A.order) == a  # a^(37^6) = a: the multiplication is the field's
+        # base-order digits, constant term first
+        assert A.encode(a) == sum(K.encode(c) * K.order**i for i, c in enumerate(a))
+        assert A.decode(A.encode(a)) == a
+    with pytest.raises(ZeroDivisionError):
+        A.inv(A.zero)
+
+
+def test_extfield_rejects_a_non_monic_modulus():
+    F37 = prime_field(37)
+    with pytest.raises(ContextMismatch):
+        ExtField(F37, (2, 0, 3))
+    K = make_extension(37, 2)
+    with pytest.raises(ContextMismatch):
+        ExtField(K, (K.one, K.one, K.from_int(2)))
