@@ -16,6 +16,7 @@ from .errors import (
     ModelMismatch,
     NoRationalWeierstrassPoint,
     NotAFactor,
+    TooFewPoints,
     TooLarge,
 )
 from .fields import _prime_divisors, embed, make_extension
@@ -228,9 +229,12 @@ class DivisorClass:
         self.a = a
         self.b = b
         if check:
-            assert a.degree <= 3 and a.lc == model.field.one
-            assert b.is_zero or b.degree < a.degree
-            assert ((b * b - model.F) % a).is_zero, "b^2 != F mod a"
+            if a.degree > 3 or a.lc != model.field.one:
+                raise ModelMismatch("a Mumford a must be monic of degree at most 3")
+            if not (b.is_zero or b.degree < a.degree):
+                raise ModelMismatch("a Mumford b must have degree below deg a")
+            if not ((b * b - model.F) % a).is_zero:
+                raise ModelMismatch("b^2 != F mod a")
 
     @classmethod
     def identity(cls, model):
@@ -373,22 +377,28 @@ def lagrange_interpolate(field, pts) -> Poly:
 
 
 def random_class_on(model: OddModel, rng) -> DivisorClass:
-    """A pseudo-uniform class from three random points on the given odd model."""
+    """A pseudo-uniform class from three random points on the given odd model.
+
+    Draws x until three of them have F(x) a nonzero square; TooFewPoints
+    once every element of the field has been drawn without three such x.
+    """
     field = model.field
     F = model.F
     pts = []
-    xs = set()
+    drawn = set()
     while len(pts) < 3:
+        if len(drawn) == field.order:
+            raise TooFewPoints(f"fewer than three affine x over {field!r} with F(x) a nonzero square")
         x = field.random(rng)
-        if x in xs:
+        if x in drawn:
             continue
+        drawn.add(x)
         fx = F.eval(x)
-        if fx == field.zero or not field.is_square(fx):
+        y = None if fx == field.zero else field.sqrt(fx)
+        if y is None:
             continue
-        y = field.sqrt(fx)
         if rng.getrandbits(1):
             y = field.neg(y)
-        xs.add(x)
         pts.append((x, y))
     a = Poly.one(field)
     for x, _ in pts:

@@ -86,6 +86,12 @@ class SquareRootObstruction(TrigonalError):
     code = "square_root_obstruction"
 
 
+class TooFewPoints(TrigonalError):
+    """The curve has too few points over its field for the requested sample."""
+
+    code = "too_few_points"
+
+
 class BadSupport(TrigonalError):
     code = "bad_support"
 

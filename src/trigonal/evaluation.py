@@ -10,13 +10,19 @@ multiplication by +/-2 with a consensus sign per construction, which is the
 functional certificate used throughout verification.
 
 phi lifts each point without factoring its fiber.  P = (x1, y1) makes x1 a
-root of the cubic G(t, x), so over F_{q^(2j)} (j the degree of P's field)
-the cubic is (x - x1) times a quadratic with coefficients in F_{q^j}, which
-splits with one square root.  The b with b(x1) = y1 are glued by CRT from
-y1 and the square roots of F at the other two roots, and the sheet test
-keeps the two with rho(b22) = b2.  fiber_points, which factors the fiber
-cubic, enumerates whole fibers: it counts X's points and is the test oracle
-for the lift.  Both glue square roots with the same code.
+root of the cubic G(t, x), so the cubic is (x - x1) times a quadratic with
+coefficients in K = F_{q^j} (j the degree of P's field), which splits over
+K2 = F_{q^(2j)} with one square root.  The lift takes every square root in
+the smallest field that holds its argument: the discriminant, and the values
+of F at the other two roots when these lie in K, are rooted in K; conjugate
+roots share one square root in K2.  The b with b(x1) = y1 are glued by CRT
+over K2 from y1 and those square roots, and the sheet test keeps the two
+with rho(b22) = b2.  fiber_points, which factors the fiber cubic,
+enumerates whole fibers: it counts X's points and is the test oracle for the
+lift.  Both glue square roots with the same code.
+
+The support of a class over F_p is split with one root per irreducible
+factor (polyring.split_root); its other roots are Frobenius conjugates.
 
 Classes are always re-represented as a difference of two good degree-3
 effective divisors before evaluation (support must avoid Weierstrass points,
@@ -35,7 +41,7 @@ from .construction import CorrespondenceR, CurveXModel, embed_poly
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, make_extension, project
-from .polyring import Poly, factorize, roots, xgcd
+from .polyring import Poly, factorize, is_squarefree, roots, split_root, xgcd
 
 
 @dataclass(frozen=True)
@@ -72,19 +78,20 @@ class XDivisor:
 def _square_root_parts(F: Poly, factors, field):
     """One square root of F modulo each irreducible factor h, as [(h, r)].
 
+    factors is [(h, field[x]/(h))], with None as the ring of a linear h.
     None when F is a non-residue modulo some factor: then F has no square
     root in the etale algebra at all.
     """
     parts = []
-    for h in factors:
-        if h.degree == 1:
+    for h, ring in factors:
+        if ring is None:
             rt = field.sqrt(F.eval(field.neg(h[0])))
             if rt is None:
                 return None
             parts.append((h, Poly.const(field, rt)))
         else:
             val = F % h
-            rt = ExtField(field, h.c).sqrt(tuple(val[i] for i in range(h.degree)))
+            rt = ring.sqrt(tuple(val[i] for i in range(h.degree)))
             if rt is None:
                 return None
             parts.append((h, Poly(field, rt)))
@@ -153,11 +160,12 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     _, factors = factorize(Gt)
     if any(m != 1 for _, m in factors):
         raise NotSquarefree("the fiber cubic has a repeated factor")
-    hs = [h for h, _ in factors]
+    # one ring per factor serves both branches, Tonelli-Shanks constants included
+    rings = [(h, ExtField(field, h.c) if h.degree > 1 else None) for h, _ in factors]
     nu = field.nonresidue()
     out = []
     for scale, FF in ((field.one, F), (nu, F.scale(field.inv(nu)))):
-        parts = _square_root_parts(FF, hs, field)
+        parts = _square_root_parts(FF, rings, field)
         if parts is None:
             continue
         for b in _etale_square_roots(Gt, parts, field):
@@ -182,28 +190,29 @@ def _effective_points(D: DivisorClass):
     Returns [(field, x, y)] on the odd model, or None if the support is not
     usable: degree < 3, repeated x-coordinates, or points over extensions so
     large that the fiber field would overflow the degree guard (the shuffle
-    then looks for a representative with smaller splitting fields).
+    then looks for a representative with smaller splitting fields).  Over an
+    F_p model one root of each degree-d support factor comes from split_root
+    and the other d - 1 are its Frobenius conjugates; over an extension base
+    the roots come from roots().  Either way they are sorted by encoding.
     """
     model = D.model
     f = model.field
-    if D.a.degree != 3:
-        return None
-    from .polyring import is_squarefree
-
-    if not is_squarefree(D.a):
+    if D.a.degree != 3 or not is_squarefree(D.a):
         return None
     out = []
     _, factors = factorize(D.a)
     for h, _ in factors:
         if 2 * f.k * h.degree > _MAX_EXT_DEGREE:
             return None
-        K = make_extension(f.p, f.k * h.degree) if h.degree > 1 else f
         if h.degree == 1:
-            xs = [f.neg(h[0])]
-            bK = D.b
+            K, xs, bK = f, [f.neg(h[0])], D.b
         else:
-            hK = embed_poly(h, f, K)
-            xs = roots(hK)
+            K = make_extension(f.p, f.k * h.degree)
+            if f.k == 1:
+                r = split_root(h, Poly.x(f).pow_mod(f.p, h), K)
+                xs = sorted((K.frobenius_power(r, i) for i in range(h.degree)), key=K.encode)
+            else:
+                xs = roots(embed_poly(h, f, K))
             bK = embed_poly(D.b, f, K)
         for x0 in xs:
             out.append((K, x0, bK.eval(x0)))
@@ -248,36 +257,48 @@ def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
 
 
 def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
-    """The two correspondence points above a good curve point, over F_{q^(2j)}.
+    """The two correspondence points above a good curve point, over K2 = F_{q^(2j)}.
 
     x1 is a root of G(t0, x), so the fiber needs no factorization: the
-    residual quadratic G(t0, x) / (x - x1) has its coefficients in F_{q^j},
-    so it splits over F_{q^(2j)} with one square root of its discriminant.
-    Gluing y1 at x1 with both signs of the square roots of F at the other
-    two roots gives every b with b(x1) = y1.  For such b the sheet test
+    residual quadratic G(t0, x) / (x - x1) has its coefficients in
+    K = F_{q^j}, so it splits over K2 with one square root of its
+    discriminant.  The division and the discriminant stay in K; when the
+    quadratic splits over K, so do its roots and the values of F there, whose
+    square roots in K2 come from K (sqrt_of_half).  Otherwise the two roots
+    are conjugate over K and so are the square roots of F at them: one K2
+    square root serves both.  Gluing y1 at x1 with both signs of the square
+    roots of F at the other two roots gives every b with b(x1) = y1, so the
+    choice of each root's sign is immaterial.  For such b the sheet test
     y1 * rho = b02 + b12 x1 + b22 x1^2 reads y1 * rho = y1 * b2, so the
     points under P are the ones with rho(b22) = b2.  The points over t0
     whose b is anti-fixed by Frobenius are never among them: there F(x1) / nu
     would be a square, but it is y1^2 / nu.
     """
     K2 = make_extension(K.p, 2 * K.k)
-    t2 = embed(t0, K, K2)
-    x2 = embed(x1, K, K2)
-    y2 = embed(y1, K, K2)
     fib = R.fib
-    Gt = _fiber_cubic(fib, t2, K2)
-    lin = Poly(K2, [K2.neg(x2), K2.one])
-    quad, rem = Gt.divmod(lin)
+    Gt = _fiber_cubic(fib, t0, K)
+    quad, rem = Gt.divmod(Poly(K, [K.neg(x1), K.one]))
     if not rem.is_zero:
         raise ModelMismatch("x(P) is not a root of G(t(P), x)")
     c0, c1 = quad[0], quad[1]
-    sd = K2.sqrt(K2.sub(K2.sqr(c1), K2.mul(K2.from_int(4), c0)))
-    half = K2.inv(K2.from_int(2))
-    rest = [Poly(K2, [K2.mul(K2.add(c1, r), half), K2.one]) for r in (sd, K2.neg(sd))]
-    parts = _square_root_parts(embed_poly(fib.curve.F, fib.field, K2), rest, K2)
+    disc = K.sub(K.sqr(c1), K.mul(K.from_int(4), c0))
+    F = embed_poly(fib.curve.F, fib.field, K)
+    sd = K.sqrt(disc)
+    if sd is not None:
+        half = K.inv(K.from_int(2))
+        xs = [K.mul(K.sub(K.neg(c1), r), half) for r in (sd, K.neg(sd))]
+        others = [(embed(x, K, K2), K2.sqrt_of_half(F.eval(x), K)) for x in xs]
+    else:
+        half = K2.inv(K2.from_int(2))
+        x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half(disc, K)), half)
+        rt = K2.sqrt(embed_poly(F, K, K2).eval(x))
+        others = [] if rt is None else [(x, rt), (K2.frobenius_power(x, K.k), K2.frobenius_power(rt, K.k))]
+    t2 = embed(t0, K, K2)
     picked = []
-    if parts is not None:
-        for b in _etale_square_roots(Gt, [(lin, Poly.const(K2, y2))] + parts, K2):
+    if others:
+        known = (embed(x1, K, K2), embed(y1, K, K2))
+        parts = [(Poly(K2, [K2.neg(x), K2.one]), Poly.const(K2, r)) for x, r in [known] + others]
+        for b in _etale_square_roots(embed_poly(Gt, K, K2), parts, K2):
             q = _fiber_point(R.X, K2, t2, b, K2.one)
             if R.rho(K2, t2, q.b[5]) == b[2]:
                 picked.append(q)

@@ -20,8 +20,19 @@ are reproducible across runs.
 
 Every context exposes the same arithmetic surface (add, sub, neg, mul, inv,
 div, pow, sqrt, is_square, encode, decode, ...), so polynomial code in
-polyring.py works over any of them.  Contexts are immutable after creation
-and safe to share across threads/processes.
+polyring.py works over any of them.  Contexts are immutable after creation,
+apart from lazily filled caches of derived constants, and safe to share
+across threads/processes.
+
+Square roots are Tonelli-Shanks with its constants (the 2-adic split of
+order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
+On an extension, Euler's criterion runs on the norm N(a) = Res(modulus, a)
+in the base, so a non-square never reaches Tonelli-Shanks.  nonresidue() of
+the prime fields and of the make_extension contexts is a seeded search, and
+callers depend on its value; any other ExtField, such as an etale factor,
+reads a non-residue off its base instead.  sqrt_of_half gives a square root
+in a quadratic extension of an element of the subfield from square roots in
+the subfield.
 """
 
 from __future__ import annotations
@@ -100,45 +111,54 @@ class _FieldOps:
             n >>= 1
         return r
 
-    def is_square(self, a) -> bool:
-        """Euler criterion; zero counts as a square by convention."""
-        if a == self.zero:
-            return True
-        return self.pow(a, (self.order - 1) // 2) == self.one
+    _nonresidue = None
+    _sqrt_constants = None
 
     def nonresidue(self):
         """A fixed quadratic non-residue (deterministic per context)."""
-        nr = getattr(self, "_nonresidue", None)
-        if nr is None:
-            rng = random.Random(_seed_int("nonresidue", self.p, self.k, self.order))
-            e = (self.order - 1) // 2
-            while True:
-                c = self.random(rng)
-                if c != self.zero and self.pow(c, e) != self.one:
-                    nr = c
-                    break
-            self._nonresidue = nr
-        return nr
+        if self._nonresidue is None:
+            self._nonresidue = self._find_nonresidue()
+        return self._nonresidue
+
+    def _find_nonresidue(self):
+        """The first nonzero seeded random draw that is not a square."""
+        rng = random.Random(_seed_int("nonresidue", self.p, self.k, self.order))
+        while True:
+            c = self.random(rng)
+            if c != self.zero and not self.is_square(c):
+                return c
+
+    def _two_sylow_generator(self, m: int):
+        """nonresidue^m for the odd part m of order - 1: it has order 2^e."""
+        return self.pow(self.nonresidue(), m)
 
     def sqrt(self, a):
-        """Canonical square root (smaller encoding), or None for a non-residue.
-
-        Tonelli-Shanks in the multiplicative group; works over any context here
-        since the order is odd prime-power q with q odd.
-        """
+        """Canonical square root (smaller encoding), or None for a non-residue."""
         if a == self.zero:
             return self.zero
-        m = self.order - 1
-        e = 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
+        return self._tonelli_shanks(a)
+
+    def _tonelli_shanks(self, a):
+        """Tonelli-Shanks for nonzero a, canonical root or None.
+
+        Works over any context here since the order is an odd prime power.
+        The split order - 1 = m 2^e and the generator c of the 2-Sylow
+        subgroup are computed once per context.
+        """
+        if self._sqrt_constants is None:
+            m, e = self.order - 1, 0
+            while m % 2 == 0:
+                m //= 2
+                e += 1
+            self._sqrt_constants = (m, e, self._two_sylow_generator(m) if e > 1 else None)
+        m, e, c = self._sqrt_constants
         if e == 1:
             r = self.pow(a, (self.order + 1) // 4)
         else:
-            c = self.pow(self.nonresidue(), m)
-            r = self.pow(a, (m + 1) // 2)
-            t = self.mul(self.sqr(r), self.inv(a))
+            # r = a^((m + 1) / 2) and t = a^m = r^2 / a without an inverse
+            w = self.pow(a, (m - 1) // 2)
+            r = self.mul(w, a)
+            t = self.mul(w, r)
             while t != self.one:
                 i = 0
                 t2 = t
@@ -261,9 +281,15 @@ class ExtField(_FieldOps):
 
     xp, x^p mod modulus as an ascending coefficient sequence, seeds the
     Frobenius matrices when the caller has already computed it.
+
+    Square roots test Euler's criterion on the norm first, so a non-square
+    costs one Euclid over the base.  The non-residue behind Tonelli-Shanks
+    comes from the base (see _base_nonresidue) unless seeded_nonresidue is
+    set: the F_{p^k} contexts of make_extension keep a seeded search, whose
+    value nonresidue() exposes to callers.
     """
 
-    def __init__(self, base, modulus, xp=None):
+    def __init__(self, base, modulus, xp=None, seeded_nonresidue=False):
         if modulus[-1] != base.one:
             raise ContextMismatch("the modulus of an extension must be monic")
         self.base = base
@@ -276,9 +302,12 @@ class ExtField(_FieldOps):
         self.one = (base.one,) + (base.zero,) * (self.deg - 1)
         self._frob = {}
         self._xp = None if xp is None else list(xp)
+        self._half_nonresidue_root = None
         if base.k > 1:
             for name in ("add", "sub", "neg", "mul", "inv", "frobenius_power"):
                 setattr(self, name, getattr(self, "_tower_" + name))
+        if not seeded_nonresidue:
+            self._find_nonresidue = self._base_nonresidue
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -309,6 +338,93 @@ class ExtField(_FieldOps):
     def random(self, rng):
         B = self.base
         return tuple(B.random(rng) for _ in range(self.deg))
+
+    # -- norm and square roots ------------------------------------------------
+
+    def norm(self, a):
+        """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
+        B = self.base
+        z = B.zero
+        r0, r1 = list(self.modulus), list(a)
+        acc = B.one
+        while True:
+            while r1 and r1[-1] == z:
+                r1.pop()
+            if not r1:
+                return z
+            n0, n1 = len(r0) - 1, len(r1) - 1
+            if n1 == 0:
+                return B.mul(acc, B.pow(r1[0], n0))
+            # r0 mod r1, then Res(r0, r1) = (-1)^(n0 n1) lc(r1)^(n0 - deg r) Res(r1, r)
+            linv = B.inv(r1[-1])
+            while len(r0) > n1:
+                q = B.mul(r0.pop(), linv)
+                if q != z:
+                    d = len(r0) - n1
+                    for i in range(n1):
+                        r0[d + i] = B.sub(r0[d + i], B.mul(q, r1[i]))
+            while r0 and r0[-1] == z:
+                r0.pop()
+            if not r0:
+                return z
+            acc = B.mul(acc, B.pow(r1[-1], n0 - len(r0) + 1))
+            if n0 * n1 % 2:
+                acc = B.neg(acc)
+            r0, r1 = r1, r0
+
+    def is_square(self, a) -> bool:
+        """Euler's criterion on the norm; zero counts as a square by convention."""
+        return a == self.zero or self.base.is_square(self.norm(a))
+
+    def sqrt(self, a):
+        """Canonical square root, or None; the norm turns a non-square away first."""
+        if a == self.zero:
+            return self.zero
+        return self._tonelli_shanks(a) if self.is_square(a) else None
+
+    def sqrt_of_half(self, v, half):
+        """A square root here of v in half, the subfield of index 2 (not the canonical root).
+
+        Every element of half is a square here.  A non-square v of half is
+        nu * (v / nu) with nu = half.nonresidue(), and the root of nu is
+        taken once and kept on this context.
+        """
+        if 2 * half.k != self.k:
+            raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
+        r = half.sqrt(v)
+        if r is not None:
+            return embed(r, half, self)
+        nu = half.nonresidue()
+        if self._half_nonresidue_root is None or self._half_nonresidue_root[0] is not half:
+            self._half_nonresidue_root = (half, self.sqrt(embed(nu, half, self)))
+        r = half.sqrt(half.div(v, nu))
+        return self.mul(embed(r, half, self), self._half_nonresidue_root[1])
+
+    def _base_nonresidue(self):
+        """A non-residue read off the base instead of searched for.
+
+        For odd degree a non-residue of the base stays one (its norm is its
+        deg-th power).  For even degree the norm of x + c is modulus(-c), so
+        the first c = 0, 1, ... that makes it a non-residue of the base gives
+        one; the seeded search is the fallback if no such c is in F_p.
+        """
+        B = self.base
+        if self.deg % 2:
+            return (B.nonresidue(),) + self.zero[1:]
+        h = polyring.Poly(B, self.modulus)
+        for c in range(self.p):
+            cb = B.from_int(c)
+            if not B.is_square(h.eval(B.neg(cb))):
+                return (cb, B.one) + self.zero[2:]
+        return _FieldOps._find_nonresidue(self)
+
+    def _two_sylow_generator(self, m: int):
+        nr = self.nonresidue()
+        if nr[1:] == self.zero[1:]:
+            # a base element has order dividing |B*|: power it in the base
+            B = self.base
+            return (B.pow(nr[0], m % (B.order - 1)),) + self.zero[1:]
+        return self.pow(nr, m)
 
     # -- over F_p: int coefficients ------------------------------------------
 
@@ -546,7 +662,7 @@ def make_extension(p: int, k: int):
     ctx = _ext_cache.get((p, k))
     if ctx is None:
         base = prime_field(p)
-        ctx = ExtField(base, _lex_min_irreducible(p, k))
+        ctx = ExtField(base, _lex_min_irreducible(p, k), seeded_nonresidue=True)
         _ext_cache[(p, k)] = ctx
     return ctx
 
@@ -643,7 +759,8 @@ def project(a, big, small):
         r = 0
         for col in range(small.k):
             piv = next((i for i in range(r, big.k) if aug[i][col] % p), None)
-            assert piv is not None, "embedding basis must have full rank"
+            if piv is None:
+                raise ContextMismatch(f"the embedded basis of {small!r} is rank-deficient in {big!r}")
             aug[r], aug[piv] = aug[piv], aug[r]
             inv = pow(aug[r][col], -1, p)
             aug[r] = [x * inv % p for x in aug[r]]

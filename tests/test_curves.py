@@ -17,9 +17,10 @@ from trigonal.curves import (
     l_polynomial,
     point_class,
     random_class,
+    random_class_on,
     two_torsion_from_pair,
 )
-from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, TooLarge
+from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, TooFewPoints, TooLarge
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import BinaryForm, Poly, is_irreducible
 from trigonal.subgroups import splitting_degree
@@ -227,3 +228,78 @@ def test_l_polynomial_guard_precedes_counting(monkeypatch):
     monkeypatch.setattr(curves, "count_points", no_count)
     with pytest.raises(TooLarge):
         l_polynomial(H)
+
+
+def test_random_class_draws_are_unchanged(ex37_curve):
+    # encodings of random_class over F_37, F_37^2 and F_37^3, recorded before
+    # random_class_on took one square root per x instead of a test and a root
+    import hashlib
+
+    out = []
+    for k in (1, 2, 3):
+        rng = random.Random(500 + k)
+        for _ in range(4):
+            D = random_class(ex37_curve, k, rng)
+            out.append((k, D.a.encode(), D.b.encode()))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "5405e58bf34011fcc04ed5c1d14d0983801d839bb6fd453c369c419919830672"
+
+
+def _run_under(flags, code, *args, timeout=60):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, *flags, "-c", code, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+# survey.random_curve(5, random.Random(12)): its odd model has a single
+# affine x with F(x) a nonzero square, and the curve has a rational trigonal map
+SMALL_F5 = [3, 2, 4, 2, 1, 3, 0, 2, 3]
+
+
+def test_random_class_on_terminates_on_a_small_model(tmp_path):
+    # the sampler and the CLI command that reaches it run in a child process,
+    # so a hang fails the test at the timeout instead of stalling the suite
+    import json
+
+    path = tmp_path / "h5.json"
+    path.write_text(json.dumps({"p": "5", "f": [str(c) for c in SMALL_F5]}))
+    code = """
+import random, sys
+from trigonal.cli import main
+from trigonal.curves import HCurve, OddModel, random_class_on
+from trigonal.errors import TooFewPoints
+from trigonal.fields import prime_field
+H = HCurve.from_coeffs(prime_field(5), %r)
+try:
+    random_class_on(OddModel.from_curve(H), random.Random(0))
+except TooFewPoints as exc:
+    print(exc.code)
+sys.exit(main(["verify", "--curve", sys.argv[1]]))
+""" % SMALL_F5
+    out = _run_under([], code, str(path), timeout=60)
+    assert out.stdout.split() == ["too_few_points"], out.stderr
+    assert out.returncode == 1 and json.loads(out.stderr)["error"] == "too_few_points"
+
+
+def test_divisor_class_checks_survive_python_O():
+    # the Mumford validations raise ModelMismatch, not asserts
+    code = """
+from trigonal.curves import DivisorClass, HCurve, OddModel
+from trigonal.errors import ModelMismatch
+from trigonal.fields import prime_field
+from trigonal.polyring import Poly
+F = prime_field(37)
+model = OddModel.from_curve(HCurve.from_coeffs(F, [2, 29, 12, 33, 20, 15, 28, 1, 0]))
+x = Poly.from_ints(F, [0, 1])
+for a, b in ((x * x * x * x, Poly.zero(F)), (x, x), (x, Poly.const(F, 5))):
+    try:
+        DivisorClass(model, a, b)
+    except ModelMismatch:
+        print("ok")
+"""
+    out = _run_under(["-O"], code)
+    assert out.stdout.split() == ["ok"] * 3, out.stderr

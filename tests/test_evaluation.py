@@ -15,9 +15,10 @@ from trigonal.curves import (
     random_class,
     two_torsion_from_pair,
 )
-from trigonal.errors import BadSupport, RamifiedFiber
+from trigonal.errors import BadSupport, NoRationalWeierstrassPoint, RamifiedFiber
 from trigonal.evaluation import (
     XDivisor,
+    _effective_points,
     consensus_sign,
     count_X_open,
     fiber_partition_oracle,
@@ -28,7 +29,7 @@ from trigonal.evaluation import (
     _phi_point,
 )
 from trigonal.fields import embed, make_extension, prime_field
-from trigonal.polyring import Poly
+from trigonal.polyring import Poly, factorize, is_squarefree, roots
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -283,6 +284,78 @@ def test_phi_point_matches_rho_filtered_fiber_points(ex37_fibration):
                         outcomes["points" if got != "bad_support" else "bad_support"] += 1
     assert residual["split"] and residual["irreducible"], residual
     assert outcomes["points"] >= 40 and outcomes["bad_support"], outcomes
+
+
+def test_phi_point_reaches_every_square_root_case(ex37_fibration):
+    # the lift takes its square roots in K = F_{q^j} where it can: the residual
+    # quadratic splits over K or has conjugate roots, and F at its roots is a
+    # square or not (in K for split roots, in K2 for conjugate ones); each case
+    # agrees with the reference lift
+    rng = random.Random(58)
+    fibs = [ex37_fibration] + [fib for _, _, _, fib in constructions(53, 3, random.Random(57))]
+    cases = {}
+    for fib in fibs:
+        R = build_correspondence(fib, +1)
+        for k in (1, 2):
+            K = make_extension(fib.field.p, k)
+            K2 = make_extension(fib.field.p, 2 * k)
+            F = embed_poly(fib.curve.F, fib.field, K)
+            for x1, y1, t0 in _good_points(fib, K, rng, 12):
+                Gt = Poly(K, [embed_poly(c, fib.field, K).eval(t0) for c in fib.G.cx])
+                quad = Gt // Poly(K, [K.neg(x1), K.one])
+                if K.is_square(K.sub(K.sqr(quad[1]), K.mul(K.from_int(4), quad[0]))):
+                    case = ("split", all(K.is_square(F.eval(r)) for r in roots(quad)))
+                else:
+                    rest = embed_poly(quad, K, K2)
+                    case = ("conjugate", K2.is_square(embed_poly(F, K, K2).eval(roots(rest)[0])))
+                got = _lift_outcome(_phi_point, R, K, x1, y1, t0)
+                assert got == _lift_outcome(_rho_filtered_fiber, R, K, x1, y1, t0)
+                cases[case] = cases.get(case, 0) + 1
+    assert set(cases) == {("split", True), ("split", False), ("conjugate", True), ("conjugate", False)}, cases
+
+
+def _reference_effective_points(D):
+    """The support split with roots() over each factor's field."""
+    f = D.model.field
+    if D.a.degree != 3 or not is_squarefree(D.a):
+        return None
+    out = []
+    for h, _ in factorize(D.a)[1]:
+        if 2 * f.k * h.degree > 24:
+            return None
+        K = make_extension(f.p, f.k * h.degree) if h.degree > 1 else f
+        bK = embed_poly(D.b, f, K)
+        out += [(K, x, bK.eval(x)) for x in roots(embed_poly(h, f, K))]
+    return out
+
+
+def _odd_model_curve(p, rng):
+    from conftest import random_hcurve
+
+    while True:
+        H = random_hcurve(p, rng)
+        try:
+            OddModel.from_curve(H)
+            return H
+        except NoRationalWeierstrassPoint:
+            continue
+
+
+@pytest.mark.parametrize("bits, k", [(30, 1), (64, 1), (None, 2)])
+def test_effective_points_match_the_roots_reference(ex37_curve, bits, k):
+    # one root per support factor and its Frobenius conjugates give the same
+    # sorted points as roots(); an F_37^2 model keeps roots()
+    from trigonal.survey import deterministic_prime
+
+    rng = random.Random(59)
+    H = ex37_curve if bits is None else _odd_model_curve(deterministic_prime(bits, 0), rng)
+    degrees = set()
+    for _ in range(10):
+        D = random_class(H, k, rng) + random_class(H, k, rng)
+        if D.a.degree == 3:
+            degrees |= {h.degree for h, _ in factorize(D.a)[1]}
+        assert _effective_points(D) == _reference_effective_points(D)
+    assert degrees == {1, 2, 3}, degrees
 
 
 def test_typed_errors_survive_python_O():

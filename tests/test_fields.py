@@ -255,3 +255,153 @@ def test_extfield_rejects_a_non_monic_modulus():
     K = make_extension(37, 2)
     with pytest.raises(ContextMismatch):
         ExtField(K, (K.one, K.one, K.from_int(2)))
+
+
+# --- square roots: Tonelli-Shanks constants per context, Euler through the norm
+
+
+def _reference_sqrt(K, a, z):
+    """Plain Euler criterion and Tonelli-Shanks from scratch, canonical root or None.
+
+    z is any non-residue of K.
+    """
+    if a == K.zero:
+        return K.zero
+    q = K.order
+    if K.pow(a, (q - 1) // 2) != K.one:
+        return None
+    m, e = q - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    x, b, g = K.pow(a, (m + 1) // 2), K.pow(a, m), K.pow(z, m)
+    while b != K.one:
+        i, b2 = 0, b
+        while b2 != K.one:
+            b2 = K.mul(b2, b2)
+            i += 1
+        t = g
+        for _ in range(e - i - 1):
+            t = K.mul(t, t)
+        x, g = K.mul(x, t), K.mul(t, t)
+        b, e = K.mul(b, g), i
+    xn = K.neg(x)
+    return x if K.encode(x) <= K.encode(xn) else xn
+
+
+def _tower(p, k, degree, seed):
+    K = make_extension(p, k)
+    return ExtField(K, _irreducible_over(K, degree, random.Random(seed)))
+
+
+def _sqrt_contexts():
+    yield from (prime_field(p) for p in (37, 53, 43, 59, 103))  # p = 1 and p = 3 mod 4
+    yield from (make_extension(37, k) for k in range(2, 7))
+    yield from (make_extension(43, k) for k in (2, 3))
+    for p in (37, 53):
+        yield from (_tower(p, 2, degree, 7 * p + degree) for degree in (2, 3))
+
+
+def _context_id(K):
+    return repr(K) + ("/tower" if K.k > 1 and K.base.k > 1 else "")
+
+
+@pytest.mark.parametrize("K", list(_sqrt_contexts()), ids=_context_id)
+def test_sqrt_and_is_square_match_the_reference(K):
+    rng = random.Random(K.order % 1000)
+    samples = [K.zero, K.one, K.nonresidue()] + [K.random(rng) for _ in range(40)]
+    samples += [K.mul(a, a) for a in samples[3:23]]
+    z = next(a for a in samples[3:] if a != K.zero and K.pow(a, (K.order - 1) // 2) != K.one)
+    for a in samples:
+        want = _reference_sqrt(K, a, z)
+        assert K.sqrt(a) == want
+        assert K.is_square(a) == (want is not None)
+
+
+@pytest.mark.parametrize(
+    "p, k, degree", [(37, 1, 2), (37, 1, 3), (37, 1, 4), (37, 2, 2), (37, 2, 3), (53, 2, 2), (53, 2, 3)]
+)
+def test_etale_contexts_take_their_nonresidue_from_the_base(p, k, degree):
+    K = make_extension(p, k)
+    rng = random.Random(p * k + degree)
+    for _ in range(4):
+        A = ExtField(K, _irreducible_over(K, degree, rng))
+        nu = A.nonresidue()
+        assert A.pow(nu, (A.order - 1) // 2) != A.one  # a non-residue by Euler's criterion
+        if degree % 2:
+            assert nu == (K.nonresidue(),) + A.zero[1:]
+        else:
+            assert nu[1] == K.one and nu[2:] == A.zero[2:]  # x + c with c in F_p
+
+
+def test_norm_is_the_product_of_the_conjugates():
+    rng = random.Random(11)
+    for A in (make_extension(37, 3), make_extension(53, 4), _tower(37, 2, 3, 5)):
+        B = A.base
+        for _ in range(10):
+            a = A.random(rng)
+            prod = A.one
+            for i in range(A.deg):
+                prod = A.mul(prod, A.pow(a, B.order**i))
+            assert prod == (A.norm(a),) + A.zero[1:]
+
+
+def test_sqrt_of_half_squares_back():
+    rng = random.Random(12)
+    for p, j in ((37, 1), (43, 1), (37, 2), (53, 3)):
+        K, K2 = make_extension(p, j), make_extension(p, 2 * j)
+        for _ in range(20):
+            v = K.random(rng)
+            r = K2.sqrt_of_half(v, K)
+            assert K2.mul(r, r) == embed(v, K, K2)
+    with pytest.raises(ContextMismatch):
+        make_extension(37, 6).sqrt_of_half(1, prime_field(37))
+
+
+# nonresidue() of prime_field / make_extension contexts as recorded before the
+# Tonelli-Shanks constants moved onto the context: fiber_points scales its
+# anti-fixed branch by these values, so XPoint encodings rest on them
+_P64 = 17852487187150343363  # survey.deterministic_prime(64, 0)
+FROZEN_NONRESIDUES = {
+    (37, 1): 2,
+    (37, 2): 589,
+    (37, 3): 2624,
+    (37, 4): 769551,
+    (53, 1): 48,
+    (53, 2): 2365,
+    (53, 3): 8847,
+    (53, 4): 3120202,
+    (_P30, 1): 592485705,
+    (_P30, 2): 60353251703818887,
+    (_P64, 1): 9190517805558479501,
+    (_P64, 2): 123488544300987175565446451438816299021,
+    (_P160, 1): 1073926081434402105909829252256985313735038910606,
+    (_P160, 2): 83995382864355840131250327028368589081198203955991440866739350928710457051324435424484529664332,
+}
+
+
+def test_nonresidues_frozen():
+    for (p, k), enc in FROZEN_NONRESIDUES.items():
+        K = make_extension(p, k)
+        assert K.encode(K.nonresidue()) == enc, (p, k)
+
+
+def test_project_rank_check_survives_python_O():
+    # a rank-deficient embedded basis raises ContextMismatch, not an assert
+    code = """
+from trigonal import fields
+from trigonal.errors import ContextMismatch
+small, big = fields.make_extension(37, 2), fields.make_extension(37, 4)
+fields._embed_cache[(small.p, small.modulus, big.k, big.modulus)] = (big.one, big.one)
+try:
+    fields.project(big.one, big, small)
+except ContextMismatch:
+    print("ok")
+"""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.split() == ["ok"], out.stderr
