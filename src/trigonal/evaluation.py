@@ -290,7 +290,7 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
         others = [(embed(x, K, K2), K2.sqrt_of_half(F.eval(x), K)) for x in xs]
     else:
         half = K2.inv(K2.from_int(2))
-        x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half(disc, K)), half)
+        x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half_nonsquare(disc, K)), half)
         rt = K2.sqrt(embed_poly(F, K, K2).eval(x))
         others = [] if rt is None else [(x, rt), (K2.frobenius_power(x, K.k), K2.frobenius_power(rt, K.k))]
     t2 = embed(t0, K, K2)

@@ -28,11 +28,12 @@ Square roots are Tonelli-Shanks with its constants (the 2-adic split of
 order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
 On an extension, Euler's criterion runs on the norm N(a) = Res(modulus, a)
 in the base, so a non-square never reaches Tonelli-Shanks.  nonresidue() of
-the prime fields and of the make_extension contexts is a seeded search, and
-callers depend on its value; any other ExtField, such as an etale factor,
-reads a non-residue off its base instead.  sqrt_of_half gives a square root
-in a quadratic extension of an element of the subfield from square roots in
-the subfield.
+a prime field is a seeded search; an ExtField reads its non-residue off the
+base instead.  No output depends on which non-residue a context holds:
+square roots are canonical, and the anti-fixed fiber coordinates
+nu * u_i * u_j of evaluation.fiber_points do not change when nu changes by a
+square factor.  sqrt_of_half gives a square root in a quadratic extension of
+an element of the subfield from square roots in the subfield.
 """
 
 from __future__ import annotations
@@ -284,12 +285,10 @@ class ExtField(_FieldOps):
 
     Square roots test Euler's criterion on the norm first, so a non-square
     costs one Euclid over the base.  The non-residue behind Tonelli-Shanks
-    comes from the base (see _base_nonresidue) unless seeded_nonresidue is
-    set: the F_{p^k} contexts of make_extension keep a seeded search, whose
-    value nonresidue() exposes to callers.
+    is read off the base (see _find_nonresidue) instead of searched for.
     """
 
-    def __init__(self, base, modulus, xp=None, seeded_nonresidue=False):
+    def __init__(self, base, modulus, xp=None):
         if modulus[-1] != base.one:
             raise ContextMismatch("the modulus of an extension must be monic")
         self.base = base
@@ -306,8 +305,6 @@ class ExtField(_FieldOps):
         if base.k > 1:
             for name in ("add", "sub", "neg", "mul", "inv", "frobenius_power"):
                 setattr(self, name, getattr(self, "_tower_" + name))
-        if not seeded_nonresidue:
-            self._find_nonresidue = self._base_nonresidue
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -385,22 +382,33 @@ class ExtField(_FieldOps):
     def sqrt_of_half(self, v, half):
         """A square root here of v in half, the subfield of index 2 (not the canonical root).
 
-        Every element of half is a square here.  A non-square v of half is
-        nu * (v / nu) with nu = half.nonresidue(), and the root of nu is
-        taken once and kept on this context.
+        Every element of half is a square here: a square of half keeps its
+        root from half, and a non-square goes to sqrt_of_half_nonsquare.
         """
         if 2 * half.k != self.k:
             raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
         r = half.sqrt(v)
-        if r is not None:
-            return embed(r, half, self)
+        if r is None:
+            return self.sqrt_of_half_nonsquare(v, half)
+        return embed(r, half, self)
+
+    def sqrt_of_half_nonsquare(self, v, half):
+        """sqrt_of_half for a v already known to be a non-square of half.
+
+        v is nu * (v / nu) with nu = half.nonresidue(): the root of v / nu
+        comes from half, and the root of nu is taken once and kept on this
+        context.
+        """
+        if 2 * half.k != self.k:
+            raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
         nu = half.nonresidue()
         if self._half_nonresidue_root is None or self._half_nonresidue_root[0] is not half:
             self._half_nonresidue_root = (half, self.sqrt(embed(nu, half, self)))
-        r = half.sqrt(half.div(v, nu))
+        # v / nu is a nonzero square, so Tonelli-Shanks needs no Euler test first
+        r = half._tonelli_shanks(half.div(v, nu))
         return self.mul(embed(r, half, self), self._half_nonresidue_root[1])
 
-    def _base_nonresidue(self):
+    def _find_nonresidue(self):
         """A non-residue read off the base instead of searched for.
 
         For odd degree a non-residue of the base stays one (its norm is its
@@ -662,7 +670,7 @@ def make_extension(p: int, k: int):
     ctx = _ext_cache.get((p, k))
     if ctx is None:
         base = prime_field(p)
-        ctx = ExtField(base, _lex_min_irreducible(p, k), seeded_nonresidue=True)
+        ctx = ExtField(base, _lex_min_irreducible(p, k))
         _ext_cache[(p, k)] = ctx
     return ctx
 

@@ -1,5 +1,9 @@
 """Shared fixtures: the F_37 worked example and random-curve helpers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from trigonal.construction import build_correspondence, build_fibration
@@ -111,3 +115,10 @@ def constructions(p, count, rng, need_isogeny=False, need_odd_model=False):
             out += 1
             if out >= count:
                 break
+
+
+def run_under(flags, code, *args, timeout=60):
+    """Run code in a child interpreter with the given flags (such as -O) and this sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, *flags, "-c", code, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import run_under
 from ex37 import EX37_DLP_MULTIPLIER, EX37_F, EX37_JAC_ORDER, EX37_L
 from trigonal.curves import (
     DivisorClass,
@@ -245,16 +246,6 @@ def test_random_class_draws_are_unchanged(ex37_curve):
     assert digest == "5405e58bf34011fcc04ed5c1d14d0983801d839bb6fd453c369c419919830672"
 
 
-def _run_under(flags, code, *args, timeout=60):
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    argv = [sys.executable, *flags, "-c", code, *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
-
-
 # survey.random_curve(5, random.Random(12)): its odd model has a single
 # affine x with F(x) a nonzero square, and the curve has a rational trigonal map
 SMALL_F5 = [3, 2, 4, 2, 1, 3, 0, 2, 3]
@@ -280,7 +271,7 @@ except TooFewPoints as exc:
     print(exc.code)
 sys.exit(main(["verify", "--curve", sys.argv[1]]))
 """ % SMALL_F5
-    out = _run_under([], code, str(path), timeout=60)
+    out = run_under([], code, str(path), timeout=60)
     assert out.stdout.split() == ["too_few_points"], out.stderr
     assert out.returncode == 1 and json.loads(out.stderr)["error"] == "too_few_points"
 
@@ -301,5 +292,5 @@ for a, b in ((x * x * x * x, Poly.zero(F)), (x, x), (x, Poly.const(F, 5))):
     except ModelMismatch:
         print("ok")
 """
-    out = _run_under(["-O"], code)
+    out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok"] * 3, out.stderr

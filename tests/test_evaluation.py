@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import constructions
+from conftest import constructions, run_under
 from ex37 import EX37_DLP_MULTIPLIER, EX37_JAC_ORDER
 from trigonal.construction import build_correspondence, embed_poly
 from trigonal.curves import (
@@ -377,10 +377,5 @@ try:
 except ModelMismatch:
     print("ok2")
 """
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok1", "ok2"], out.stderr

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_under
 from trigonal.errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall
 from trigonal.fields import (
     ExtField,
@@ -354,36 +355,12 @@ def test_sqrt_of_half_squares_back():
             v = K.random(rng)
             r = K2.sqrt_of_half(v, K)
             assert K2.mul(r, r) == embed(v, K, K2)
-    with pytest.raises(ContextMismatch):
-        make_extension(37, 6).sqrt_of_half(1, prime_field(37))
-
-
-# nonresidue() of prime_field / make_extension contexts as recorded before the
-# Tonelli-Shanks constants moved onto the context: fiber_points scales its
-# anti-fixed branch by these values, so XPoint encodings rest on them
-_P64 = 17852487187150343363  # survey.deterministic_prime(64, 0)
-FROZEN_NONRESIDUES = {
-    (37, 1): 2,
-    (37, 2): 589,
-    (37, 3): 2624,
-    (37, 4): 769551,
-    (53, 1): 48,
-    (53, 2): 2365,
-    (53, 3): 8847,
-    (53, 4): 3120202,
-    (_P30, 1): 592485705,
-    (_P30, 2): 60353251703818887,
-    (_P64, 1): 9190517805558479501,
-    (_P64, 2): 123488544300987175565446451438816299021,
-    (_P160, 1): 1073926081434402105909829252256985313735038910606,
-    (_P160, 2): 83995382864355840131250327028368589081198203955991440866739350928710457051324435424484529664332,
-}
-
-
-def test_nonresidues_frozen():
-    for (p, k), enc in FROZEN_NONRESIDUES.items():
-        K = make_extension(p, k)
-        assert K.encode(K.nonresidue()) == enc, (p, k)
+            if not K.is_square(v):
+                r = K2.sqrt_of_half_nonsquare(v, K)
+                assert K2.mul(r, r) == embed(v, K, K2)
+    for method in (ExtField.sqrt_of_half, ExtField.sqrt_of_half_nonsquare):
+        with pytest.raises(ContextMismatch):
+            method(make_extension(37, 6), 2, prime_field(37))
 
 
 def test_project_rank_check_survives_python_O():
@@ -398,10 +375,5 @@ try:
 except ContextMismatch:
     print("ok")
 """
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok"], out.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import curve_with_pattern
+from conftest import curve_with_pattern, run_under
 from trigonal.curves import HCurve, cantor_add
 from trigonal.errors import NotAPartitionOf8
 from trigonal.fields import make_extension, prime_field
@@ -263,10 +263,5 @@ try:
 except ContextMismatch:
     print("ok2")
 """
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok1", "ok2"], out.stderr
