@@ -54,7 +54,6 @@ from .polyring import (
 )
 from .subgroups import (
     TractableSubgroup,
-    brute_force_tractable,
     count_for_pattern,
     enumerate_tractable,
     expectation,

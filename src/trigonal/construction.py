@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .curves import HCurve
 from .errors import DegenerateConfiguration, SquareRootObstruction
-from .fields import embed, make_extension
+from .fields import embed, embed_poly, make_extension
 from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
 from .subgroups import TractableSubgroup
 from .trigmaps import TrigonalMap, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
@@ -69,8 +69,8 @@ class TrigonalFibration:
         f = self.field if field is None else field
         if field is None or field is self.field:
             return self.u_locus.eval(t0) == f.zero or self.s.eval(t0) == f.zero
-        ul = self.u_locus.map_coeffs(lambda c: embed(c, self.field, f), f)
-        sl = self.s.map_coeffs(lambda c: embed(c, self.field, f), f)
+        ul = embed_poly(self.u_locus, self.field, f)
+        sl = embed_poly(self.s, self.field, f)
         return ul.eval(t0) == f.zero or sl.eval(t0) == f.zero
 
 
@@ -208,12 +208,6 @@ class CurveXModel:
         return all(v == z for v in self.linear_values(field, t0, b)) and all(
             v == z for v in self.quadric_values(field, b)
         )
-
-
-def embed_poly(poly: Poly, src, dst) -> Poly:
-    if src is dst:
-        return poly
-    return poly.map_coeffs(lambda c: embed(c, src, dst), dst)
 
 
 def build_X(fib: TrigonalFibration) -> CurveXModel:

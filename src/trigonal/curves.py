@@ -19,7 +19,7 @@ from .errors import (
     TooFewPoints,
     TooLarge,
 )
-from .fields import _prime_divisors, embed, make_extension
+from .fields import _prime_divisors, embed, embed_poly, make_extension
 from .polyring import BinaryForm, Poly, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
@@ -130,8 +130,7 @@ class HCurve:
         return HCurve(self.field, self.form.scale(c))
 
     def base_change(self, new_field):
-        e = lambda x: embed(x, self.field, new_field)
-        return HCurve(new_field, self.form.map_coeffs(e, new_field))
+        return HCurve(new_field, embed_poly(self.form, self.field, new_field))
 
     def on_curve(self, pt) -> bool:
         u, v, w = pt
@@ -418,10 +417,7 @@ def two_torsion_from_pair(model: OddModel, quad: BinaryForm) -> DivisorClass:
     """The 2-torsion class [(W') - (W'')] attached to a quadratic factor of F~."""
     if quad.d != 2:
         raise NotAFactor("expected a binary quadratic form")
-    q = quad
-    if q.field is not model.field:
-        q = q.map_coeffs(lambda x: embed(x, q.field, model.field), model.field)
-    moved = model.tau.pullback_form(q)
+    moved = model.tau.pullback_form(embed_poly(quad, quad.field, model.field))
     a = moved.affine()
     if a.degree < 1:
         raise NotAFactor("degenerate pair (double point at infinity)")
@@ -441,7 +437,7 @@ def count_points(H: HCurve, k: int) -> int:
     if p**k > _COUNT_GUARD:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
     field = make_extension(p, k)
-    F = H.F.map_coeffs(field.from_int, field)
+    F = embed_poly(H.F, H.field, field)
     squares = {field.mul(z, z) for z in field.elements()}
     n = 0
     for x in field.elements():

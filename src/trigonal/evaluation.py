@@ -21,8 +21,9 @@ with rho(b22) = b2.  fiber_points, which factors the fiber cubic,
 enumerates whole fibers: it counts X's points and is the test oracle for the
 lift.  Both glue square roots with the same code.
 
-The support of a class over F_p is split with one root per irreducible
-factor (polyring.split_root); its other roots are Frobenius conjugates.
+The support of a class is split with one root per irreducible factor
+(polyring.split_root, over F_p or an extension base alike); its other roots
+are Frobenius conjugates, and no roots() call runs.
 
 Classes are always re-represented as a difference of two good degree-3
 effective divisors before evaluation (support must avoid Weierstrass points,
@@ -37,10 +38,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .construction import CorrespondenceR, CurveXModel, embed_poly
+from .construction import CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
-from .fields import ExtField, embed, make_extension, project
+from .fields import ExtField, embed, embed_poly, make_extension, project
 from .polyring import Poly, factorize, is_squarefree, roots, split_root, xgcd
 
 
@@ -190,10 +191,10 @@ def _effective_points(D: DivisorClass):
     Returns [(field, x, y)] on the odd model, or None if the support is not
     usable: degree < 3, repeated x-coordinates, or points over extensions so
     large that the fiber field would overflow the degree guard (the shuffle
-    then looks for a representative with smaller splitting fields).  Over an
-    F_p model one root of each degree-d support factor comes from split_root
-    and the other d - 1 are its Frobenius conjugates; over an extension base
-    the roots come from roots().  Either way they are sorted by encoding.
+    then looks for a representative with smaller splitting fields).  One
+    root of each degree-d support factor comes from split_root and the other
+    d - 1 are its conjugates under the base field's Frobenius, sorted by
+    encoding.
     """
     model = D.model
     f = model.field
@@ -208,11 +209,8 @@ def _effective_points(D: DivisorClass):
             K, xs, bK = f, [f.neg(h[0])], D.b
         else:
             K = make_extension(f.p, f.k * h.degree)
-            if f.k == 1:
-                r = split_root(h, Poly.x(f).pow_mod(f.p, h), K)
-                xs = sorted((K.frobenius_power(r, i) for i in range(h.degree)), key=K.encode)
-            else:
-                xs = roots(embed_poly(h, f, K))
+            r = split_root(h, Poly.x(f).pow_mod(f.order, h), K)
+            xs = sorted((K.frobenius_power(r, f.k * i) for i in range(h.degree)), key=K.encode)
             bK = embed_poly(D.b, f, K)
         for x0 in xs:
             out.append((K, x0, bK.eval(x0)))

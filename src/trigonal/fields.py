@@ -34,6 +34,12 @@ square roots are canonical, and the anti-fixed fiber coordinates
 nu * u_i * u_j of evaluation.fiber_points do not change when nu changes by a
 square factor.  sqrt_of_half gives a square root in a quadratic extension of
 an element of the subfield from square roots in the subfield.
+
+embed carries an element of F_{p^k1} into F_{p^k2} (k1 | k2) through the
+least root, by encoding, of the F_{p^k1} modulus among one
+polyring.split_root and its conjugates; embed_poly does that coefficient by
+coefficient for a Poly or BinaryForm.  project inverts embed by one _rref
+over F_p, the elimination the chord matrix of trigmaps uses too.
 """
 
 from __future__ import annotations
@@ -278,7 +284,8 @@ class ExtField(_FieldOps):
     base-order digits.  Over F_p (base.k == 1) they are tuples of ints and
     the arithmetic runs on ints directly, with a Frobenius matrix for
     frobenius_power.  Over an extension base (a tower, as for the etale
-    factors over F_{q^j}) the arithmetic goes through the base context.
+    factors over F_{q^j}) the context is a _TowerField, whose arithmetic goes
+    through the base context.
 
     xp, x^p mod modulus as an ascending coefficient sequence, seeds the
     Frobenius matrices when the caller has already computed it.
@@ -287,6 +294,11 @@ class ExtField(_FieldOps):
     costs one Euclid over the base.  The non-residue behind Tonelli-Shanks
     is read off the base (see _find_nonresidue) instead of searched for.
     """
+
+    def __new__(cls, base, modulus, xp=None):
+        # over an extension base the arithmetic is _TowerField's, held on
+        # the class so that a context is not a reference cycle
+        return super().__new__(_TowerField if base.k > 1 else cls)
 
     def __init__(self, base, modulus, xp=None):
         if modulus[-1] != base.one:
@@ -302,9 +314,6 @@ class ExtField(_FieldOps):
         self._frob = {}
         self._xp = None if xp is None else list(xp)
         self._half_nonresidue_root = None
-        if base.k > 1:
-            for name in ("add", "sub", "neg", "mul", "inv", "frobenius_power"):
-                setattr(self, name, getattr(self, "_tower_" + name))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -533,21 +542,23 @@ class ExtField(_FieldOps):
                     out[t] += ai * col[t]
         return tuple(x % p for x in out)
 
-    # -- over an extension base: arithmetic through the base context ---------
 
-    def _tower_add(self, a, b):
+class _TowerField(ExtField):
+    """ExtField over an extension base: the arithmetic goes through the base context."""
+
+    def add(self, a, b):
         F = self.base
         return tuple(F.add(x, y) for x, y in zip(a, b))
 
-    def _tower_sub(self, a, b):
+    def sub(self, a, b):
         F = self.base
         return tuple(F.sub(x, y) for x, y in zip(a, b))
 
-    def _tower_neg(self, a):
+    def neg(self, a):
         F = self.base
         return tuple(F.neg(x) for x in a)
 
-    def _tower_mul(self, a, b):
+    def mul(self, a, b):
         F = self.base
         n = self.deg
         c = [F.zero] * (2 * n - 1)
@@ -564,7 +575,7 @@ class ExtField(_FieldOps):
                     c[d + j] = F.sub(c[d + j], F.mul(ci, m[j]))
         return tuple(c[:n])
 
-    def _tower_inv(self, a):
+    def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         F = self.base
@@ -573,7 +584,7 @@ class ExtField(_FieldOps):
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         return s.c + (F.zero,) * (self.deg - len(s.c))
 
-    _tower_frobenius_power = _FieldOps.frobenius_power
+    frobenius_power = _FieldOps.frobenius_power
 
 
 # --- context construction and caching -------------------------------------
@@ -696,15 +707,18 @@ _embed_cache: dict[tuple[int, int, int], tuple] = {}
 
 
 def _root_powers(src: ExtField, dst: ExtField):
-    """Powers of the canonical root of src.modulus inside dst (cached)."""
+    """Powers of the canonical root of src.modulus inside dst (cached).
+
+    The canonical root is the least by encoding among one split_root and
+    its Frobenius conjugates.
+    """
     key = (src.p, src.modulus, dst.k, dst.modulus)
     tab = _embed_cache.get(key)
     if tab is None:
-        mod = polyring.Poly(dst, [dst.from_int(c) for c in src.modulus])
-        rts = polyring.roots(mod)
-        if not rts:
-            raise ContextMismatch(f"{src!r} does not embed in {dst!r}")
-        root = min(rts, key=dst.encode)
+        F = src.base
+        mod = polyring.Poly(F, src.modulus)
+        r = polyring.split_root(mod, polyring.Poly.x(F).pow_mod(F.order, mod), dst)
+        root = min((dst.frobenius_power(r, i) for i in range(src.k)), key=dst.encode)
         powers = [dst.one]
         for _ in range(src.k - 1):
             powers.append(dst.mul(powers[-1], root))
@@ -731,6 +745,13 @@ def embed(a, src, dst):
     return acc
 
 
+def embed_poly(poly, src, dst):
+    """Carry a Poly or BinaryForm over src coefficient by coefficient into dst."""
+    if src is dst:
+        return poly
+    return poly.map_coeffs(lambda c: embed(c, src, dst), dst)
+
+
 def as_prime(a, field):
     """The int value of a if it lies in the prime subfield, else None."""
     if field.k == 1:
@@ -740,6 +761,34 @@ def as_prime(a, field):
     return a[0]
 
 
+def _rref(rows, field):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != field.zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != field.zero:
+                c = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
 _project_cache: dict[tuple, tuple] = {}
 
 
@@ -747,7 +796,8 @@ def project(a, big, small):
     """The small-field preimage of a under embed(., small, big), or None.
 
     Solves the linear system over F_p expressing a on the embedded power
-    basis of the small field (row reduction cached per field pair).
+    basis of the small field: _rref of the basis columns beside an identity
+    block leaves a left inverse in the first rows (cached per field pair).
     """
     if big is small:
         return a
@@ -758,35 +808,14 @@ def project(a, big, small):
     p = big.p
     if solver is None:
         powers = _root_powers(small, big)
-        # columns: embedded basis vectors; rows: big-field coordinates
-        rows = [[powers[j][i] for j in range(small.k)] for i in range(big.k)]
-        # Gauss: bring to reduced form, remembering the operations via an
-        # augmented identity block
-        aug = [row + [1 if i == r else 0 for i in range(big.k)] for r, row in enumerate(rows)]
-        pivots = []
-        r = 0
-        for col in range(small.k):
-            piv = next((i for i in range(r, big.k) if aug[i][col] % p), None)
-            if piv is None:
-                raise ContextMismatch(f"the embedded basis of {small!r} is rank-deficient in {big!r}")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][col], -1, p)
-            aug[r] = [x * inv % p for x in aug[r]]
-            for i in range(big.k):
-                if i != r and aug[i][col] % p:
-                    c = aug[i][col]
-                    aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[r])]
-            pivots.append(col)
-            r += 1
-        solver = (tuple(tuple(row) for row in aug), tuple(pivots))
+        # columns: embedded basis vectors, then the identity; rows: big-field coordinates
+        aug = [[w[i] for w in powers] + [int(i == j) for j in range(big.k)] for i in range(big.k)]
+        rows, pivots = _rref(aug, prime_field(p))
+        if pivots[: small.k] != list(range(small.k)):
+            raise ContextMismatch(f"the embedded basis of {small!r} is rank-deficient in {big!r}")
+        solver = tuple(tuple(row[small.k :]) for row in rows[: small.k])
         _project_cache[key] = solver
-    aug, pivots = solver
-    vec = list(a)
-    coords = [0] * small.k
-    for r, col in enumerate(pivots):
-        c = sum(aug[r][small.k + j] * vec[j] for j in range(big.k)) % p
-        coords[col] = c
-    cand = tuple(coords)
+    cand = tuple(sum(x * y for x, y in zip(row, a)) % p for row in solver)
     if embed(cand, small, big) != a:
         return None
     return cand

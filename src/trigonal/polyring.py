@@ -11,6 +11,11 @@ Both splitting steps take one x^q per polynomial (q the field order) and
 reach x^(q^d) and h^((q^d - 1)/2) through the q-power Frobenius matrix
 instead of powers with q^d-sized exponents (von zur Gathen and Shoup,
 "Computing Frobenius maps and factoring polynomials", 1992).
+
+split_root is the one root finder for an irreducible polynomial: given an
+irreducible over a subfield F_q of a field K that it splits in, and x^q
+modulo it, it returns one root in K; the others are its q-power Frobenius
+conjugates.  roots() is kept for every root of an arbitrary polynomial.
 """
 
 from __future__ import annotations
@@ -492,34 +497,60 @@ def roots(poly: Poly, rng=None) -> list:
     return out
 
 
-def split_root(poly: Poly, xp: Poly, field):
-    """One root in field = F_{p^m} of a monic irreducible poly over F_p whose degree divides m.
+def split_root(poly: Poly, xq: Poly, field):
+    """One root in field of a monic irreducible poly over a subfield F_q, with deg poly | [field : F_q].
 
-    xp is x^p mod poly over F_p.  As poly has F_p coefficients, the p-power
-    map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jp) mod poly), sigma
-    the Frobenius of the field, so h^((p^m - 1) / 2) is the product of the
-    m conjugates of h^((p - 1) / 2).  No x^(p^m) distinct-degree step runs
-    (poly is known to split), and splitting stops at the first linear factor.
+    xq is x^q mod poly over F_q.  As poly has F_q coefficients, the q-power
+    map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jq) mod poly), sigma
+    the q-power Frobenius of the field, so h^((|field| - 1) / 2) is the
+    product of the [field : F_q] conjugates of h^((q - 1) / 2).  No
+    distinct-degree step runs (poly is known to split), and splitting stops
+    at the first linear factor.  A quadratic over F_p in a degree-2 field
+    has a closed form with one F_p square root instead.  The other roots are
+    the q-power conjugates of the one returned.
     """
-    K = field
-    if K.k % poly.degree:
-        raise ContextMismatch(f"a degree-{poly.degree} irreducible does not split in {K!r}")
+    from .fields import embed_poly
+
+    K, F = field, poly.field
+    if K.p != F.p or K.k % (F.k * poly.degree):
+        raise ContextMismatch(f"a degree-{poly.degree} irreducible over {F!r} does not split in {K!r}")
+    if K.k == 2 and F.k == 1 and poly.degree == 2:
+        return _quadratic_root(poly, K)
     rng = _poly_rng(poly)
+    s = F.k
 
     def sigma(a):
-        return K.frobenius_power(a, 1)
+        return K.frobenius_power(a, s)
 
-    pk = poly.map_coeffs(K.from_int, K)
-    cols = [c.map_coeffs(K.from_int, K) for c in _frobenius_columns(xp, poly)]
-    e = (K.p - 1) // 2
+    pk = embed_poly(poly, F, K)
+    cols = [embed_poly(c, F, K) for c in _frobenius_columns(xq, poly)]
+    e = (F.order - 1) // 2
     one = Poly.one(K)
     g = pk
     while g.degree > 1:
         h = _random_poly(K, rng.randrange(1, pk.degree), rng)
-        s = gcd(_conjugate_product(h, pk, e, K.k, cols, sigma) - one, g)
-        if 0 < s.degree < g.degree:
-            g = s if 2 * s.degree <= g.degree else g // s
+        r = gcd(_conjugate_product(h, pk, e, K.k // s, cols, sigma) - one, g)
+        if 0 < r.degree < g.degree:
+            g = r if 2 * r.degree <= g.degree else g // r
     return K.neg(g.c[0])
+
+
+def _quadratic_root(poly: Poly, K):
+    """A root of an F_p-irreducible x^2 + b1 x + b0 in K = F_p[y]/(y^2 + a1 y + a0).
+
+    (2y + a1)^2 is the modulus discriminant D, and disc(poly) / D is a
+    square in F_p because both discriminants are non-squares.  The roots are
+    (-b1 +- (2y + a1) * sqrt(disc(poly) / D)) / 2: one F_p square root.
+    """
+    F = poly.field
+    b0, b1 = poly[0], poly[1]
+    a0, a1 = K.modulus[0], K.modulus[1]
+    disc = F.sub(F.sqr(b1), F.mul(F.from_int(4), b0))
+    D = F.sub(F.sqr(a1), F.mul(F.from_int(4), a0))
+    r = F.sqrt(F.div(disc, D))
+    if r is None:
+        raise ContextMismatch(f"{poly!r} does not split in {K!r}")
+    return (F.mul(F.sub(F.mul(a1, r), b1), F.inv(F.from_int(2))), r)
 
 
 def exact_square_root(s: Poly):
@@ -704,23 +735,3 @@ class BinaryForm:
 
     def map_coeffs(self, fn, new_field):
         return BinaryForm(new_field, self.d, [fn(x) for x in self.c])
-
-    def factor(self):
-        """(scalar, [(irreducible BinaryForm normalized, multiplicity)]).
-
-        The affine part is factored with the univariate routine; the factor v
-        (coeffs (1, 0, ..., 0) of degree 1) carries the v-multiplicity.
-        """
-        f = self.field
-        aff = self.affine()
-        out = []
-        vm = self.v_multiplicity
-        if vm:
-            out.append((BinaryForm(f, 1, (f.one, f.zero)), vm))
-        if aff.degree >= 1:
-            lc, factors = factorize(aff)
-            for g, m in factors:
-                out.append((BinaryForm.from_affine(g, g.degree), m))
-        else:
-            lc = aff.c[0] if aff.c else f.one
-        return lc, out

@@ -15,11 +15,11 @@ Each curve's octic is split once (OrbitSplit): the distinct-degree step
 alone gives the pattern, and a pattern without tractable subgroups stops
 there.  A cross pairing needs the roots of the second orbit o2 in the
 degree-m field K, ordered as the least root by encoding followed by its
-Frobenius conjugates, so finding any one root fixes the whole chain.  For
-m = 2 that root has a closed form with one F_p square root; for m = 3, 4
-split_root skips the x^(p^m) step (o2 is known to split in K) and builds
-h^((p^m - 1)/2) from the m Frobenius conjugates of h^((p - 1)/2), splitting
-only until one linear factor appears.
+Frobenius conjugates, so finding any one root fixes the whole chain.  That
+root comes from polyring.split_root: for m = 2 its closed form with one F_p
+square root; for m = 3, 4 it skips the x^(p^m) step (o2 is known to split in
+K) and builds h^((p^m - 1)/2) from the m Frobenius conjugates of
+h^((p - 1)/2), splitting only until one linear factor appears.
 """
 
 from __future__ import annotations
@@ -29,19 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import HCurve, OddModel, cantor_add, two_torsion_from_pair
-from .errors import ContextMismatch, NotAPartitionOf8, NotSquarefree, TooLarge
-from .fields import ExtField, embed, make_extension
-from .polyring import (
-    BinaryForm,
-    Poly,
-    _distinct_degree,
-    _equal_degree,
-    _poly_rng,
-    is_squarefree,
-    roots,
-    split_root,
-)
+from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
+from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
+from .fields import ExtField, embed_poly, make_extension
+from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _poly_rng, is_squarefree, split_root
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -86,13 +77,12 @@ class TractableSubgroup:
     """Four coprime quadratic factors of F~ whose pairing is Galois-stable."""
 
     quads: tuple  # 4 normalized BinaryForms, canonically sorted
-    rational: bool = True
 
     @classmethod
-    def from_quads(cls, quads, rational=True):
+    def from_quads(cls, quads):
         qs = [normalize_quadratic(q) for q in quads]
         qs.sort(key=lambda q: (q.field.k, q.encode()))
-        return cls(tuple(qs), rational)
+        return cls(tuple(qs))
 
     def key(self):
         return tuple((q.field.k, q.encode()) for q in self.quads)
@@ -101,8 +91,7 @@ class TractableSubgroup:
         """Canonical frozenset of the quadratics carried into a common field."""
         out = []
         for q in self.quads:
-            qe = q.map_coeffs(lambda x: embed(x, q.field, big_field), big_field)
-            out.append(normalize_quadratic(qe).encode())
+            out.append(normalize_quadratic(embed_poly(q, q.field, big_field)).encode())
         return frozenset(out)
 
     def field_degrees(self):
@@ -184,28 +173,6 @@ def _quad_from_pair(field, r1, r2) -> BinaryForm:
     return BinaryForm(f, 2, (f.mul(r1, r2), f.neg(f.add(r1, r2)), f.one))
 
 
-def _quadratic_roots(poly: Poly, field):
-    """Both roots of an F_p-irreducible x^2 + b1 x + b0 in the degree-2 field.
-
-    With field = F_p[y]/(y^2 + a1 y + a0), (2y + a1)^2 is the modulus
-    discriminant D, and disc(poly) / D is a square in F_p because both
-    discriminants are non-squares.  The roots are
-    (-b1 +- (2y + a1) * sqrt(disc(poly) / D)) / 2: one F_p square root.
-    """
-    if field.k != 2:
-        raise ContextMismatch(f"{field!r} is not a quadratic extension")
-    F = poly.field
-    b0, b1 = poly[0], poly[1]
-    a0, a1 = field.modulus[0], field.modulus[1]
-    disc = F.sub(F.sqr(b1), F.mul(F.from_int(4), b0))
-    D = F.sub(F.sqr(a1), F.mul(F.from_int(4), a0))
-    s = F.sqrt(F.div(disc, D))
-    if s is None:
-        raise ContextMismatch(f"{poly!r} does not split in {field!r}")
-    half = F.inv(F.from_int(2))
-    return [(F.mul(F.sub(F.mul(a1, r), b1), half), r) for r in (s, F.neg(s))]
-
-
 class _Materializer:
     """Caches per-orbit factorizations and root lists used by the matchings.
 
@@ -256,7 +223,7 @@ class _Materializer:
                     got.append(BinaryForm(A, 2, coeffs))
             else:
                 K = make_extension(self.p, m // 2)
-                pk, _ = poly.map_coeffs(lambda c: K.from_int(c), K).monic()
+                pk, _ = embed_poly(poly, poly.field, K).monic()
                 facs = _equal_degree(pk, 2, _poly_rng(pk))
                 if any(g.degree != 2 for g in facs):
                     raise ContextMismatch(f"{poly!r} does not split into quadratics over {K!r}")
@@ -268,9 +235,8 @@ class _Materializer:
     def ordered_roots(self, orbit: Orbit, field):
         """Roots of the orbit in the given field, Frobenius-ordered from the least.
 
-        One root is found (closed form for size 2, split_root otherwise) and
-        its conjugates give the rest, so the chain is the same whichever
-        root the search lands on.
+        One root is found by split_root and its conjugates give the rest, so
+        the chain is the same whichever root the search lands on.
         """
         size, poly = orbit.size, orbit.poly
         key = (size, poly.encode() if poly else None, id(field))
@@ -285,12 +251,9 @@ class _Materializer:
                 for _ in range(size - 1):
                     got.append(field.frobenius_power(got[-1], 1))
             else:
-                if size == 2:
-                    conj = _quadratic_roots(poly, field)
-                else:
-                    conj = [split_root(poly, orbit.xp, field)]
-                    for _ in range(size - 1):
-                        conj.append(field.frobenius_power(conj[-1], 1))
+                conj = [split_root(poly, orbit.xp, field)]
+                for _ in range(size - 1):
+                    conj.append(field.frobenius_power(conj[-1], 1))
                 if len(set(conj)) != size:
                     raise ContextMismatch(f"{poly!r} does not have {size} roots in {field!r}")
                 i = min(range(size), key=lambda j: field.encode(conj[j]))
@@ -344,51 +307,8 @@ def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None 
     return out
 
 
-def _pairings(items):
-    """All partitions of items into unordered pairs."""
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        pair = (first, items[i])
-        rest = items[1:i] + items[i + 1 :]
-        for more in _pairings(rest):
-            yield [pair] + more
-
-
 def splitting_degree(H: HCurve) -> int:
     return math.lcm(*pattern_of(H))
-
-
-def brute_force_tractable(H: HCurve):
-    """Oracle: test all 105 pair-partitions of the Weierstrass points for stability."""
-    L = splitting_degree(H)
-    if L > 15:
-        raise TooLarge(f"splitting field degree {L} > 15")
-    E = make_extension(H.field.p, L)
-    pts = []
-    if H.form.v_multiplicity:
-        pts.append(None)
-    FE = H.F.map_coeffs(lambda c: E.from_int(c) if E.k > 1 else c, E)
-    pts.extend(roots(FE))
-    assert len(pts) == 8, "curve must have 8 distinct Weierstrass points"
-
-    def frob_pt(r):
-        return None if r is None else E.frobenius_power(r, 1)
-
-    out = []
-    for pairing in _pairings(pts):
-        quads = [_quad_from_pair(E, r1, r2) for r1, r2 in pairing]
-        keyset = frozenset(normalize_quadratic(q).encode() for q in quads)
-        conj = [
-            _quad_from_pair(E, frob_pt(r1), frob_pt(r2)) for r1, r2 in pairing
-        ]
-        conjset = frozenset(normalize_quadratic(q).encode() for q in conj)
-        if keyset == conjset:
-            out.append(TractableSubgroup.from_quads(quads))
-    out.sort(key=lambda s: s.key())
-    return out
 
 
 def subgroup_elements(S: TractableSubgroup, H: HCurve):
@@ -402,19 +322,19 @@ def subgroup_elements(S: TractableSubgroup, H: HCurve):
     def put(D):
         elems[(D.a.c, D.b.c)] = D
 
-    from .curves import DivisorClass
-
     put(DivisorClass.identity(model))
     for g in gens:
         put(g)
     put(cantor_add(gens[0], gens[1]))
     put(cantor_add(gens[0], gens[2]))
     put(cantor_add(gens[0], gens[3]))
-    assert len(elems) == 8, "subgroup is not (Z/2Z)^3"
+    if len(elems) != 8:
+        raise NotAFactor("the quadratics do not generate a subgroup (Z/2Z)^3")
     total = gens[0]
     for g in gens[1:]:
         total = cantor_add(total, g)
-    assert total.is_identity, "four generators must multiply to the identity"
+    if not total.is_identity:
+        raise NotAFactor("the four quadratics do not pair all eight Weierstrass points")
     return list(elems.values())
 
 

@@ -17,8 +17,8 @@ import hashlib
 import random
 
 from .curves import HCurve, Mobius
-from .errors import DegeneratePair, DegenerateConfiguration, NotRational
-from .fields import embed
+from .errors import ContextMismatch, DegeneratePair, DegenerateConfiguration, NotRational
+from .fields import _rref, embed_poly
 from .polyring import BinaryForm, Poly, gcd
 from .subgroups import TractableSubgroup
 
@@ -58,34 +58,6 @@ def plucker_form(field, v):
     return acc
 
 
-def _rref(rows, field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != field.zero:
-                c = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def build_M(S: TractableSubgroup, H: HCurve):
     """The 4x6 chord-condition matrix, reduced to an F_q-rational row basis.
 
@@ -94,7 +66,8 @@ def build_M(S: TractableSubgroup, H: HCurve):
     its field and row-reducing over F_p recovers the rational form.
     """
     base = H.field
-    assert base.k == 1, "trigonal pipeline runs over a prime base field"
+    if base.k != 1:
+        raise ContextMismatch(f"the chord matrix is built over a prime field, not {base!r}")
     vectors = []
     for q in S.quads:
         row = hyperplane_row(q)
@@ -240,7 +213,7 @@ def _transform_subgroup(S: TractableSubgroup, mob: Mobius) -> TractableSubgroup:
     for q in S.quads:
         mk = mob.base_change(q.field) if q.field is not mob.field else mob
         quads.append(mk.pullback_form(q))
-    return TractableSubgroup.from_quads(quads, S.rational)
+    return TractableSubgroup.from_quads(quads)
 
 
 def _try_build(field, alpha, beta, roots, which, H, S):
@@ -344,8 +317,8 @@ def verify_trigonal(g: TrigonalMap, S: TractableSubgroup) -> bool:
         return False  # common factor: the map degenerates to degree <= 2
     for q in S.quads:
         K = q.field
-        NK = g.N.map_coeffs(lambda c: embed(c, g.field, K), K)
-        DK = g.D.map_coeffs(lambda c: embed(c, g.field, K), K)
+        NK = embed_poly(g.N, g.field, K)
+        DK = embed_poly(g.D, g.field, K)
         c0, c1, c2 = q.c
         if c2 == K.zero:
             # pair {infinity, -c0/c1}

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from conftest import constructions, curve_with_pattern
+from oracles import brute_force_tractable
 from ex37 import (
     EX37_D,
     EX37_DELTA0,
@@ -52,7 +53,6 @@ from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import Poly, exact_square_root
 from trigonal.subgroups import (
     PATTERN_COUNTS,
-    brute_force_tractable,
     count_for_pattern,
     enumerate_tractable,
     expectation,

@@ -1,12 +1,16 @@
 """Field contexts: construction, Frobenius, square roots, embeddings."""
 
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_under
+from trigonal import fields
 from trigonal.errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall
 from trigonal.fields import (
     ExtField,
@@ -377,3 +381,37 @@ except ContextMismatch:
 """
     out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok"], out.stderr
+
+
+def test_root_powers_tables_unchanged():
+    # every embedding table, digested and recorded before embed took its
+    # root from split_root instead of roots()
+    from trigonal.survey import deterministic_prime
+
+    cases = [(37, k1, k2) for k1, k2 in ((2, 4), (2, 6), (3, 6), (4, 8), (3, 12))]
+    for bits in (30, 64, 160):
+        p = deterministic_prime(bits, 0)
+        cases += [(p, k1, k2) for k1, k2 in ((2, 4), (3, 6), (4, 8))]
+    h = hashlib.sha256()
+    for p, k1, k2 in cases:
+        src, dst = make_extension(p, k1), make_extension(p, k2)
+        tab = fields._root_powers(src, dst)
+        h.update(repr((p, k1, k2, [dst.encode(w) for w in tab])).encode())
+    assert h.hexdigest() == "c530c11c04a451a2131d26778146be4e9b4be8757984fe57a2be535df65a2c1d"
+
+
+def test_tower_context_is_freed_without_the_collector():
+    # the tower arithmetic lives on the class, so dropping a tower context
+    # frees it by reference counting alone
+    gc.disable()
+    try:
+        T = _tower(37, 2, 3, 11)
+        assert isinstance(T, ExtField)
+        a = T.random(random.Random(13))
+        assert T.mul(a, T.inv(a)) == T.one
+        assert T.sqrt(T.sqr(a)) in (a, T.neg(a))
+        ref = weakref.ref(T)
+        del T
+        assert ref() is None
+    finally:
+        gc.enable()

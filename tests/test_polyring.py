@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigonal.errors import NotMonicCubic, ZeroPolynomial
-from trigonal.fields import make_extension, prime_field
+from conftest import random_irreducible
+from trigonal.errors import ContextMismatch, NotMonicCubic, ZeroPolynomial
+from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
 from trigonal.polyring import (
     BinaryForm,
     BiPoly,
@@ -22,9 +23,11 @@ from trigonal.polyring import (
     is_squarefree,
     reduce_mod_cubic,
     roots,
+    split_root,
     xgcd,
 )
 from ex37 import EX37_F
+from oracles import factor_form
 
 
 def test_factorize_x2_minus_1():
@@ -212,7 +215,7 @@ def test_binary_form_factor_tracks_v_multiplicity():
     F37 = prime_field(37)
     form = BinaryForm.from_ints(F37, 8, EX37_F)
     assert form.v_multiplicity == 1
-    lc, facs = form.factor()
+    lc, facs = factor_form(form)
     assert sorted(g.d for g, _ in facs) == [1, 1, 6]
     # v itself is one of the factors
     assert any(g.c == (F37.one, F37.zero) for g, _ in facs)
@@ -324,3 +327,55 @@ def test_monic_divisor_skips_the_inverse():
         two = E.from_int(2)
         q2, r2 = a.divmod(b.scale(two))  # the non-monic path
         assert (q2.scale(two), r2) == (q, r)
+
+
+# --- split_root, the one root finder ----------------------------------------
+
+P61 = 2**61 - 1
+
+
+def _split_root_chain(poly, K):
+    """split_root's root and its conjugates under the Frobenius of poly's field, sorted."""
+    F = poly.field
+    r = split_root(poly, Poly.x(F).pow_mod(F.order, poly), K)
+    return sorted((K.frobenius_power(r, F.k * i) for i in range(poly.degree)), key=K.encode)
+
+
+@pytest.mark.parametrize("p, k", [(37, 2), (53, 2), (37, 3)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_split_root_over_a_subfield_matches_roots(p, k, d):
+    F = make_extension(p, k)
+    K = make_extension(p, k * d)
+    rng = random.Random(50 + p + 10 * k + d)
+    for _ in range(4):
+        poly = random_irreducible(F, d, rng)
+        assert _split_root_chain(poly, K) == roots(embed_poly(poly, F, K))
+
+
+@pytest.mark.parametrize("p", [37, P30, P61])
+def test_split_root_closed_form_on_quadratics(p):
+    F = prime_field(p)
+    K = make_extension(p, 2)
+    rng = random.Random(51 + p % 1000)
+    for _ in range(6):
+        poly = random_irreducible(F, 2, rng)
+        assert _split_root_chain(poly, K) == roots(embed_poly(poly, F, K))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_split_root_into_an_orbit_algebra(m):
+    # the target is F_p[x]/(h) for the orbit's own irreducible h, not make_extension's modulus
+    F = prime_field(53)
+    rng = random.Random(52 + m)
+    h = random_irreducible(F, m, rng)
+    A = ExtField(F, h.c, Poly.x(F).pow_mod(53, h).c)
+    for d in (dd for dd in (1, 2, 3, 4, 6) if m % dd == 0):
+        poly = random_irreducible(F, d, rng)
+        assert _split_root_chain(poly, A) == roots(embed_poly(poly, F, A))
+
+
+def test_split_root_rejects_a_field_it_does_not_split_in():
+    F = make_extension(37, 2)
+    poly = random_irreducible(F, 3, random.Random(53))
+    with pytest.raises(ContextMismatch):
+        split_root(poly, Poly.x(F).pow_mod(F.order, poly), make_extension(37, 4))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import curve_with_pattern, run_under
+from oracles import brute_force_tractable, factor_form
 from trigonal.curves import HCurve, cantor_add
 from trigonal.errors import NotAPartitionOf8
 from trigonal.fields import make_extension, prime_field
@@ -14,7 +15,6 @@ from trigonal.subgroups import (
     PATTERN_COUNTS,
     OrbitSplit,
     _Materializer,
-    brute_force_tractable,
     count_for_pattern,
     enumerate_tractable,
     expectation,
@@ -229,7 +229,7 @@ def test_distinct_degree_pattern_matches_factorization(p):
     curves = [random_curve(p, rng) for _ in range(25)] + [_v_curve(F, rng) for _ in range(5)]
     for H in curves:
         split = OrbitSplit(H)
-        _, factors = H.form.factor()
+        _, factors = factor_form(H.form)
         assert all(mult == 1 for _, mult in factors)
         assert split.pattern == tuple(sorted((g.d for g, _ in factors), reverse=True))
         assert split.pattern == pattern_of(H)
@@ -265,3 +265,27 @@ except ContextMismatch:
 """
     out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok1", "ok2"], out.stderr
+
+
+def test_subgroup_elements_checks_survive_python_O():
+    # quadratics that are not a pairing of the Weierstrass points raise
+    # NotAFactor, not an assert: a repeated pair, then pairs that share a point
+    code = """
+from trigonal.curves import HCurve
+from trigonal.errors import NotAFactor
+from trigonal.fields import prime_field
+from trigonal.polyring import Poly
+from trigonal.subgroups import TractableSubgroup, _quad_from_pair, subgroup_elements
+F = prime_field(101)
+Fx = Poly.one(F)
+for i in range(1, 9):
+    Fx = Fx * Poly.from_ints(F, [-i, 1])
+H = HCurve.from_coeffs(F, list(Fx.c))
+for pairs in ([(1, 2)] * 4, [(1, 2), (1, 3), (4, 5), (6, 7)]):
+    try:
+        subgroup_elements(TractableSubgroup(tuple(_quad_from_pair(F, i, j) for i, j in pairs)), H)
+    except NotAFactor as exc:
+        print(str(exc).split()[-1])
+"""
+    out = run_under(["-O"], code)
+    assert out.stdout.split() == ["(Z/2Z)^3", "points"], out.stderr

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import constructions
+from conftest import constructions, run_under
 from ex37 import EX37_D, EX37_N
 from trigonal.curves import Mobius
 from trigonal.errors import DegeneratePair, NotRational
@@ -72,7 +72,7 @@ def test_build_M_worked_example(ex37_curve, ex37_subgroup, F37):
 def test_build_M_order_invariant(ex37_curve, ex37_subgroup, F37):
     # permuting the quadratics leaves the kernel unchanged
     quads = list(ex37_subgroup.quads)
-    perm = TractableSubgroup(tuple(quads[::-1]), True)
+    perm = TractableSubgroup(tuple(quads[::-1]))
     M1 = build_M(ex37_subgroup, ex37_curve)
     M2 = build_M(perm, ex37_curve)
     assert M1 == M2  # both reduced to RREF
@@ -173,7 +173,7 @@ def test_verify_symmetric_under_pair_swap(ex37_map, ex37_subgroup):
     # and rescaling them must not change the verdict)
     F37 = ex37_map.field
     quads = [q.scale(q.field.from_int(3)) for q in ex37_subgroup.quads]
-    S2 = TractableSubgroup(tuple(quads[::-1]), True)
+    S2 = TractableSubgroup(tuple(quads[::-1]))
     assert verify_trigonal(ex37_map, S2)
 
 
@@ -186,3 +186,20 @@ def test_map_shape_invariants():
         from trigonal.polyring import gcd
 
         assert gcd(g.N, g.D).degree == 0
+
+
+def test_build_M_over_an_extension_survives_python_O():
+    # the prime-field check raises ContextMismatch, not an assert
+    code = """
+from ex37 import EX37_F
+from trigonal.curves import HCurve
+from trigonal.errors import ContextMismatch
+from trigonal.fields import make_extension
+from trigonal.trigmaps import build_M
+try:
+    build_M(None, HCurve.from_coeffs(make_extension(37, 2), EX37_F))
+except ContextMismatch:
+    print("ok")
+"""
+    out = run_under(["-O"], code)
+    assert out.stdout.split() == ["ok"], out.stderr
