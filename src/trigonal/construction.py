@@ -19,7 +19,9 @@ square); the survey and the CLI both read their flags from its Verdict.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import HCurve
 from .errors import DegenerateConfiguration, SquareRootObstruction
@@ -41,6 +43,20 @@ X_QUADRICS = (
 )
 
 
+def _embedding_cache():
+    """A per-object cache of fixed polynomials carried into other fields, keyed by the target context."""
+    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class FibrationOver(NamedTuple):
+    """The fixed polynomials of a fibration carried into one field."""
+
+    u_locus: Poly
+    s: Poly
+    F: Poly  # the curve's polynomial
+    G: tuple  # the x-coefficients of G(t, x), Polys in t
+
+
 @dataclass(frozen=True)
 class TrigonalFibration:
     field: object
@@ -57,6 +73,16 @@ class TrigonalFibration:
     alpha: object
     r: Poly  # monic, s = alpha * r^2
     u_locus: Poly  # (f1^2 - 4 f2 f0) * (negated discriminant of G in x)
+    _embed_cache: dict = _embedding_cache()
+
+    def over(self, field) -> FibrationOver:
+        """u_locus, s, F and the coefficients of G carried into field, once per field."""
+        got = self._embed_cache.get(field)
+        if got is None:
+            polys = (self.u_locus, self.s, self.curve.F) + self.G.cx
+            e = [embed_poly(q, self.field, field) for q in polys]
+            got = self._embed_cache[field] = FibrationOver(e[0], e[1], e[2], tuple(e[3:]))
+        return got
 
     def ramified_at(self, t0, field=None) -> bool:
         """Whether the 6-point fiber of the composed degree-6 map degenerates at t0.
@@ -67,11 +93,8 @@ class TrigonalFibration:
         s(t0) is the product of F over the fiber's x-coordinates.
         """
         f = self.field if field is None else field
-        if field is None or field is self.field:
-            return self.u_locus.eval(t0) == f.zero or self.s.eval(t0) == f.zero
-        ul = embed_poly(self.u_locus, self.field, f)
-        sl = embed_poly(self.s, self.field, f)
-        return ul.eval(t0) == f.zero or sl.eval(t0) == f.zero
+        e = self.over(f)
+        return e.u_locus.eval(t0) == f.zero or e.s.eval(t0) == f.zero
 
 
 def _discriminant_cubic_neg(g0: Poly, g1: Poly, g2: Poly) -> Poly:
@@ -185,15 +208,22 @@ class CurveXModel:
 
     fib: TrigonalFibration
     rows: tuple  # three (coeff dict var -> Poly, const Poly) pairs
+    _embed_cache: dict = _embedding_cache()
 
     def linear_values(self, field, t0, b):
         """The residuals of c0, c1, c2 at a candidate point."""
-        base = self.fib.field
+        rows = self._embed_cache.get(field)
+        if rows is None:
+            base = self.fib.field
+            rows = self._embed_cache[field] = []
+            for coeffs, const in self.rows:
+                terms = [(var, embed_poly(pol, base, field)) for var, pol in coeffs.items()]
+                rows.append((terms, embed_poly(const, base, field)))
         out = []
-        for coeffs, const in self.rows:
-            acc = embed_poly(const, base, field).eval(t0)
-            for var, pol in coeffs.items():
-                acc = field.add(acc, field.mul(embed_poly(pol, base, field).eval(t0), b[var]))
+        for coeffs, const in rows:
+            acc = const.eval(t0)
+            for var, pol in coeffs:
+                acc = field.add(acc, field.mul(pol.eval(t0), b[var]))
             out.append(acc)
         return out
 
@@ -278,15 +308,21 @@ class CorrespondenceR:
     X: CurveXModel
     plane: PlaneQuarticModel
     sign: int  # +1 for R, -1 for R'
+    _embed_cache: dict = _embedding_cache()
 
     def rho(self, field, t0, b22):
         """The square root of b22 on X|_U at a point with fiber coordinate t0."""
-        f0 = self.fib.field
-        pl = self.plane
-        d4 = embed_poly(pl.delta4, f0, field).eval(t0)
-        d2 = embed_poly(pl.delta2, f0, field).eval(t0)
-        d0 = embed_poly(pl.delta0, f0, field).eval(t0)
-        d1 = embed_poly(pl.delta1, pl.delta1_field, field).eval(t0)
+        deltas = self._embed_cache.get(field)
+        if deltas is None:
+            f0 = self.fib.field
+            pl = self.plane
+            deltas = self._embed_cache[field] = (
+                embed_poly(pl.delta4, f0, field),
+                embed_poly(pl.delta2, f0, field),
+                embed_poly(pl.delta0, f0, field),
+                embed_poly(pl.delta1, pl.delta1_field, field),
+            )
+        d4, d2, d0, d1 = (d.eval(t0) for d in deltas)
         num = field.add(field.add(field.mul(d4, field.sqr(b22)), field.mul(d2, b22)), d0)
         val = field.div(num, d1)
         return val if self.sign > 0 else field.neg(val)

@@ -122,8 +122,8 @@ class HCurve:
 
     @classmethod
     def from_coeffs(cls, field, coeffs):
-        """Curve from the 9 ascending coefficients a0..a8 of F (a8 may be 0)."""
-        return cls(field, BinaryForm(field, 8, [field.from_int(c) if isinstance(c, int) else c for c in coeffs]))
+        """Curve from the 9 ascending coefficients a0..a8 of F (a8 may be 0), ints read as F_p values."""
+        return cls(field, BinaryForm.from_ints(field, 8, coeffs))
 
     def twist(self, c):
         """Quadratic twist y^2 = c * F(x)."""
@@ -467,10 +467,12 @@ def l_polynomial(H: HCurve):
     s3 = q**3 + 1 - n3
     e1 = s1
     num = e1 * s1 - s2
-    assert num % 2 == 0
+    if num % 2:
+        raise ModelMismatch(f"point counts {n1}, {n2}, {n3} give a non-integral e2")
     e2 = num // 2
     num = e2 * s1 - e1 * s2 + s3
-    assert num % 3 == 0
+    if num % 3:
+        raise ModelMismatch(f"point counts {n1}, {n2}, {n3} give a non-integral e3")
     e3 = num // 3
     c1, c2, c3 = -e1, e2, -e3
     return [1, c1, c2, c3, q * c2, q * q * c1, q**3]

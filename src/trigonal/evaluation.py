@@ -91,11 +91,10 @@ def _square_root_parts(F: Poly, factors, field):
                 return None
             parts.append((h, Poly.const(field, rt)))
         else:
-            val = F % h
-            rt = ring.sqrt(tuple(val[i] for i in range(h.degree)))
+            rt = ring.sqrt(ring.from_coeffs((F % h).c))
             if rt is None:
                 return None
-            parts.append((h, Poly(field, rt)))
+            parts.append((h, Poly(field, ring.coeffs(rt))))
     return parts
 
 
@@ -140,7 +139,7 @@ def _fiber_cubic(fib, t0, field) -> Poly:
     """G(t0, x) over field; RamifiedFiber when the fiber over t0 degenerates."""
     if fib.ramified_at(t0, field):
         raise RamifiedFiber("t0 lies under a degenerate fiber")
-    return Poly(field, [embed_poly(c, fib.field, field).eval(t0) for c in fib.G.cx])
+    return Poly(field, [c.eval(t0) for c in fib.over(field).G])
 
 
 def fiber_points(X: CurveXModel, t0, field) -> list:
@@ -157,7 +156,7 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     """
     fib = X.fib
     Gt = _fiber_cubic(fib, t0, field)
-    F = embed_poly(fib.curve.F, fib.field, field)
+    F = fib.over(field).F
     _, factors = factorize(Gt)
     if any(m != 1 for _, m in factors):
         raise NotSquarefree("the fiber cubic has a repeated factor")
@@ -280,7 +279,7 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
         raise ModelMismatch("x(P) is not a root of G(t(P), x)")
     c0, c1 = quad[0], quad[1]
     disc = K.sub(K.sqr(c1), K.mul(K.from_int(4), c0))
-    F = embed_poly(fib.curve.F, fib.field, K)
+    F = fib.over(K).F
     sd = K.sqrt(disc)
     if sd is not None:
         half = K.inv(K.from_int(2))
@@ -289,7 +288,7 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     else:
         half = K2.inv(K2.from_int(2))
         x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half_nonsquare(disc, K)), half)
-        rt = K2.sqrt(embed_poly(F, K, K2).eval(x))
+        rt = K2.sqrt(fib.over(K2).F.eval(x))
         others = [] if rt is None else [(x, rt), (K2.frobenius_power(x, K.k), K2.frobenius_power(rt, K.k))]
     t2 = embed(t0, K, K2)
     picked = []
@@ -377,7 +376,7 @@ def _triple_class(R: CorrespondenceR, q: XPoint, odd_big: OddModel):
     big = odd_big.field
     t0 = embed(q.t, K, big)
     b = {k: embed(v, K, big) for k, v in q.bmap().items()}
-    aq = Poly(big, [embed_poly(c, fib.field, big).eval(t0) for c in fib.G.cx])
+    aq = Poly(big, [c.eval(t0) for c in fib.over(big).G])
     rho = R.rho(big, t0, b["b22"])
     bq = Poly(big, [b["b02"], b["b12"], b["b22"]]).scale(big.inv(rho))
     bq = bq % aq

@@ -1,39 +1,48 @@
 """Exact arithmetic in prime fields F_p (p > 3) and their extensions.
 
 Elements are plain data, interpreted by a field context that is passed
-around with them: an element of F_p is an int in [0, p), and an element
-of an extension is a tuple of base-field elements (coefficients on the
-polynomial basis 1, x, ..., x^{n-1} of base[x]/(modulus), constant term
-first).
+around with them.  An element of F_p is an int in [0, p).  An element of an
+extension of F_p is one int too: its coefficients on the polynomial basis
+1, x, ..., x^{k-1} of F_p[x]/(modulus) sit in w-bit slots, constant term in
+the lowest, w = 2 bits(p) + bits(2k) + 1 (Kronecker substitution; Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+2009).  An F_p value is therefore its own image in every extension.  Only a
+tower, an extension of an extension, keeps a tuple of base elements.
+coeffs(a) and from_coeffs(seq) convert between an element and its
+coefficients over the base on every context; code outside this module
+reads and builds elements only through them.
 
 One quotient-ring context, ExtField(base, modulus), serves every extension:
 F_{p^k} itself, the orbit algebras F_p[x]/(orbit polynomial) of the subgroup
 enumeration, and the etale factors over F_{q^j} in which phi takes square
-roots.  Over F_p it runs on int tuples with a Frobenius-matrix fast path;
-over an extension base it goes through the base context's operations.
+roots.  Over F_p it runs on packed ints, a product being one int multiply
+and one slot reduction; over an extension base it goes through the base
+context's operations.
 
 The F_{p^k} contexts are built by make_extension(p, k) with a modulus chosen
 deterministically from (p, k): the lexicographically least monic irreducible
 of degree k, i.e. the one minimizing the base-p digit value of its non-leading
 coefficients.  Repeated calls return the same cached context, so encodings
-are reproducible across runs.
+(the base-order digit values of the coefficients, whatever the packing) are
+reproducible across runs.
 
 Every context exposes the same arithmetic surface (add, sub, neg, mul, inv,
-div, pow, sqrt, is_square, encode, decode, ...), so polynomial code in
-polyring.py works over any of them.  Contexts are immutable after creation,
-apart from lazily filled caches of derived constants, and safe to share
-across threads/processes.
+div, pow, sqrt, is_square, encode, decode, coeffs, from_coeffs, ...), so
+polynomial code in polyring.py works over any of them.  Contexts are
+immutable after creation, apart from lazily filled caches of derived
+constants, and safe to share across threads/processes.
 
 Square roots are Tonelli-Shanks with its constants (the 2-adic split of
 order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
 On an extension, Euler's criterion runs on the norm N(a) = Res(modulus, a)
-in the base, so a non-square never reaches Tonelli-Shanks.  nonresidue() of
-a prime field is a seeded search; an ExtField reads its non-residue off the
-base instead.  No output depends on which non-residue a context holds:
-square roots are canonical, and the anti-fixed fiber coordinates
-nu * u_i * u_j of evaluation.fiber_points do not change when nu changes by a
-square factor.  sqrt_of_half gives a square root in a quadratic extension of
-an element of the subfield from square roots in the subfield.
+in the base, so a non-square never reaches Tonelli-Shanks, and an odd-degree
+extension takes its roots from the norm instead (see ExtField).
+nonresidue() of a prime field is a seeded search; an ExtField reads its
+non-residue off the base instead.  No output depends on which non-residue a
+context holds: square roots are canonical, and the anti-fixed fiber
+coordinates nu * u_i * u_j of evaluation.fiber_points do not change when nu
+changes by a square factor.  sqrt_of_half gives a square root in a quadratic
+extension of an element of the subfield from square roots in the subfield.
 
 embed carries an element of F_{p^k1} into F_{p^k2} (k1 | k2) through the
 least root, by encoding, of the F_{p^k1} modulus among one
@@ -234,6 +243,14 @@ class PrimeField(_FieldOps):
     def from_int(self, n: int):
         return n % self.p
 
+    def coeffs(self, a) -> tuple:
+        return (a,)
+
+    def from_coeffs(self, seq):
+        if len(seq) > 1:
+            raise ContextMismatch(f"{len(seq)} coefficients for {self!r}")
+        return seq[0] % self.p if seq else 0
+
     def encode(self, a) -> int:
         return a
 
@@ -280,19 +297,36 @@ def _irreducible_mod_p(f, p) -> bool:
 class ExtField(_FieldOps):
     """Context for base[x]/(modulus), modulus monic irreducible over the base context.
 
-    Elements are tuples of base elements, constant term first, encoded as
-    base-order digits.  Over F_p (base.k == 1) they are tuples of ints and
-    the arithmetic runs on ints directly, with a Frobenius matrix for
-    frobenius_power.  Over an extension base (a tower, as for the etale
-    factors over F_{q^j}) the context is a _TowerField, whose arithmetic goes
-    through the base context.
+    Over F_p (base.k == 1) an element is one int: coefficient i of the
+    polynomial basis sits in bits [i w, (i + 1) w) with
+    w = 2 bits(p) + bits(2k) + 1, every slot in [0, p) (Kronecker
+    substitution).  add, sub and neg are SWAR operations on all slots at
+    once: add 2^(w-1) - p to every slot, read each slot's top bit, subtract
+    p where it is set.  mul is one int product; each high slot c_j is
+    folded back as (c_j mod p) * packed(-modulus mod p) << w (j - k), and
+    one pass reduces every slot mod p.  The slot width keeps every slot of
+    a product below 2k p^2 < 2^(w-1), so no slot carries into the next.
+    frobenius_power, scalar_mul, embed and project work on packed ints too;
+    inv and norm unpack once.
+
+    Over an extension base (a tower, as for the etale factors over F_{q^j})
+    the context is a _TowerField: an element is a tuple of packed base
+    elements and the arithmetic goes through the base context.
+
+    coeffs(a) and from_coeffs(seq) convert between an element and its
+    coefficient sequence over the base, constant term first, in either
+    representation; encode(a) is the base-order digit value of those
+    coefficients, so encodings do not depend on the packing.
 
     xp, x^p mod modulus as an ascending coefficient sequence, seeds the
     Frobenius matrices when the caller has already computed it.
 
     Square roots test Euler's criterion on the norm first, so a non-square
-    costs one Euclid over the base.  The non-residue behind Tonelli-Shanks
-    is read off the base (see _find_nonresidue) instead of searched for.
+    costs one Euclid over the base.  An odd degree d takes the root as
+    a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
+    order: a^T = N(a) and T is odd.  An even degree runs Tonelli-Shanks,
+    whose non-residue is read off the base (see _find_nonresidue) instead of
+    searched for.
     """
 
     def __new__(cls, base, modulus, xp=None):
@@ -309,41 +343,73 @@ class ExtField(_FieldOps):
         self.k = base.k * self.deg
         self.modulus = tuple(modulus)
         self.order = base.order**self.deg
-        self.zero = (base.zero,) * self.deg
-        self.one = (base.one,) + (base.zero,) * (self.deg - 1)
+        self._init_elements()
         self._frob = {}
         self._xp = None if xp is None else list(xp)
         self._half_nonresidue_root = None
 
+    def _init_elements(self):
+        """The slot layout and the packed constants of the SWAR arithmetic."""
+        p, k = self.p, self.k
+        w = 2 * p.bit_length() + (2 * k).bit_length() + 1
+        self._top = w - 1
+        self._mask = (1 << w) - 1
+        self._shifts = tuple(range(0, k * w, w))
+        self._ones = ((1 << (k * w)) - 1) // self._mask
+        self._pp = p * self._ones
+        self._half = ((1 << (w - 1)) - p) * self._ones
+        self._negmod = self.from_coeffs([-c for c in self.modulus[:-1]])
+        # (high slot, where its fold lands), from the top slot of a product down
+        self._fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
+        self.zero = 0
+        self.one = 1
+
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
+    # -- coefficients, encodings ---------------------------------------------
+
+    def coeffs(self, a) -> tuple:
+        """The k coefficients of a over F_p, constant term first."""
+        m = self._mask
+        return tuple((a >> s) & m for s in self._shifts)
+
+    def from_coeffs(self, seq):
+        """The element with the given coefficients (at most deg, constant term first)."""
+        if len(seq) > self.deg:
+            raise ContextMismatch(f"{len(seq)} coefficients for {self!r}")
+        p = self.p
+        a = 0
+        for c, s in zip(seq, self._shifts):
+            a |= (c % p) << s
+        return a
+
     def from_int(self, n: int):
-        return (self.base.from_int(n),) + self.zero[1:]
+        return n % self.p
 
     def encode(self, a) -> int:
+        p, m = self.p, self._mask
         n = 0
-        B = self.base
-        for c in reversed(a):
-            n = n * B.order + B.encode(c)
+        for s in reversed(self._shifts):
+            n = n * p + ((a >> s) & m)
         return n
 
     def decode(self, n: int):
         if not 0 <= n < self.order:
             raise ValueError("encoding out of range")
-        out = []
-        B = self.base
-        for _ in range(self.deg):
-            n, r = divmod(n, B.order)
-            out.append(B.decode(r))
-        return tuple(out)
+        p = self.p
+        a = 0
+        for s in self._shifts:
+            n, r = divmod(n, p)
+            a |= r << s
+        return a
 
     def elements(self):
         return (self.decode(i) for i in range(self.order))
 
     def random(self, rng):
         B = self.base
-        return tuple(B.random(rng) for _ in range(self.deg))
+        return self.from_coeffs([B.random(rng) for _ in range(self.deg)])
 
     # -- norm and square roots ------------------------------------------------
 
@@ -351,7 +417,7 @@ class ExtField(_FieldOps):
         """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
         B = self.base
         z = B.zero
-        r0, r1 = list(self.modulus), list(a)
+        r0, r1 = list(self.modulus), list(self.coeffs(a))
         acc = B.one
         while True:
             while r1 and r1[-1] == z:
@@ -386,7 +452,18 @@ class ExtField(_FieldOps):
         """Canonical square root, or None; the norm turns a non-square away first."""
         if a == self.zero:
             return self.zero
-        return self._tonelli_shanks(a) if self.is_square(a) else None
+        B = self.base
+        n = self.norm(a)
+        if not B.is_square(n):
+            return None
+        if self.deg % 2 == 0:
+            return self._tonelli_shanks(a)
+        # a^T = N(a) with T = (Q^d - 1) / (Q - 1) odd, so a^((T + 1) / 2)
+        # squares to a N(a); no 2-Sylow generator is needed
+        t = (self.order - 1) // (B.order - 1)
+        r = self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(B.sqrt(n)))
+        rn = self.neg(r)
+        return r if self.encode(r) <= self.encode(rn) else rn
 
     def sqrt_of_half(self, v, half):
         """A square root here of v in half, the subfield of index 2 (not the canonical root).
@@ -427,56 +504,58 @@ class ExtField(_FieldOps):
         """
         B = self.base
         if self.deg % 2:
-            return (B.nonresidue(),) + self.zero[1:]
+            return self.from_coeffs((B.nonresidue(),))
         h = polyring.Poly(B, self.modulus)
         for c in range(self.p):
             cb = B.from_int(c)
             if not B.is_square(h.eval(B.neg(cb))):
-                return (cb, B.one) + self.zero[2:]
+                return self.from_coeffs((cb, B.one))
         return _FieldOps._find_nonresidue(self)
 
     def _two_sylow_generator(self, m: int):
-        nr = self.nonresidue()
-        if nr[1:] == self.zero[1:]:
+        B = self.base
+        nr = self.coeffs(self.nonresidue())
+        if all(c == B.zero for c in nr[1:]):
             # a base element has order dividing |B*|: power it in the base
-            B = self.base
-            return (B.pow(nr[0], m % (B.order - 1)),) + self.zero[1:]
-        return self.pow(nr, m)
+            return self.from_coeffs((B.pow(nr[0], m % (B.order - 1)),))
+        return self.pow(self.from_coeffs(nr), m)
 
-    # -- over F_p: int coefficients ------------------------------------------
+    # -- over F_p: packed arithmetic ------------------------------------------
+
+    def _reduce(self, c):
+        """The element whose slots are those of c mod p (the first k slots of c, each below 2^w)."""
+        p, m = self.p, self._mask
+        r = 0
+        for s in self._shifts:
+            r |= ((c >> s) & m) % p << s
+        return r
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        s = a + b
+        return s - self.p * ((s + self._half) >> self._top & self._ones)
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        s = a + self._pp - b
+        return s - self.p * ((s + self._half) >> self._top & self._ones)
 
     def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        s = self._pp - a
+        return s - self.p * ((s + self._half) >> self._top & self._ones)
 
     def mul(self, a, b):
-        p = self.p
-        k = self.k
-        c = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    c[i + j] += ai * bj
-        m = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            ci = c[i] % p
-            if ci:
-                d = i - k
-                for j in range(k):
-                    c[d + j] -= ci * m[j]
-        return tuple(x % p for x in c[:k])
+        c = a * b
+        p, m, nm = self.p, self._mask, self._negmod
+        for hi, lo in self._fold:
+            c += (((c >> hi) & m) % p * nm) << lo
+        # _reduce, inlined on the hottest path
+        r = 0
+        for s in self._shifts:
+            r |= ((c >> s) & m) % p << s
+        return r
 
-    def scalar_mul(self, a, c: int):
-        p = self.p
-        return tuple(x * c % p for x in a)
+    def scalar_mul(self, a, c):
+        """a times the base element c."""
+        return self._reduce(a * c)
 
     def inv(self, a):
         if a == self.zero:
@@ -485,7 +564,7 @@ class ExtField(_FieldOps):
         k = self.k
         # extended Euclid on int coefficient lists: s0 * a = r0 and
         # s1 * a = r1 modulo the modulus; the cofactors have degree <= k
-        r0, r1 = list(self.modulus), list(a)
+        r0, r1 = list(self.modulus), list(self.coeffs(a))
         s0, s1 = [0] * (k + 1), [1] + [0] * k
         while True:
             while r1 and not r1[-1]:
@@ -507,10 +586,10 @@ class ExtField(_FieldOps):
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         c = pow(r0[0], -1, p)
-        return tuple(x * c % p for x in s0[:k])
+        return self.from_coeffs([x * c for x in s0[:k]])
 
     def _frobenius_matrix(self, j: int):
-        """Columns of a -> a^(p^j) as a linear map over F_p, for 0 < j < k."""
+        """Packed columns of a -> a^(p^j) as a linear map over F_p, for 0 < j < k."""
         mat = self._frob.get(j)
         if mat is None:
             F = self.base
@@ -524,7 +603,7 @@ class ExtField(_FieldOps):
                 xpj = polyring._apply_frobenius(xpj, cols)
             if j > 1:
                 cols = polyring._frobenius_columns(xpj, f)
-            mat = tuple(col.c + (0,) * (self.k - len(col.c)) for col in cols)
+            mat = tuple(self.from_coeffs(col.c) for col in cols)
             self._frob[j] = mat
         return mat
 
@@ -532,19 +611,50 @@ class ExtField(_FieldOps):
         j %= self.k
         if j == 0:
             return a
-        cols = self._frobenius_matrix(j)
-        p = self.p
-        out = [0] * self.k
-        for i, ai in enumerate(a):
+        m = self._mask
+        out = 0
+        for s, col in zip(self._shifts, self._frobenius_matrix(j)):
+            ai = (a >> s) & m
             if ai:
-                col = cols[i]
-                for t in range(self.k):
-                    out[t] += ai * col[t]
-        return tuple(x % p for x in out)
+                out += ai * col
+        return self._reduce(out)
 
 
 class _TowerField(ExtField):
-    """ExtField over an extension base: the arithmetic goes through the base context."""
+    """ExtField over an extension base: tuples of base elements, arithmetic through the base."""
+
+    def _init_elements(self):
+        B = self.base
+        self.zero = (B.zero,) * self.deg
+        self.one = (B.one,) + self.zero[1:]
+
+    def coeffs(self, a) -> tuple:
+        return a
+
+    def from_coeffs(self, seq):
+        if len(seq) > self.deg:
+            raise ContextMismatch(f"{len(seq)} coefficients for {self!r}")
+        return tuple(seq) + self.zero[len(seq) :]
+
+    def from_int(self, n: int):
+        return (self.base.from_int(n),) + self.zero[1:]
+
+    def encode(self, a) -> int:
+        n = 0
+        B = self.base
+        for c in reversed(a):
+            n = n * B.order + B.encode(c)
+        return n
+
+    def decode(self, n: int):
+        if not 0 <= n < self.order:
+            raise ValueError("encoding out of range")
+        out = []
+        B = self.base
+        for _ in range(self.deg):
+            n, r = divmod(n, B.order)
+            out.append(B.decode(r))
+        return tuple(out)
 
     def add(self, a, b):
         F = self.base
@@ -575,6 +685,10 @@ class _TowerField(ExtField):
                     c[d + j] = F.sub(c[d + j], F.mul(ci, m[j]))
         return tuple(c[:n])
 
+    def scalar_mul(self, a, c):
+        F = self.base
+        return tuple(F.mul(x, c) for x in a)
+
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
@@ -582,7 +696,7 @@ class _TowerField(ExtField):
         g, s, _ = polyring.xgcd(polyring.Poly(F, a), polyring.Poly(F, self.modulus))
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        return s.c + (F.zero,) * (self.deg - len(s.c))
+        return self.from_coeffs(s.c)
 
     frobenius_power = _FieldOps.frobenius_power
 
@@ -728,37 +842,39 @@ def _root_powers(src: ExtField, dst: ExtField):
 
 
 def embed(a, src, dst):
-    """Carry a from the (p, k1) context into the (p, k2) context, k1 | k2."""
+    """Carry a from the (p, k1) context into the (p, k2) context, k1 | k2.
+
+    An F_p value is its own image (it sits in slot 0); otherwise the
+    coefficients weight the packed powers of the canonical root and one
+    slot reduction follows.
+    """
     if src is dst:
         return a
     if src.p != dst.p:
         raise ContextMismatch("different characteristics")
     if src.k == 1:
-        return dst.from_int(a)
+        return a
     if dst.k % src.k != 0:
         raise ContextMismatch(f"{src!r} does not embed in {dst!r}")
-    powers = _root_powers(src, dst)
-    acc = dst.zero
-    for c, w in zip(a, powers):
+    acc = 0
+    for c, w in zip(src.coeffs(a), _root_powers(src, dst)):
         if c:
-            acc = dst.add(acc, dst.scalar_mul(w, c))
-    return acc
+            acc += c * w
+    return dst._reduce(acc)
 
 
 def embed_poly(poly, src, dst):
-    """Carry a Poly or BinaryForm over src coefficient by coefficient into dst."""
+    """Carry a Poly or BinaryForm over src coefficient by coefficient into dst.
+
+    From F_p the coefficient tuple is kept as it is.
+    """
     if src is dst:
         return poly
+    if src.k == 1:
+        if src.p != dst.p:
+            raise ContextMismatch("different characteristics")
+        return poly.map_coeffs(None, dst)
     return poly.map_coeffs(lambda c: embed(c, src, dst), dst)
-
-
-def as_prime(a, field):
-    """The int value of a if it lies in the prime subfield, else None."""
-    if field.k == 1:
-        return a
-    if any(a[1:]):
-        return None
-    return a[0]
 
 
 def _rref(rows, field):
@@ -802,20 +918,22 @@ def project(a, big, small):
     if big is small:
         return a
     if small.k == 1:
-        return as_prime(a, big)
+        # the prime subfield is slot 0 alone
+        return a if a < big.p else None
     key = (small.p, small.modulus, big.k, big.modulus)
     solver = _project_cache.get(key)
     p = big.p
     if solver is None:
-        powers = _root_powers(small, big)
+        cols = [big.coeffs(w) for w in _root_powers(small, big)]
         # columns: embedded basis vectors, then the identity; rows: big-field coordinates
-        aug = [[w[i] for w in powers] + [int(i == j) for j in range(big.k)] for i in range(big.k)]
+        aug = [[col[i] for col in cols] + [int(i == j) for j in range(big.k)] for i in range(big.k)]
         rows, pivots = _rref(aug, prime_field(p))
         if pivots[: small.k] != list(range(small.k)):
             raise ContextMismatch(f"the embedded basis of {small!r} is rank-deficient in {big!r}")
         solver = tuple(tuple(row[small.k :]) for row in rows[: small.k])
         _project_cache[key] = solver
-    cand = tuple(sum(x * y for x, y in zip(row, a)) % p for row in solver)
+    ac = big.coeffs(a)
+    cand = small.from_coeffs([sum(x * y for x, y in zip(row, ac)) for row in solver])
     if embed(cand, small, big) != a:
         return None
     return cand

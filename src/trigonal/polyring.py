@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .errors import ContextMismatch, NotMonicCubic, ZeroPolynomial
+from .errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
 
 
 class Poly:
@@ -99,7 +99,7 @@ class Poly:
             ci = self.c[i]
             if ci == f.zero:
                 continue
-            cs = str(f.encode(ci)) if f.k == 1 else str(list(ci))
+            cs = str(f.encode(ci)) if f.k == 1 else str(list(f.coeffs(ci)))
             if i == 0:
                 parts.append(cs)
             elif i == 1:
@@ -259,6 +259,9 @@ class Poly:
         return r
 
     def map_coeffs(self, fn, new_field):
+        """fn of every coefficient, read in new_field; fn None keeps the coefficients as they are."""
+        if fn is None:
+            return Poly(new_field, self.c, trim=False)
         return Poly(new_field, [fn(x) for x in self.c])
 
 
@@ -550,7 +553,7 @@ def _quadratic_root(poly: Poly, K):
     r = F.sqrt(F.div(disc, D))
     if r is None:
         raise ContextMismatch(f"{poly!r} does not split in {K!r}")
-    return (F.mul(F.sub(F.mul(a1, r), b1), F.inv(F.from_int(2))), r)
+    return K.from_coeffs((F.mul(F.sub(F.mul(a1, r), b1), F.inv(F.from_int(2))), r))
 
 
 def exact_square_root(s: Poly):
@@ -632,7 +635,8 @@ class BinaryForm:
 
     def __init__(self, field, d, coeffs):
         coeffs = tuple(coeffs)
-        assert len(coeffs) == d + 1
+        if len(coeffs) != d + 1:
+            raise BadDegree(f"a binary form of degree {d} needs {d + 1} coefficients, not {len(coeffs)}")
         self.field = field
         self.d = d
         self.c = coeffs
@@ -734,4 +738,5 @@ class BinaryForm:
         return self.v_multiplicity <= 1 and is_squarefree(self.affine())
 
     def map_coeffs(self, fn, new_field):
-        return BinaryForm(new_field, self.d, [fn(x) for x in self.c])
+        """fn of every coefficient, read in new_field; fn None keeps the coefficients as they are."""
+        return BinaryForm(new_field, self.d, self.c if fn is None else [fn(x) for x in self.c])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .curves import HCurve
+from .errors import ContextMismatch
 from .fields import make_extension, prime_field
 from .polyring import BinaryForm, Poly
 from .subgroups import TractableSubgroup
@@ -19,7 +20,7 @@ from .subgroups import TractableSubgroup
 def elem_to_json(field, a):
     if field.k == 1:
         return str(a)
-    return {"p": str(field.p), "k": field.k, "coeffs": [str(c) for c in a]}
+    return {"p": str(field.p), "k": field.k, "coeffs": [str(c) for c in field.coeffs(a)]}
 
 
 def elem_from_json(obj, field=None):
@@ -34,12 +35,13 @@ def elem_from_json(obj, field=None):
     coeffs = [int(c) % p for c in obj["coeffs"]]
     if len(coeffs) != k:
         raise ValueError("extension element has wrong coefficient count")
-    return f, tuple(coeffs)
+    return f, f.from_coeffs(coeffs)
 
 
 def poly_to_json(poly: Poly):
     """Ascending coefficient list of a polynomial over a prime field."""
-    assert poly.field.k == 1
+    if poly.field.k != 1:
+        raise ContextMismatch(f"a report polynomial lies over a prime field, not {poly.field!r}")
     return [str(c) for c in poly.c]
 
 
@@ -101,7 +103,8 @@ def quad_from_json(obj) -> BinaryForm:
         if isinstance(o, str):
             return f.from_int(int(o))
         ff, v = elem_from_json(o)
-        assert ff is f
+        if ff is not f:
+            raise ContextMismatch(f"an element of {ff!r} in a quadratic over {f!r}")
         return v
 
     return BinaryForm(f, 2, (elem(obj["v2"]), elem(obj["uv"]), elem(obj["u2"])))

@@ -213,7 +213,7 @@ class _Materializer:
                 # every conjugate comes from the p-power matrix alone, so the
                 # algebra builds (and the subgroup keeps) no other matrix
                 A = self._algebra(orbit)
-                theta = pi = (0, 1) + (0,) * (m - 2)
+                theta = pi = A.from_coeffs((0, 1))
                 for _ in range(m // 2):
                     pi = A.frobenius_power(pi, 1)
                 coeffs = (A.mul(theta, pi), A.neg(A.add(theta, pi)), A.one)
@@ -246,7 +246,7 @@ class _Materializer:
                 got = [None]
             elif self.fast and field.modulus == poly.c:
                 # the orbit's own algebra: its roots are theta and conjugates
-                theta = (0, 1) + (0,) * (size - 2)
+                theta = field.from_coeffs((0, 1))
                 got = [theta]
                 for _ in range(size - 1):
                     got.append(field.frobenius_power(got[-1], 1))

@@ -71,12 +71,11 @@ def build_M(S: TractableSubgroup, H: HCurve):
     vectors = []
     for q in S.quads:
         row = hyperplane_row(q)
-        k = q.field.k
-        if k == 1:
+        if q.field.k == 1:
             vectors.append(list(row))
         else:
-            for i in range(k):
-                vectors.append([row[j][i] for j in range(6)])
+            cols = [q.field.coeffs(x) for x in row]
+            vectors.extend([c[i] for c in cols] for i in range(q.field.k))
     rows, pivots = _rref(vectors, base)
     if len(rows) != 4:
         raise DegenerateConfiguration(f"chord matrix has rank {len(rows)}, expected 4")

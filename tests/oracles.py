@@ -1,4 +1,4 @@
-"""Reference oracles that only the tests use: brute-force subgroups, binary form factoring."""
+"""Reference oracles that only the tests use: brute-force subgroups, binary form factoring, tuple field arithmetic."""
 
 from trigonal.errors import TooLarge
 from trigonal.fields import embed_poly, make_extension
@@ -65,3 +65,79 @@ def factor_form(form: BinaryForm):
     else:
         lc = aff.c[0] if aff.c else f.one
     return lc, out
+
+
+class SchoolbookField:
+    """base[x]/(modulus) on coefficient tuples: a schoolbook product and a long division per multiply.
+
+    base is another SchoolbookField, or None for F_p itself, whose elements
+    are ints in [0, p).  It shares no code with trigonal.fields, and is the
+    reference the packed arithmetic is checked against.
+    """
+
+    def __init__(self, p, modulus, base=None):
+        self.p = p
+        self.base = base
+        self.modulus = tuple(modulus)
+        self.deg = len(modulus) - 1
+        self.zero = (self._bzero(),) * self.deg
+        self.one = (self._bone(),) + self.zero[1:]
+
+    def _bzero(self):
+        return 0 if self.base is None else self.base.zero
+
+    def _bone(self):
+        return 1 if self.base is None else self.base.one
+
+    def _badd(self, a, b):
+        return (a + b) % self.p if self.base is None else self.base.add(a, b)
+
+    def _bmul(self, a, b):
+        return a * b % self.p if self.base is None else self.base.mul(a, b)
+
+    def _bneg(self, a):
+        return -a % self.p if self.base is None else self.base.neg(a)
+
+    def add(self, a, b):
+        return tuple(self._badd(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self._bneg(x) for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        n = self.deg
+        c = [self._bzero()] * (2 * n - 1)
+        for i in range(n):
+            for j in range(n):
+                c[i + j] = self._badd(c[i + j], self._bmul(a[i], b[j]))
+        for i in range(2 * n - 2, n - 1, -1):
+            q = c[i]
+            for j in range(n + 1):
+                c[i - n + j] = self._badd(c[i - n + j], self._bneg(self._bmul(q, self.modulus[j])))
+        return tuple(c[:n])
+
+    def pow(self, a, e):
+        r = self.one
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+
+def schoolbook_of(K):
+    """The SchoolbookField of a trigonal field context K over F_p or over an extension of it."""
+    base = None if K.base.k == 1 else schoolbook_of(K.base)
+    modulus = K.modulus if base is None else tuple(as_tuple(K.base, c) for c in K.modulus)
+    return SchoolbookField(K.p, modulus, base)
+
+
+def as_tuple(K, a):
+    """An element of K as the nested coefficient tuples of schoolbook_of(K)."""
+    if K.k == 1:
+        return a
+    return tuple(as_tuple(K.base, c) for c in K.coeffs(a))

@@ -294,3 +294,28 @@ for a, b in ((x * x * x * x, Poly.zero(F)), (x, x), (x, Poly.const(F, 5))):
 """
     out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok"] * 3, out.stderr
+
+
+# the two divisibility checks of l_polynomial raise a typed error, also under python -O
+
+
+def _counts_for(monkeypatch, counts):
+    from trigonal import curves
+
+    monkeypatch.setattr(curves, "count_points", lambda H, k: counts[k])
+
+
+def test_l_polynomial_rejects_counts_with_a_non_integral_e2(monkeypatch, ex37_curve):
+    q = 37
+    # s1 = 0 and s2 = 1, so e1 s1 - s2 is odd
+    _counts_for(monkeypatch, {1: q + 1, 2: q * q, 3: q**3 + 1})
+    with pytest.raises(ModelMismatch):
+        l_polynomial(ex37_curve)
+
+
+def test_l_polynomial_rejects_counts_with_a_non_integral_e3(monkeypatch, ex37_curve):
+    q = 37
+    # s1 = s2 = 0 and s3 = 1, so e2 s1 - e1 s2 + s3 is not a multiple of 3
+    _counts_for(monkeypatch, {1: q + 1, 2: q * q + 1, 3: q**3})
+    with pytest.raises(ModelMismatch):
+        l_polynomial(ex37_curve)

@@ -71,7 +71,7 @@ def test_frobenius_examples():
     assert frobenius(F37, 5, 37) == 5
     E = make_extension(37, 3)
     # a root of the modulus maps to another root
-    xi = (0, 1, 0)
+    xi = E.from_coeffs((0, 1, 0))
     img = frobenius(E, xi, 37)
     mod = Poly(E, [E.from_int(c) for c in E.modulus])
     assert mod.eval(img) == E.zero and img != xi
@@ -333,10 +333,12 @@ def test_etale_contexts_take_their_nonresidue_from_the_base(p, k, degree):
         A = ExtField(K, _irreducible_over(K, degree, rng))
         nu = A.nonresidue()
         assert A.pow(nu, (A.order - 1) // 2) != A.one  # a non-residue by Euler's criterion
+        nu_c = A.coeffs(nu)
+        zeros = A.coeffs(A.zero)
         if degree % 2:
-            assert nu == (K.nonresidue(),) + A.zero[1:]
+            assert nu_c == (K.nonresidue(),) + zeros[1:]
         else:
-            assert nu[1] == K.one and nu[2:] == A.zero[2:]  # x + c with c in F_p
+            assert nu_c[1] == K.one and nu_c[2:] == zeros[2:]  # x + c with c in F_p
 
 
 def test_norm_is_the_product_of_the_conjugates():
@@ -348,7 +350,7 @@ def test_norm_is_the_product_of_the_conjugates():
             prod = A.one
             for i in range(A.deg):
                 prod = A.mul(prod, A.pow(a, B.order**i))
-            assert prod == (A.norm(a),) + A.zero[1:]
+            assert A.coeffs(prod) == (A.norm(a),) + A.coeffs(A.zero)[1:]
 
 
 def test_sqrt_of_half_squares_back():
@@ -415,3 +417,102 @@ def test_tower_context_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- packed arithmetic against the schoolbook tuple reference ------------------
+
+_PACKED_FIELDS = [(37, 2), (37, 3), (5, 24), (_P30, 4), (_P30, 6), (_P30, 8), (_P160, 4), (_P160, 8)]
+# packed contexts, then towers over a packed base
+_ORACLE_CONTEXTS = [make_extension(p, k) for p, k in _PACKED_FIELDS] + [
+    _tower(37, 2, 3, 21),
+    _tower(53, 3, 2, 22),
+    _tower(_P30, 2, 2, 23),
+]
+
+
+def _operands(K, rng, n=8):
+    """zero, one, the all-(p - 1) element (every slot at its worst case) and random draws."""
+    B = K.base
+    top = B.from_coeffs([B.p - 1] * B.deg) if B.k > 1 else B.p - 1
+    return [K.zero, K.one, K.from_coeffs([top] * K.deg), K.neg(K.one)] + [K.random(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("K", _ORACLE_CONTEXTS, ids=_context_id)
+def test_arithmetic_matches_the_schoolbook_reference(K):
+    from oracles import as_tuple, schoolbook_of
+
+    R = schoolbook_of(K)
+    rng = random.Random(K.order % 10007)
+    xs = _operands(K, rng)
+    for a in xs:
+        ta = as_tuple(K, a)
+        assert as_tuple(K, K.neg(a)) == R.neg(ta)
+        for b in xs:
+            tb = as_tuple(K, b)
+            assert as_tuple(K, K.add(a, b)) == R.add(ta, tb)
+            assert as_tuple(K, K.sub(a, b)) == R.sub(ta, tb)
+            assert as_tuple(K, K.mul(a, b)) == R.mul(ta, tb)
+        if a != K.zero:
+            assert R.mul(ta, as_tuple(K, K.inv(a))) == R.one
+    with pytest.raises(ZeroDivisionError):
+        K.inv(K.zero)
+
+
+@pytest.mark.parametrize("K", _ORACLE_CONTEXTS, ids=_context_id)
+def test_frobenius_power_matches_the_schoolbook_reference(K):
+    from oracles import as_tuple, schoolbook_of
+
+    R = schoolbook_of(K)
+    rng = random.Random(K.order % 10009)
+    for a in _operands(K, rng, n=2)[2:]:
+        for j in sorted({1, K.k - 1}):
+            assert as_tuple(K, K.frobenius_power(a, j)) == R.pow(as_tuple(K, a), K.p**j)
+
+
+@pytest.mark.parametrize("K", _ORACLE_CONTEXTS, ids=_context_id)
+def test_encodings_and_coefficients_round_trip(K):
+    B = K.base
+    rng = random.Random(K.order % 10037)
+    for a in _operands(K, rng):
+        cs = K.coeffs(a)
+        assert len(cs) == K.deg
+        assert K.encode(a) == sum(B.encode(c) * B.order**i for i, c in enumerate(cs))
+        assert K.decode(K.encode(a)) == a
+        assert K.from_coeffs(cs) == a
+    for _ in range(8):
+        cs = tuple(B.random(rng) for _ in range(K.deg))
+        assert K.coeffs(K.from_coeffs(cs)) == cs
+        assert K.from_coeffs(cs[:1]) == K.from_coeffs(cs[:1] + (B.zero,) * (K.deg - 1))
+    with pytest.raises(ContextMismatch):
+        K.from_coeffs((B.one,) * (K.deg + 1))
+
+
+@pytest.mark.parametrize(
+    "p, k1, k2", [(37, 1, 2), (37, 1, 3), (37, 2, 6), (5, 12, 24), (_P30, 4, 8), (_P160, 4, 8)], ids=lambda v: str(v)[:6]
+)
+def test_embed_and_project_match_the_schoolbook_reference(p, k1, k2):
+    from oracles import as_tuple, schoolbook_of
+
+    src, dst = make_extension(p, k1), make_extension(p, k2)
+    R = schoolbook_of(dst)
+    rng = random.Random(p * k2 + k1)
+    if k1 == 1:
+        for c in (0, 1, p - 1, rng.randrange(p)):
+            assert embed(c, src, dst) == c and as_tuple(dst, c) == (c,) + (0,) * (k2 - 1)
+            assert project(c, dst, src) == c
+        assert project(dst.from_coeffs((0, 1)), dst, src) is None
+        return
+    root = as_tuple(dst, fields._root_powers(src, dst)[1])
+    # the root is a root of src.modulus under the reference arithmetic
+    acc = R.zero
+    for c in reversed(src.modulus):
+        acc = R.add(R.mul(acc, root), (c,) + R.zero[1:])
+    assert acc == R.zero
+    for a in _operands(src, rng):
+        want = R.zero
+        for c in reversed(src.coeffs(a)):
+            want = R.add(R.mul(want, root), (c,) + R.zero[1:])
+        ea = embed(a, src, dst)
+        assert as_tuple(dst, ea) == want
+        assert project(ea, dst, src) == a
+    assert project(dst.from_coeffs((0, 1)), dst, src) is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_irreducible
-from trigonal.errors import ContextMismatch, NotMonicCubic, ZeroPolynomial
+from trigonal.errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
 from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
 from trigonal.polyring import (
     BinaryForm,
@@ -379,3 +379,12 @@ def test_split_root_rejects_a_field_it_does_not_split_in():
     poly = random_irreducible(F, 3, random.Random(53))
     with pytest.raises(ContextMismatch):
         split_root(poly, Poly.x(F).pow_mod(F.order, poly), make_extension(37, 4))
+
+
+def test_binary_form_rejects_a_wrong_coefficient_count():
+    # a typed error, also under python -O
+    F = prime_field(37)
+    with pytest.raises(BadDegree):
+        BinaryForm(F, 2, (F.one, F.one))
+    with pytest.raises(BadDegree):
+        BinaryForm(F, 2, (F.one,) * 4)

@@ -4,6 +4,9 @@ import pytest
 
 from trigonal import serialize
 from trigonal.curves import Mobius
+from trigonal.errors import ContextMismatch
+from trigonal.fields import make_extension
+from trigonal.polyring import BinaryForm, Poly
 from trigonal.trigmaps import TrigonalMap
 
 
@@ -33,3 +36,28 @@ def test_malformed_pretransform_rejected(ex37_curve, ex37_subgroup, ex37_map, ex
     doc["mobius_pretransform"] = ["1", "2", "3"]
     with pytest.raises(ValueError):
         serialize.parse_isogeny_report(doc)
+
+
+# typed errors for malformed inputs, also under python -O
+
+
+def test_poly_to_json_rejects_an_extension_polynomial():
+    K = make_extension(37, 2)
+    with pytest.raises(ContextMismatch):
+        serialize.poly_to_json(Poly(K, [K.one, K.from_coeffs((0, 1))]))
+
+
+def test_quad_from_json_rejects_an_element_of_another_field():
+    K = make_extension(37, 2)
+    doc = serialize.quad_to_json(BinaryForm(K, 2, (K.from_coeffs((3, 1)), K.one, K.one)))
+    doc["uv"] = serialize.elem_to_json(make_extension(37, 4), make_extension(37, 4).one)
+    with pytest.raises(ContextMismatch):
+        serialize.quad_from_json(doc)
+
+
+def test_extension_elements_round_trip_through_json():
+    K = make_extension(37, 3)
+    a = K.from_coeffs((5, 0, 36))
+    doc = serialize.elem_to_json(K, a)
+    assert doc == {"p": "37", "k": 3, "coeffs": ["5", "0", "36"]}
+    assert serialize.elem_from_json(doc) == (K, a)
