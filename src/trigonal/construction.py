@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curves import HCurve
-from .errors import DegenerateConfiguration, SquareRootObstruction
+from .errors import BadSign, ContextMismatch, DegenerateConfiguration, SquareRootObstruction
 from .fields import embed, embed_poly, make_extension
 from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
 from .subgroups import TractableSubgroup
@@ -137,7 +137,8 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
     structure only depends on F up to scalars); its F is what gets reduced.
     """
     f = g.field
-    assert H.field is f
+    if H.field is not f:
+        raise ContextMismatch(f"the curve is over {H.field!r}, the trigonal map over {f!r}")
     one = Poly.one(f)
     t = Poly.x(f)
     g2 = -t
@@ -294,7 +295,9 @@ def build_plane_model(fib: TrigonalFibration) -> PlaneQuarticModel:
         d1f = make_extension(f.p, 2)
         alpha2 = embed(fib.alpha, f, d1f)
         root_alpha = d1f.sqrt(alpha2)
-        assert root_alpha is not None
+        if root_alpha is None:
+            # unreachable: every element of F_p is a square in F_{p^2}
+            raise SquareRootObstruction("alpha has no square root over the quadratic extension")
         r2 = embed_poly(fib.r, f, d1f)
         delta1 = r2.scale(d1f.mul(d1f.from_int(8), root_alpha))
     return PlaneQuarticModel(delta0, delta1, delta2, delta4, d1f, rational)
@@ -329,5 +332,6 @@ class CorrespondenceR:
 
 
 def build_correspondence(fib: TrigonalFibration, sign: int = +1) -> CorrespondenceR:
-    assert sign in (+1, -1)
+    if sign not in (+1, -1):
+        raise BadSign(f"sign {sign!r} (need +1 or -1)")
     return CorrespondenceR(fib, build_X(fib), build_plane_model(fib), sign)

@@ -16,6 +16,7 @@ from .errors import (
     ModelMismatch,
     NoRationalWeierstrassPoint,
     NotAFactor,
+    NotAMultiple,
     TooFewPoints,
     TooLarge,
 )
@@ -178,7 +179,8 @@ class OddModel:
         tau = Mobius(field, field.zero, field.one, field.one, field.neg(x0))
         new_form = tau.pullback_form(Hf.form)
         odd = HCurve(field, new_form)
-        assert odd.F.degree == 7
+        if odd.F.degree != 7:
+            raise ModelMismatch(f"moving the root {field.encode(x0)} to infinity left degree {odd.F.degree}")
         return cls(H, odd, tau)
 
     def base_change(self, new_field):
@@ -273,7 +275,8 @@ class DivisorClass:
     def order(self, group_order: int) -> int:
         """Exact order given a multiple of it (e.g. #Jac from l_polynomial)."""
         n = group_order
-        assert cantor_mul(self, n).is_identity
+        if not cantor_mul(self, n).is_identity:
+            raise NotAMultiple(f"{n} is not a multiple of the order of {self!r}")
         o = n
         for q in _prime_divisors(n):
             while o % q == 0 and cantor_mul(self, o // q).is_identity:
@@ -284,7 +287,8 @@ class DivisorClass:
 def _reduce_mumford(F: Poly, a: Poly, b: Poly):
     while a.degree > 3:
         a2, rem = (F - b * b).divmod(a)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise ModelMismatch("b^2 != F mod a in the Cantor reduction: not a Mumford pair")
         a2, _ = a2.monic()
         b = (-b) % a2
         a = a2
@@ -318,7 +322,8 @@ def cantor_add(D1: DivisorClass, D2: DivisorClass) -> DivisorClass:
     a = (a1 * a2) // (d * d)
     num = s1 * a1 * b2 + s2 * a2 * b1 + s3 * (b1 * b2 + F)
     q, rem = num.divmod(d)
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise ModelMismatch("the Cantor composition does not divide: not a Mumford pair")
     b = q % a
     a, b = _reduce_mumford(F, a, b)
     return DivisorClass(D1.model, a, b, check=False)
@@ -345,7 +350,8 @@ def point_class(model: OddModel, pt) -> DivisorClass:
     u, v, w = normalize_uvw(f, pt)
     if v == f.zero:
         return DivisorClass.identity(model)
-    assert model.curve.on_curve((u, v, w))
+    if not model.curve.on_curve((u, v, w)):
+        raise ModelMismatch(f"{(u, v, w)!r} is not a point of the odd model")
     a = Poly(f, [f.neg(u), f.one])
     b = Poly.const(f, w)
     return DivisorClass(model, a, b, check=False)
@@ -430,7 +436,13 @@ def two_torsion_from_pair(model: OddModel, quad: BinaryForm) -> DivisorClass:
 
 
 def count_points(H: HCurve, k: int) -> int:
-    """#H(F_{p^k}) by enumeration, including points at infinity."""
+    """#H(F_{p^k}), including points at infinity, with F evaluated once per Frobenius orbit.
+
+    F has F_p coefficients, so F(x^p) = F(x)^p, which is zero or a nonzero
+    square exactly when F(x) is: every orbit of x -> x^p counts its size
+    times the points over its first element.  Squareness is the field's
+    Euler criterion (through the norm on an extension).
+    """
     p = H.field.p
     if H.field.k != 1:
         raise ModelMismatch("count_points expects a curve over a prime field")
@@ -438,14 +450,23 @@ def count_points(H: HCurve, k: int) -> int:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
     field = make_extension(p, k)
     F = embed_poly(H.F, H.field, field)
-    squares = {field.mul(z, z) for z in field.elements()}
+    pending = set()  # the conjugates still ahead of the orbits met so far
     n = 0
     for x in field.elements():
+        if x in pending:
+            pending.remove(x)
+            continue
+        size = 1
+        y = field.frobenius_power(x, 1)
+        while y != x:
+            pending.add(y)
+            size += 1
+            y = field.frobenius_power(y, 1)
         fx = F.eval(x)
         if fx == field.zero:
-            n += 1
-        elif fx in squares:
-            n += 2
+            n += size
+        elif field.is_square(fx):
+            n += 2 * size
     # points at infinity
     if H.F.degree == 7:
         n += 1

@@ -92,6 +92,18 @@ class TooFewPoints(TrigonalError):
     code = "too_few_points"
 
 
+class NotAMultiple(TrigonalError):
+    """A supposed multiple of a group element's order does not kill it."""
+
+    code = "not_a_multiple"
+
+
+class BadSign(TrigonalError):
+    """A correspondence sign other than +1 or -1."""
+
+    code = "bad_sign"
+
+
 class BadSupport(TrigonalError):
     code = "bad_support"
 

@@ -15,8 +15,10 @@ reads and builds elements only through them.
 One quotient-ring context, ExtField(base, modulus), serves every extension:
 F_{p^k} itself, the orbit algebras F_p[x]/(orbit polynomial) of the subgroup
 enumeration, and the etale factors over F_{q^j} in which phi takes square
-roots.  Over F_p it runs on packed ints, a product being one int multiply
-and one slot reduction; over an extension base it goes through the base
+roots.  Its ring operations take any monic modulus, so it is also the ring
+F_p[x]/(f) in which polyring takes powers and Frobenius maps modulo a fixed
+f.  Over F_p it runs on packed ints, a product being one int multiply and
+one slot reduction; over an extension base it goes through the base
 context's operations.
 
 The F_{p^k} contexts are built by make_extension(p, k) with a modulus chosen
@@ -116,15 +118,17 @@ class _FieldOps:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
+        """a^n, left to right: every multiplication is by a, which costs little when a is small (x, say)."""
         if n < 0:
             a = self.inv(a)
             n = -n
-        r = self.one
-        while n:
-            if n & 1:
+        if not n:
+            return self.one
+        r = a
+        for bit in bin(n)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
                 r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
         return r
 
     _nonresidue = None
@@ -152,6 +156,10 @@ class _FieldOps:
         """Canonical square root (smaller encoding), or None for a non-residue."""
         if a == self.zero:
             return self.zero
+        return self._tonelli_shanks(a)
+
+    def _sqrt_of_square(self, a, n=None):
+        """The canonical root of a, known to be a nonzero square (n, its norm, is unused here)."""
         return self._tonelli_shanks(a)
 
     def _tonelli_shanks(self, a):
@@ -275,27 +283,33 @@ class PrimeField(_FieldOps):
 
 
 def _irreducible_mod_p(f, p) -> bool:
-    """Rabin irreducibility test for monic f over F_p."""
-    F = prime_field(p)
+    """Rabin irreducibility test for monic f over F_p, in the packed ring F_p[x]/(f)."""
     k = len(f) - 1
     if k == 1:
         return True
-    fp = polyring.Poly(F, f)
-    x = polyring.Poly.x(F)
-    xp = x.pow_mod(p, fp)
-    cols = polyring._frobenius_columns(xp, fp)
+    F = prime_field(p)
+    R = ExtField(F, f)
     # powers[j] = x^(p^j) mod f
-    powers = [x, xp]
+    powers = [R.x, R.xq()]
     for _ in range(k - 1):
-        powers.append(polyring._apply_frobenius(powers[-1], cols))
-    if powers[k] != x:
+        powers.append(R.frobenius_power(powers[-1], 1))
+    if powers[k] != R.x:
         return False
     # gcd(x^(p^(k/r)) - x, f) must be 1 for every prime r | k
-    return all(polyring.gcd(fp, powers[k // r] - x).degree == 0 for r in _prime_divisors(k))
+    fp = polyring.Poly(F, f)
+    x = polyring.Poly.x(F)
+    return all(polyring.gcd(fp, polyring.Poly(F, R.coeffs(powers[k // r])) - x).degree == 0 for r in _prime_divisors(k))
 
 
 class ExtField(_FieldOps):
-    """Context for base[x]/(modulus), modulus monic irreducible over the base context.
+    """Context for the quotient ring base[x]/(modulus), modulus monic over the base context.
+
+    The ring operations (add, sub, neg, mul, pow, scalar_mul, xq,
+    frobenius_power(., 1), coeffs, encode) take any monic modulus, so over
+    F_p this is also the packed ring in which polyring runs its products
+    modulo a fixed polynomial.  Only inv, norm, is_square and sqrt, and
+    frobenius_power(., j) for j >= k, need the modulus irreducible, the
+    ring a field.
 
     Over F_p (base.k == 1) an element is one int: coefficient i of the
     polynomial basis sits in bits [i w, (i + 1) w) with
@@ -318,14 +332,17 @@ class ExtField(_FieldOps):
     representation; encode(a) is the base-order digit value of those
     coefficients, so encodings do not depend on the packing.
 
-    xp, x^p mod modulus as an ascending coefficient sequence, seeds the
-    Frobenius matrices when the caller has already computed it.
+    x is the class of x; xq() is x^p, computed once, or seeded by the
+    constructor's xp (an ascending coefficient sequence) when the caller
+    has it.  The Frobenius matrices are built from it.
 
     Square roots test Euler's criterion on the norm first, so a non-square
     costs one Euclid over the base.  An odd degree d takes the root as
     a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
-    order: a^T = N(a) and T is odd.  An even degree runs Tonelli-Shanks,
-    whose non-residue is read off the base (see _find_nonresidue) instead of
+    order: a^T = N(a) and T is odd.  N(a) is then known to be a nonzero
+    square of the base, whose root runs no second Euler test
+    (_sqrt_of_square).  An even degree runs Tonelli-Shanks, whose
+    non-residue is read off the base (see _find_nonresidue) instead of
     searched for.
     """
 
@@ -345,7 +362,7 @@ class ExtField(_FieldOps):
         self.order = base.order**self.deg
         self._init_elements()
         self._frob = {}
-        self._xp = None if xp is None else list(xp)
+        self._xp = None if xp is None else self.from_coeffs(xp)
         self._half_nonresidue_root = None
 
     def _init_elements(self):
@@ -359,6 +376,7 @@ class ExtField(_FieldOps):
         self._pp = p * self._ones
         self._half = ((1 << (w - 1)) - p) * self._ones
         self._negmod = self.from_coeffs([-c for c in self.modulus[:-1]])
+        self.x = 1 << w if k > 1 else self._negmod
         # (high slot, where its fold lands), from the top slot of a product down
         self._fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
         self.zero = 0
@@ -452,16 +470,26 @@ class ExtField(_FieldOps):
         """Canonical square root, or None; the norm turns a non-square away first."""
         if a == self.zero:
             return self.zero
-        B = self.base
         n = self.norm(a)
-        if not B.is_square(n):
+        if not self.base.is_square(n):
             return None
+        return self._sqrt_of_square(a, n)
+
+    def _sqrt_of_square(self, a, n=None):
+        """The canonical root of a, a nonzero square with norm n (computed if None).
+
+        An even degree runs Tonelli-Shanks.  An odd degree has a^T = N(a)
+        with T = (Q^d - 1) / (Q - 1) odd, so a^((T + 1) / 2) squares to
+        a N(a) and no 2-Sylow generator is needed; N(a) is a nonzero square
+        of the base, whose root runs no Euler test either.
+        """
         if self.deg % 2 == 0:
             return self._tonelli_shanks(a)
-        # a^T = N(a) with T = (Q^d - 1) / (Q - 1) odd, so a^((T + 1) / 2)
-        # squares to a N(a); no 2-Sylow generator is needed
+        B = self.base
+        if n is None:
+            n = self.norm(a)
         t = (self.order - 1) // (B.order - 1)
-        r = self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(B.sqrt(n)))
+        r = self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(B._sqrt_of_square(n)))
         rn = self.neg(r)
         return r if self.encode(r) <= self.encode(rn) else rn
 
@@ -490,8 +518,8 @@ class ExtField(_FieldOps):
         nu = half.nonresidue()
         if self._half_nonresidue_root is None or self._half_nonresidue_root[0] is not half:
             self._half_nonresidue_root = (half, self.sqrt(embed(nu, half, self)))
-        # v / nu is a nonzero square, so Tonelli-Shanks needs no Euler test first
-        r = half._tonelli_shanks(half.div(v, nu))
+        # v / nu is a nonzero square, so its root needs no Euler test first
+        r = half._sqrt_of_square(half.div(v, nu))
         return self.mul(embed(r, half, self), self._half_nonresidue_root[1])
 
     def _find_nonresidue(self):
@@ -588,36 +616,41 @@ class ExtField(_FieldOps):
         c = pow(r0[0], -1, p)
         return self.from_coeffs([x * c for x in s0[:k]])
 
+    def xq(self):
+        """x^p mod modulus, packed, computed once: the seed of the Frobenius matrices."""
+        if self._xp is None:
+            self._xp = self.pow(self.x, self.p)
+        return self._xp
+
     def _frobenius_matrix(self, j: int):
-        """Packed columns of a -> a^(p^j) as a linear map over F_p, for 0 < j < k."""
+        """Packed columns x^(i p^j) mod modulus of a -> a^(p^j), a linear map over F_p, for 0 < j < k."""
         mat = self._frob.get(j)
         if mat is None:
-            F = self.base
-            f = polyring.Poly(F, self.modulus)
-            xp = polyring.Poly(F, self._xp) if self._xp is not None else polyring.Poly.x(F).pow_mod(self.p, f)
-            cols = polyring._frobenius_columns(xp, f)
-            # x^(p^j) mod f, by j - 1 further p-power maps; the columns are
-            # the images x^(i p^j) mod f of the basis powers x^i
-            xpj = xp
+            xpj = self.xq()
             for _ in range(j - 1):
-                xpj = polyring._apply_frobenius(xpj, cols)
-            if j > 1:
-                cols = polyring._frobenius_columns(xpj, f)
-            mat = tuple(self.from_coeffs(col.c) for col in cols)
-            self._frob[j] = mat
+                xpj = self._apply(self._frobenius_matrix(1), xpj)
+            cols = [self.one]
+            for _ in range(1, self.k):
+                cols.append(self.mul(cols[-1], xpj))
+            mat = self._frob[j] = tuple(cols)
         return mat
 
-    def frobenius_power(self, a, j: int):
-        j %= self.k
-        if j == 0:
-            return a
+    def _apply(self, mat, a):
+        """The linear map with packed columns mat, applied to a: one slot reduction."""
         m = self._mask
         out = 0
-        for s, col in zip(self._shifts, self._frobenius_matrix(j)):
+        for s, col in zip(self._shifts, mat):
             ai = (a >> s) & m
             if ai:
                 out += ai * col
         return self._reduce(out)
+
+    def frobenius_power(self, a, j: int):
+        """a^(p^j); j is taken mod k, which presumes a field: a ring that is not one takes j < k."""
+        j %= self.k
+        if j == 0:
+            return a
+        return self._apply(self._frobenius_matrix(j), a)
 
 
 class _TowerField(ExtField):

@@ -12,6 +12,17 @@ reach x^(q^d) and h^((q^d - 1)/2) through the q-power Frobenius matrix
 instead of powers with q^d-sized exponents (von zur Gathen and Shoup,
 "Computing Frobenius maps and factoring polynomials", 1992).
 
+Every product modulo a fixed modulus (pow_mod, x^q, the Frobenius matrix
+and its maps, the conjugate products of the splitting loops) runs in a
+quotient ring from _quotient.  Over F_p that is the packed ring
+fields.ExtField(F_p, monic modulus): an element is one int with a
+coefficient per slot, a product one int multiply, a fold of the high slots
+and one slot reduction (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009).  Values stay
+packed through each loop and are unpacked into a Poly for the gcd.  Over
+an extension field the ring is a _PolyQuotient on Poly values.  gcd,
+divmod, Poly products and everything over F_{p^m}[x] stay on Poly.
+
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
 modulo it, it returns one root in K; the others are its q-power Frobenius
@@ -23,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+from . import fields
 from .errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
 
 
@@ -243,20 +255,12 @@ class Poly:
         return Poly(f, out)
 
     def pow_mod(self, n: int, modulus: "Poly"):
-        """self^n mod modulus, left to right.
-
-        Every multiplication is by the reduced base, which costs almost
-        nothing when the base is x.
-        """
-        r = Poly.one(self.field)
+        """self^n mod modulus, for n >= 0, in the quotient ring of _quotient (packed over F_p)."""
         b = self % modulus
-        if n:
-            r = b
-            for bit in bin(n)[3:]:
-                r = (r * r) % modulus
-                if bit == "1":
-                    r = (r * b) % modulus
-        return r
+        if modulus.degree == 0:
+            return b  # zero: a unit leaves no remainder
+        R = _quotient(modulus)
+        return _unpacked(R, R.pow(R.from_coeffs(b.c), n))
 
     def map_coeffs(self, fn, new_field):
         """fn of every coefficient, read in new_field; fn None keeps the coefficients as they are."""
@@ -347,106 +351,156 @@ def _random_poly(field, degree, rng):
     return Poly(field, [field.random(rng) for _ in range(degree)] + [field.one], trim=False)
 
 
-def _frobenius_columns(xr: Poly, modulus: Poly) -> list:
-    """[x^(i*r) mod modulus for i < deg modulus], from xr = x^r mod modulus."""
-    cols = [Poly.one(xr.field)]
-    for _ in range(1, modulus.degree):
-        cols.append((cols[-1] * xr) % modulus)
-    return cols
+def _quotient(modulus: Poly, xq: Poly | None = None):
+    """The ring F_q[x]/(modulus), q the order of the coefficient field, modulus of degree >= 1.
 
-
-def _apply_frobenius(u: Poly, cols, sigma=None) -> Poly:
-    """u^r mod modulus as sum_i sigma(u_i) * x^(i*r), cols from _frobenius_columns.
-
-    sigma is a -> a^r on the coefficients, left out when r is the order of
-    their field (the map is then linear) or a power of it.
+    Over F_p it is the packed fields.ExtField with the monic modulus; over
+    an extension field a _PolyQuotient.  xq, x^q reduced mod modulus, seeds
+    the Frobenius matrix when the caller has it.  Both have one, mul, pow,
+    xq(), frobenius_power(., 1), _frobenius_matrix(1), from_coeffs and
+    coeffs; _unpacked turns an element into a Poly.
     """
-    f = u.field
+    f = modulus.field
     if f.k == 1:
-        p = f.p
-        out = [0] * len(cols)
-        for ui, col in zip(u.c, cols):
-            if ui:
-                for t, ct in enumerate(col.c):
-                    out[t] += ui * ct
-        return Poly(f, [x % p for x in out])
-    out = [f.zero] * len(cols)
-    for ui, col in zip(u.c, cols):
-        if ui != f.zero:
-            if sigma is not None:
-                ui = sigma(ui)
-            for t, ct in enumerate(col.c):
-                out[t] = f.add(out[t], f.mul(ui, ct))
-    return Poly(f, out)
+        return fields.ExtField(f, modulus.monic()[0].c, None if xq is None else xq.c)
+    return _PolyQuotient(modulus, xq)
 
 
-def _conjugate_product(h: Poly, modulus: Poly, e: int, n: int, cols, sigma=None) -> Poly:
-    """h^(e * (1 + r + ... + r^(n-1))) mod modulus, with u -> u^r given by cols and sigma.
+def _unpacked(R, a) -> Poly:
+    """The Poly of the element a of the quotient ring R."""
+    return Poly(R.base, R.coeffs(a))
 
-    For e = (r - 1) / 2 that is h^((r^n - 1) / 2): one power with an r-sized
-    exponent and n - 1 Frobenius maps instead of a power with an r^n-sized one.
+
+class _PolyQuotient:
+    """F_Q[x]/(modulus) on reduced Poly values, for an extension field F_Q.
+
+    The q-power map for a subfield F_q over which modulus is defined is
+    u -> sum sigma(u_i) x^(iq) mod modulus: cols are the x^(iq), and sigma
+    is a -> a^q on the coefficients, left out when q = Q (the map is then
+    linear).  By default q = Q and cols come from xq.
     """
-    b = h.pow_mod(e, modulus)
-    acc = b
+
+    def __init__(self, modulus: Poly, xq: Poly | None = None, cols=None, sigma=None):
+        self.base = modulus.field
+        self.modulus = modulus
+        self.one = Poly.one(self.base)
+        self._xq = xq
+        self._cols = cols
+        self._sigma = sigma
+
+    def coeffs(self, a) -> tuple:
+        return a.c
+
+    def from_coeffs(self, seq) -> Poly:
+        return Poly(self.base, seq)
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return (a * b) % self.modulus
+
+    def pow(self, a: Poly, n: int) -> Poly:
+        """a^n, left to right: every multiplication is by a, which costs almost nothing when a is x."""
+        if not n:
+            return self.one
+        r = a
+        for bit in bin(n)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def xq(self) -> Poly:
+        if self._xq is None:
+            self._xq = self.pow(Poly.x(self.base) % self.modulus, self.base.order)
+        return self._xq
+
+    def _frobenius_matrix(self, j: int):
+        """[x^(iq) mod modulus for i < deg modulus], for j = 1."""
+        if self._cols is None:
+            cols = [self.one]
+            for _ in range(1, self.modulus.degree):
+                cols.append(self.mul(cols[-1], self.xq()))
+            self._cols = cols
+        return self._cols
+
+    def frobenius_power(self, a: Poly, j: int) -> Poly:
+        """a^(q^j) by j q-power maps."""
+        cols, sigma = self._frobenius_matrix(1), self._sigma
+        f = self.base
+        for _ in range(j):
+            out = [f.zero] * len(cols)
+            for ai, col in zip(a.c, cols):
+                if ai != f.zero:
+                    if sigma is not None:
+                        ai = sigma(ai)
+                    for t, ct in enumerate(col.c):
+                        out[t] = f.add(out[t], f.mul(ai, ct))
+            a = Poly(f, out)
+        return a
+
+
+def _conjugate_product(R, h, e: int, n: int):
+    """h^(e * (1 + q + ... + q^(n-1))) in the quotient ring R, u -> u^q its frobenius_power(., 1).
+
+    For e = (q - 1) / 2 that is h^((q^n - 1) / 2): one power with a q-sized
+    exponent and n - 1 Frobenius maps instead of a power with a q^n-sized one.
+    """
+    b = acc = R.pow(h, e)
     for _ in range(n - 1):
-        b = _apply_frobenius(b, cols, sigma)
-        acc = (acc * b) % modulus
+        b = R.frobenius_power(b, 1)
+        acc = R.mul(acc, b)
     return acc
 
 
 def _distinct_degree(poly: Poly):
     """([(product of irreducibles of degree d, d)], x^q mod poly or None) for monic squarefree input.
 
-    x^q mod poly (q the field order) is one pow_mod; each further x^(q^d)
-    is the q-power Frobenius matrix of F_q[x]/(poly) applied to the last
-    one.  The matrix is built only when a second degree is needed, so
-    quadratics and cubics never build it.  h stays reduced modulo the input
-    while the cofactor shrinks: the gcd with the cofactor is unchanged.
+    x^q mod poly (q the field order) is one power in the quotient ring;
+    each further x^(q^d) is the q-power Frobenius matrix of F_q[x]/(poly)
+    applied to the last one.  The matrix is built only when a second degree
+    is needed, so quadratics and cubics never build it.  h stays reduced
+    modulo the input while the cofactor shrinks: the gcd with the cofactor
+    is unchanged.
     """
-    f = poly.field
-    x = Poly.x(f)
+    x = Poly.x(poly.field)
     out = []
-    xq = h = cols = None
+    R = None
     rest = poly
     d = 0
     while rest.degree > 2 * d + 1:
         d += 1
-        if xq is None:
-            xq = h = x.pow_mod(f.order, poly)
+        if R is None:
+            R = _quotient(poly)
+            h = R.xq()
         else:
-            if cols is None:
-                cols = _frobenius_columns(xq, poly)
-            h = _apply_frobenius(h, cols)
-        g = gcd(h - x, rest)
+            h = R.frobenius_power(h, 1)
+        g = gcd(_unpacked(R, h) - x, rest)
         if g.degree > 0:
             out.append((g, d))
             rest = rest // g
     if rest.degree > 0:
         out.append((rest, rest.degree))
-    return out, xq
+    return out, None if R is None else _unpacked(R, R.xq())
 
 
 def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles.
 
     h^((q^d - 1) / 2) is the product of the d Frobenius conjugates of
-    h^((q - 1) / 2).  xq, x^q modulo poly or a multiple of it, saves the
-    pow_mod that builds the Frobenius matrix for d > 1 when the caller has it.
+    h^((q - 1) / 2), taken in one quotient ring per poly.  xq, x^q modulo
+    poly or a multiple of it, saves the power that builds the Frobenius
+    matrix for d > 1 when the caller has it.
     """
     f = poly.field
     if poly.degree == d:
         return [poly]
-    cols = None
-    if d > 1:
-        xq = Poly.x(f).pow_mod(f.order, poly) if xq is None else xq % poly
-        cols = _frobenius_columns(xq, poly)
+    R = _quotient(poly, xq % poly if d > 1 and xq is not None else None)
     e = (f.order - 1) // 2
     while True:
         h = _random_poly(f, rng.randrange(1, poly.degree), rng)
         g = gcd(h, poly)
         if 0 < g.degree < poly.degree:
             break
-        t = _conjugate_product(h, poly, e, d, cols) - Poly.one(f)
+        t = _unpacked(R, _conjugate_product(R, R.from_coeffs(h.c), e, d)) - Poly.one(f)
         g = gcd(t, poly)
         if 0 < g.degree < poly.degree:
             break
@@ -526,13 +580,15 @@ def split_root(poly: Poly, xq: Poly, field):
         return K.frobenius_power(a, s)
 
     pk = embed_poly(poly, F, K)
-    cols = [embed_poly(c, F, K) for c in _frobenius_columns(xq, poly)]
+    Fq = _quotient(poly, xq)
+    cols = [embed_poly(_unpacked(Fq, c), F, K) for c in Fq._frobenius_matrix(1)]
+    R = _PolyQuotient(pk, cols=cols, sigma=sigma)
     e = (F.order - 1) // 2
     one = Poly.one(K)
     g = pk
     while g.degree > 1:
         h = _random_poly(K, rng.randrange(1, pk.degree), rng)
-        r = gcd(_conjugate_product(h, pk, e, K.k // s, cols, sigma) - one, g)
+        r = gcd(_conjugate_product(R, h, e, K.k // s) - one, g)
         if 0 < r.degree < g.degree:
             g = r if 2 * r.degree <= g.degree else g // r
     return K.neg(g.c[0])

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
 from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
 from .fields import ExtField, embed_poly, make_extension
 from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _poly_rng, is_squarefree, split_root
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -363,6 +365,8 @@ def _partitions(n: int, largest=None):
 
 def partition_weight(t) -> Fraction:
     """Asymptotic probability 1 / prod(nu! * n^nu) of factor pattern t."""
+    from fractions import Fraction  # imported here: see survey._fraction
+
     w = Fraction(1)
     for n in set(t):
         nu = t.count(n)
@@ -370,12 +374,15 @@ def partition_weight(t) -> Fraction:
     return w
 
 
-def expectation(success_prob=Fraction(1, 4)) -> ExpectationResult:
+def expectation(success_prob="1/4") -> ExpectationResult:
     """Exact expected fraction of curves admitting a rational isogeny.
 
     Sums (1 - (1 - p)^{s(T)}) * weight(T) over all 22 partitions T of 8,
     where s(T) is the tractable-subgroup count of the pattern.
+    success_prob is anything Fraction() reads.
     """
+    from fractions import Fraction  # imported here: see survey._fraction
+
     p = Fraction(success_prob)
     if not 0 <= p <= 1:
         raise ValueError("success probability must lie in [0, 1]")

@@ -13,15 +13,14 @@ discriminant to the trigonal map.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .construction import assess
 from .curves import HCurve
+from .errors import PrimeTooSmall
 from .fields import is_prime, prime_field
 from .polyring import BinaryForm
 from .subgroups import OrbitSplit, count_for_pattern, enumerate_tractable
@@ -50,6 +49,17 @@ class SurveyConfig:
         prime_field(self.p)  # validates p
         if self.samples < 1:
             raise ValueError("need at least one sample")
+
+
+def _fraction(num: int, den: int):
+    """num / den exactly, or None for den = 0.
+
+    fractions (with decimal) and csv are imported where they are used: at
+    module level they cost every importer of the library about 0.4 MB.
+    """
+    from fractions import Fraction
+
+    return Fraction(num, den) if den else None
 
 
 @dataclass
@@ -82,16 +92,16 @@ class SurveyStats:
 
     # exact fractions (None when the denominator is empty)
     def subgroup_fraction(self):
-        return Fraction(self.curves_with_subgroup, self.samples) if self.samples else None
+        return _fraction(self.curves_with_subgroup, self.samples)
 
     def trig_fraction(self):
-        return Fraction(self.trig_rational_subgroups, self.total_subgroups) if self.total_subgroups else None
+        return _fraction(self.trig_rational_subgroups, self.total_subgroups)
 
     def isog_fraction(self):
-        return Fraction(self.isog_rational_subgroups, self.trig_rational_subgroups) if self.trig_rational_subgroups else None
+        return _fraction(self.isog_rational_subgroups, self.trig_rational_subgroups)
 
     def success_fraction(self):
-        return Fraction(self.curves_with_success, self.samples) if self.samples else None
+        return _fraction(self.curves_with_success, self.samples)
 
     def summary(self) -> dict:
         def render(fr):
@@ -206,6 +216,8 @@ def run_survey(cfg: SurveyConfig):
                 stats.merge(st)
                 rows.extend(rw)
     if cfg.csv_path:
+        import csv  # imported here: see _fraction
+
         with open(cfg.csv_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
@@ -215,8 +227,9 @@ def run_survey(cfg: SurveyConfig):
 
 def deterministic_prime(bits: int, seed: int) -> int:
     """A reproducible prime with the given bit length, derived from the seed."""
+    if bits < 3:
+        raise PrimeTooSmall(f"{bits}-bit primes are at most 3 (need at least 3 bits)")
     rng = random.Random(int.from_bytes(hashlib.sha256(f"trigonal-prime:{bits}:{seed}".encode()).digest(), "big"))
-    assert bits >= 3
     while True:
         c = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if c > 3 and is_prime(c):

@@ -1,4 +1,5 @@
-"""Reference oracles that only the tests use: brute-force subgroups, binary form factoring, tuple field arithmetic."""
+"""Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
+tuple field arithmetic, schoolbook F_p[x] powers and Frobenius maps, point counts by enumeration."""
 
 from trigonal.errors import TooLarge
 from trigonal.fields import embed_poly, make_extension
@@ -141,3 +142,73 @@ def as_tuple(K, a):
     if K.k == 1:
         return a
     return tuple(as_tuple(K.base, c) for c in K.coeffs(a))
+
+
+def schoolbook_rem(a, modulus, p):
+    """a mod modulus over F_p, on ascending int lists: long division, modulus of any leading coefficient."""
+    r = [c % p for c in a]
+    n = len(modulus) - 1
+    linv = pow(modulus[-1], -1, p)
+    for i in range(len(r) - 1, n - 1, -1):
+        q = r[i] * linv % p
+        if q:
+            for j in range(n + 1):
+                r[i - n + j] = (r[i - n + j] - q * modulus[j]) % p
+    r = r[:n]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _schoolbook_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def schoolbook_pow_mod(base, n, modulus, p):
+    """base^n mod modulus over F_p, on ascending int lists: right-to-left square and multiply.
+
+    It shares no code with trigonal.polyring or trigonal.fields.
+    """
+    r = schoolbook_rem([1], modulus, p)
+    b = schoolbook_rem(base, modulus, p)
+    while n:
+        if n & 1:
+            r = schoolbook_rem(_schoolbook_mul(r, b, p), modulus, p)
+        b = schoolbook_rem(_schoolbook_mul(b, b, p), modulus, p)
+        n >>= 1
+    return r
+
+
+def schoolbook_frobenius(u, modulus, p):
+    """u^p mod modulus over F_p as sum u_i (x^p)^i mod modulus: the coefficients are fixed by the p-power map."""
+    xp = schoolbook_pow_mod([0, 1], p, modulus, p)
+    out = [0] * len(modulus)
+    xpi = schoolbook_rem([1], modulus, p)  # (x^p)^i mod modulus
+    for c in u:
+        for j, t in enumerate(xpi):
+            out[j] = (out[j] + c * t) % p
+        xpi = schoolbook_rem(_schoolbook_mul(xpi, xp, p), modulus, p)
+    return schoolbook_rem(out, modulus, p)
+
+
+def count_points_by_enumeration(H, k):
+    """#H(F_{p^k}) by evaluating F at every element against the set of all squares."""
+    field = make_extension(H.field.p, k)
+    F = embed_poly(H.F, H.field, field)
+    squares = {field.mul(z, z) for z in field.elements()}
+    n = 0
+    for x in field.elements():
+        fx = F.eval(x)
+        if fx == field.zero:
+            n += 1
+        elif fx in squares:
+            n += 2
+    if H.F.degree == 7:
+        n += 1
+    elif field.from_int(H.F.lc) in squares:
+        n += 2
+    return n

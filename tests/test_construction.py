@@ -27,7 +27,7 @@ from trigonal.construction import (
     isogeny_is_rational,
 )
 from trigonal.curves import HCurve
-from trigonal.errors import DegenerateConfiguration, SquareRootObstruction
+from trigonal.errors import BadSign, ContextMismatch, DegenerateConfiguration, SquareRootObstruction
 from trigonal.evaluation import fiber_points
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import Poly, exact_square_root
@@ -326,3 +326,15 @@ def test_assess_records_a_degenerate_chord_matrix():
     assert v.trig is None and v.isog is None and v.map is None
     assert isinstance(v.failure, DegenerateConfiguration)
     assert "rank 3" in str(v.failure)
+
+
+def test_build_fibration_rejects_a_curve_over_another_field(ex37_map, ex37_curve):
+    # a typed error, also under python -O
+    with pytest.raises(ContextMismatch):
+        build_fibration(ex37_map, ex37_curve.base_change(make_extension(37, 2)))
+
+
+def test_build_correspondence_rejects_a_bad_sign(ex37_fibration):
+    for sign in (0, 2, -2):
+        with pytest.raises(BadSign):
+            build_correspondence(ex37_fibration, sign)

@@ -21,10 +21,12 @@ from trigonal.curves import (
     random_class_on,
     two_torsion_from_pair,
 )
-from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, TooFewPoints, TooLarge
+from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, TooFewPoints, TooLarge
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import BinaryForm, Poly, is_irreducible
 from trigonal.subgroups import splitting_degree
+from trigonal.survey import random_curve
+from oracles import count_points_by_enumeration
 
 
 def test_odd_model_identity_for_degree_7(ex37_curve):
@@ -319,3 +321,64 @@ def test_l_polynomial_rejects_counts_with_a_non_integral_e3(monkeypatch, ex37_cu
     _counts_for(monkeypatch, {1: q + 1, 2: q * q + 1, 3: q**3})
     with pytest.raises(ModelMismatch):
         l_polynomial(ex37_curve)
+
+
+# --- point counts per Frobenius orbit against the enumeration ---------------
+
+
+def test_count_points_matches_enumeration_on_the_worked_example(ex37_curve):
+    for k in (1, 2, 3):
+        assert count_points(ex37_curve, k) == count_points_by_enumeration(ex37_curve, k)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_count_points_matches_enumeration(p):
+    rng = random.Random(80 + p)
+    degrees = set()
+    for _ in range(6):
+        H = random_curve(p, rng)
+        degrees.add(H.F.degree)
+        for k in (1, 2, 3):
+            assert count_points(H, k) == count_points_by_enumeration(H, k), (H, k)
+        # a twist changes which F(x) are squares, and over an even degree the lc
+        H = H.twist(prime_field(p).nonresidue())
+        for k in (1, 2):
+            assert count_points(H, k) == count_points_by_enumeration(H, k), (H, k)
+    assert 8 in degrees
+
+
+# --- typed errors where asserts stood (also under python -O) ----------------
+
+
+def test_order_rejects_a_non_multiple(ex37_curve):
+    D = random_class(ex37_curve, 1, random.Random(90))
+    n = D.order(EX37_JAC_ORDER)
+    assert n > 1
+    with pytest.raises(NotAMultiple):
+        D.order(n + 1)
+
+
+def test_point_class_rejects_a_point_off_the_model(ex37_model):
+    F = ex37_model.field
+    x = F.from_int(1)
+    w = F.from_int(1)
+    if ex37_model.curve.on_curve((x, F.one, w)):
+        w = F.from_int(2)
+    with pytest.raises(ModelMismatch):
+        point_class(ex37_model, (x, F.one, w))
+
+
+def test_cantor_add_rejects_pairs_that_are_not_mumford(ex37_model):
+    # a = (x - 1)(x - 2)(x - 3); neither b squares to F modulo a
+    F = ex37_model.field
+    a = Poly.from_ints(F, [-6, 11, -6, 1])
+
+    def cls(b):
+        return DivisorClass(ex37_model, a, Poly.from_ints(F, b), check=False)
+
+    # the reduction of a + a finds b^2 != F mod a
+    with pytest.raises(ModelMismatch, match="reduction"):
+        cantor_add(cls([1]), cls([1]))
+    # b1 + b2 = x - 1 shares a factor with a, and the composition does not divide
+    with pytest.raises(ModelMismatch, match="composition"):
+        cantor_add(cls([0]), cls([-1, 1]))

@@ -13,9 +13,12 @@ from trigonal.polyring import (
     BinaryForm,
     BiPoly,
     Poly,
+    _conjugate_product,
     _distinct_degree,
     _equal_degree,
+    _quotient,
     _random_poly,
+    _unpacked,
     exact_square_root,
     factorize,
     gcd,
@@ -26,8 +29,9 @@ from trigonal.polyring import (
     split_root,
     xgcd,
 )
+from trigonal.survey import deterministic_prime
 from ex37 import EX37_F
-from oracles import factor_form
+from oracles import factor_form, schoolbook_frobenius, schoolbook_pow_mod, schoolbook_rem
 
 
 def test_factorize_x2_minus_1():
@@ -388,3 +392,71 @@ def test_binary_form_rejects_a_wrong_coefficient_count():
         BinaryForm(F, 2, (F.one, F.one))
     with pytest.raises(BadDegree):
         BinaryForm(F, 2, (F.one,) * 4)
+
+
+# --- packed products modulo a fixed F_p[x] modulus --------------------------
+
+
+def _test_moduli(p, rng):
+    """Moduli over F_p of degree 1 to 8: random monic, non-monic, reducible,
+    with a repeated factor, and every coefficient p - 1.
+
+    Below 64 bits every degree gets every kind; above, the kinds take turns
+    over the degrees, which keeps the schoolbook reference quick.
+    """
+
+    def rand(d, lc=1):
+        return [rng.randrange(p) for _ in range(d)] + [lc]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    out = []
+    for d in range(1, 9):
+        lin = rand(1)
+        kinds = [rand(d), rand(d, rng.randrange(2, p))]
+        if d > 1:
+            kinds += [mul(rand(1), rand(d - 1)), mul(mul(lin, lin), rand(d - 2))]
+        out += kinds if p.bit_length() < 64 else [kinds[d % len(kinds)]]
+    out += [[p - 1] * 4, [p - 1] * 9]
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 37, P30, deterministic_prime(64, 0), deterministic_prime(160, 0)], ids=lambda p: f"{p.bit_length()}bit")
+def test_packed_pow_mod_matches_schoolbook(p):
+    F = prime_field(p)
+    rng = random.Random(60 + p % 1000)
+    for mod in _test_moduli(p, rng):
+        d = len(mod) - 1
+        m = Poly(F, mod)
+        bases = [[], [0, 1], [rng.randrange(p) for _ in range(d + 3)] + [1], [p - 1] * d, [p - 1] * (d + 3)]
+        for n in (0, 1, 2, p, p * p, (p**d - 1) // 2):
+            for b in bases:
+                got = Poly(F, b).pow_mod(n, m)
+                assert list(got.c) == schoolbook_pow_mod(b, n, mod, p), (mod, b, n)
+
+
+@pytest.mark.parametrize("p", [5, 37, P30, deterministic_prime(64, 0), deterministic_prime(160, 0)], ids=lambda p: f"{p.bit_length()}bit")
+def test_packed_frobenius_matches_schoolbook(p):
+    # x^p, the p-power matrix and map, and the conjugate product of the
+    # splitting loops, in the packed ring of every test modulus
+    F = prime_field(p)
+    rng = random.Random(61 + p % 1000)
+    for mod in _test_moduli(p, rng):
+        d = len(mod) - 1
+        R = _quotient(Poly(F, mod))
+        assert list(_unpacked(R, R.xq()).c) == schoolbook_pow_mod([0, 1], p, mod, p)
+        cols = [list(_unpacked(R, c).c) for c in R._frobenius_matrix(1)]
+        assert cols == [schoolbook_pow_mod([0, 1], i * p, mod, p) for i in range(d)]
+        for u in ([], [p - 1] * d, [rng.randrange(p) for _ in range(d)]):
+            u = schoolbook_rem(u, mod, p)
+            a = R.from_coeffs(u)
+            assert list(_unpacked(R, R.frobenius_power(a, 1)).c) == schoolbook_frobenius(u, mod, p)
+            e = (p - 1) // 2
+            total = sum(e * p**i for i in range(d))
+            got = _unpacked(R, _conjugate_product(R, a, e, d))
+            assert list(got.c) == schoolbook_pow_mod(u, total, mod, p), (mod, u)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trigonal.errors import PrimeTooSmall
 from trigonal.subgroups import PATTERN_COUNTS, count_for_pattern, partition_weight
 from trigonal.survey import (
     CSV_HEADER,
@@ -23,6 +24,11 @@ P30 = deterministic_prime(30, 0)
 def test_deterministic_prime():
     assert deterministic_prime(30, 0) == deterministic_prime(30, 0)
     assert P30.bit_length() == 30
+    assert deterministic_prime(3, 0) in (5, 7)
+    for bits in (0, 1, 2):
+        # a typed error, also under python -O
+        with pytest.raises(PrimeTooSmall):
+            deterministic_prime(bits, 0)
 
 
 def test_random_curve_determinism_and_squarefreeness():
