@@ -301,6 +301,27 @@ def _irreducible_mod_p(f, p) -> bool:
     return all(polyring.gcd(fp, polyring.Poly(F, R.coeffs(powers[k // r])) - x).degree == 0 for r in _prime_divisors(k))
 
 
+_layout_cache: dict[tuple[int, int], tuple] = {}
+
+
+def _slot_layout(p: int, k: int) -> tuple:
+    """The k-slot packing over F_p, computed once and shared by every context of that size.
+
+    (top bit, slot mask, slot shifts, packed ones, packed p, packed
+    2^(w-1) - p, fold pairs) for w = 2 bits(p) + bits(2k) + 1; a fold pair
+    is (high slot, where its fold lands), from the top slot of a product
+    down.
+    """
+    lay = _layout_cache.get((p, k))
+    if lay is None:
+        w = 2 * p.bit_length() + (2 * k).bit_length() + 1
+        mask = (1 << w) - 1
+        ones = ((1 << (k * w)) - 1) // mask
+        fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
+        lay = _layout_cache[(p, k)] = (w - 1, mask, tuple(range(0, k * w, w)), ones, p * ones, ((1 << (w - 1)) - p) * ones, fold)
+    return lay
+
+
 class ExtField(_FieldOps):
     """Context for the quotient ring base[x]/(modulus), modulus monic over the base context.
 
@@ -367,18 +388,9 @@ class ExtField(_FieldOps):
 
     def _init_elements(self):
         """The slot layout and the packed constants of the SWAR arithmetic."""
-        p, k = self.p, self.k
-        w = 2 * p.bit_length() + (2 * k).bit_length() + 1
-        self._top = w - 1
-        self._mask = (1 << w) - 1
-        self._shifts = tuple(range(0, k * w, w))
-        self._ones = ((1 << (k * w)) - 1) // self._mask
-        self._pp = p * self._ones
-        self._half = ((1 << (w - 1)) - p) * self._ones
+        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._fold = _slot_layout(self.p, self.k)
         self._negmod = self.from_coeffs([-c for c in self.modulus[:-1]])
-        self.x = 1 << w if k > 1 else self._negmod
-        # (high slot, where its fold lands), from the top slot of a product down
-        self._fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
+        self.x = self._mask + 1 if self.k > 1 else self._negmod
         self.zero = 0
         self.one = 1
 
