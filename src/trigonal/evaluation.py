@@ -208,7 +208,7 @@ def _effective_points(D: DivisorClass):
             K, xs, bK = f, [f.neg(h[0])], D.b
         else:
             K = make_extension(f.p, f.k * h.degree)
-            r = split_root(h, Poly.x(f).pow_mod(f.order, h), K)
+            r = split_root(h, None, K)
             xs = sorted((K.frobenius_power(r, f.k * i) for i in range(h.degree)), key=K.encode)
             bK = embed_poly(D.b, f, K)
         for x0 in xs:

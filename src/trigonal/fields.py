@@ -876,7 +876,7 @@ def _root_powers(src: ExtField, dst: ExtField):
     if tab is None:
         F = src.base
         mod = polyring.Poly(F, src.modulus)
-        r = polyring.split_root(mod, polyring.Poly.x(F).pow_mod(F.order, mod), dst)
+        r = polyring.split_root(mod, None, dst)
         root = min((dst.frobenius_power(r, i) for i in range(src.k)), key=dst.encode)
         powers = [dst.one]
         for _ in range(src.k - 1):

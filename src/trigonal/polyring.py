@@ -398,15 +398,8 @@ class _PolyQuotient:
         return (a * b) % self.modulus
 
     def pow(self, a: Poly, n: int) -> Poly:
-        """a^n, left to right: every multiplication is by a, which costs almost nothing when a is x."""
-        if not n:
-            return self.one
-        r = a
-        for bit in bin(n)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
+        """a^n for n >= 0 (the ring has no inv), by the left-to-right loop of every field context."""
+        return fields._FieldOps.pow(self, a, n)
 
     def xq(self) -> Poly:
         if self._xq is None:
@@ -554,13 +547,16 @@ def roots(poly: Poly, rng=None) -> list:
     return out
 
 
-def split_root(poly: Poly, xq: Poly, field):
+def split_root(poly: Poly, xq: Poly | None, field, ring=None):
     """One root in field of a monic irreducible poly over a subfield F_q, with deg poly | [field : F_q].
 
-    xq is x^q mod poly over F_q.  As poly has F_q coefficients, the q-power
-    map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jq) mod poly), sigma
-    the q-power Frobenius of the field, so h^((|field| - 1) / 2) is the
-    product of the [field : F_q] conjugates of h^((q - 1) / 2).  No
+    xq is x^q mod poly over F_q, or None to have it computed.  ring, the
+    quotient ring F_q[x]/(poly) (from _quotient, or an ExtField over F_p
+    with poly as modulus) when the caller already holds one, stands in for
+    xq and supplies the q-power columns.  As poly has F_q coefficients, the
+    q-power map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jq) mod
+    poly), sigma the q-power Frobenius of the field, so h^((|field| - 1) / 2)
+    is the product of the [field : F_q] conjugates of h^((q - 1) / 2).  No
     distinct-degree step runs (poly is known to split), and splitting stops
     at the first linear factor.  A quadratic over F_p in a degree-2 field
     has a closed form with one F_p square root instead.  The other roots are
@@ -580,7 +576,7 @@ def split_root(poly: Poly, xq: Poly, field):
         return K.frobenius_power(a, s)
 
     pk = embed_poly(poly, F, K)
-    Fq = _quotient(poly, xq)
+    Fq = ring if ring is not None else _quotient(poly, xq)
     cols = [embed_poly(_unpacked(Fq, c), F, K) for c in Fq._frobenius_matrix(1)]
     R = _PolyQuotient(pk, cols=cols, sigma=sigma)
     e = (F.order - 1) // 2

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
 from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
 from .fields import ExtField, embed_poly, make_extension
 from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _poly_rng, is_squarefree, split_root
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -253,7 +251,8 @@ class _Materializer:
                 for _ in range(size - 1):
                     got.append(field.frobenius_power(got[-1], 1))
             else:
-                conj = [split_root(poly, orbit.xp, field)]
+                # the orbit's algebra, when one was built, is split_root's ring
+                conj = [split_root(poly, orbit.xp, field, self._alg_cache.get(poly.encode()))]
                 for _ in range(size - 1):
                     conj.append(field.frobenius_power(conj[-1], 1))
                 if len(set(conj)) != size:
@@ -365,8 +364,6 @@ def _partitions(n: int, largest=None):
 
 def partition_weight(t) -> Fraction:
     """Asymptotic probability 1 / prod(nu! * n^nu) of factor pattern t."""
-    from fractions import Fraction  # imported here: see survey._fraction
-
     w = Fraction(1)
     for n in set(t):
         nu = t.count(n)
@@ -374,15 +371,12 @@ def partition_weight(t) -> Fraction:
     return w
 
 
-def expectation(success_prob="1/4") -> ExpectationResult:
+def expectation(success_prob=Fraction(1, 4)) -> ExpectationResult:
     """Exact expected fraction of curves admitting a rational isogeny.
 
     Sums (1 - (1 - p)^{s(T)}) * weight(T) over all 22 partitions T of 8,
     where s(T) is the tractable-subgroup count of the pattern.
-    success_prob is anything Fraction() reads.
     """
-    from fractions import Fraction  # imported here: see survey._fraction
-
     p = Fraction(success_prob)
     if not 0 <= p <= 1:
         raise ValueError("success probability must lie in [0, 1]")

@@ -13,10 +13,12 @@ discriminant to the trigonal map.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .construction import assess
 from .curves import HCurve
@@ -51,17 +53,6 @@ class SurveyConfig:
             raise ValueError("need at least one sample")
 
 
-def _fraction(num: int, den: int):
-    """num / den exactly, or None for den = 0.
-
-    fractions (with decimal) and csv are imported where they are used: at
-    module level they cost every importer of the library about 0.4 MB.
-    """
-    from fractions import Fraction
-
-    return Fraction(num, den) if den else None
-
-
 @dataclass
 class SurveyStats:
     samples: int = 0
@@ -92,16 +83,16 @@ class SurveyStats:
 
     # exact fractions (None when the denominator is empty)
     def subgroup_fraction(self):
-        return _fraction(self.curves_with_subgroup, self.samples)
+        return Fraction(self.curves_with_subgroup, self.samples) if self.samples else None
 
     def trig_fraction(self):
-        return _fraction(self.trig_rational_subgroups, self.total_subgroups)
+        return Fraction(self.trig_rational_subgroups, self.total_subgroups) if self.total_subgroups else None
 
     def isog_fraction(self):
-        return _fraction(self.isog_rational_subgroups, self.trig_rational_subgroups)
+        return Fraction(self.isog_rational_subgroups, self.trig_rational_subgroups) if self.trig_rational_subgroups else None
 
     def success_fraction(self):
-        return _fraction(self.curves_with_success, self.samples)
+        return Fraction(self.curves_with_success, self.samples) if self.samples else None
 
     def summary(self) -> dict:
         def render(fr):
@@ -216,8 +207,6 @@ def run_survey(cfg: SurveyConfig):
                 stats.merge(st)
                 rows.extend(rw)
     if cfg.csv_path:
-        import csv  # imported here: see _fraction
-
         with open(cfg.csv_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
