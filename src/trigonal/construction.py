@@ -20,6 +20,7 @@ square); the survey and the CLI both read their flags from its Verdict.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,7 +52,8 @@ def _embedding_cache():
 class FibrationOver(NamedTuple):
     """The fixed polynomials of a fibration carried into one field."""
 
-    u_locus: Poly
+    quad_disc: Poly
+    cubic_disc: Poly
     s: Poly
     F: Poly  # the curve's polynomial
     G: tuple  # the x-coefficients of G(t, x), Polys in t
@@ -72,41 +74,43 @@ class TrigonalFibration:
     s: Poly
     alpha: object
     r: Poly  # monic, s = alpha * r^2
-    u_locus: Poly  # (f1^2 - 4 f2 f0) * (negated discriminant of G in x)
+    quad_disc: Poly  # f1^2 - 4 f0 f2, the discriminant of F mod G in x (the plane model's delta0)
+    cubic_disc: Poly  # the discriminant of G in x (the plane model's delta4)
     _embed_cache: dict = _embedding_cache()
 
     def over(self, field) -> FibrationOver:
-        """u_locus, s, F and the coefficients of G carried into field, once per field."""
+        """The two discriminants, s, F and the coefficients of G carried into field, once per field."""
         got = self._embed_cache.get(field)
         if got is None:
-            polys = (self.u_locus, self.s, self.curve.F) + self.G.cx
+            polys = (self.quad_disc, self.cubic_disc, self.s, self.curve.F) + self.G.cx
             e = [embed_poly(q, self.field, field) for q in polys]
-            got = self._embed_cache[field] = FibrationOver(e[0], e[1], e[2], tuple(e[3:]))
+            got = self._embed_cache[field] = FibrationOver(e[0], e[1], e[2], e[3], tuple(e[4:]))
         return got
 
     def ramified_at(self, t0, field=None) -> bool:
         """Whether the 6-point fiber of the composed degree-6 map degenerates at t0.
 
-        Three causes: the cubic G(t0, x) has a repeated root, the quadratic
-        F mod G has one (the stored u_locus product), or the fiber contains a
+        Three causes: the cubic G(t0, x) has a repeated root (cubic_disc),
+        the quadratic F mod G has one (quad_disc), or the fiber contains a
         Weierstrass pair — which happens exactly at the roots of s, since
         s(t0) is the product of F over the fiber's x-coordinates.
         """
         f = self.field if field is None else field
         e = self.over(f)
-        return e.u_locus.eval(t0) == f.zero or e.s.eval(t0) == f.zero
+        z = f.zero
+        return e.quad_disc.eval(t0) == z or e.cubic_disc.eval(t0) == z or e.s.eval(t0) == z
 
 
-def _discriminant_cubic_neg(g0: Poly, g1: Poly, g2: Poly) -> Poly:
-    """4 g2^3 g0 - g2^2 g1^2 - 18 g2 g1 g0 + 4 g1^3 + 27 g0^2 (minus the discriminant)."""
+def _discriminant_cubic(g0: Poly, g1: Poly, g2: Poly) -> Poly:
+    """-27 g0^2 + 18 g0 g1 g2 - 4 g0 g2^3 - 4 g1^3 + g1^2 g2^2, the discriminant of x^3 + g2 x^2 + g1 x + g0."""
     f = g0.field
-    four = Poly.const(f, f.from_int(4))
+    c = lambda n: Poly.const(f, f.from_int(n))
     return (
-        four * g2 * g2 * g2 * g0
-        - g2 * g2 * g1 * g1
-        - Poly.const(f, f.from_int(18)) * g2 * g1 * g0
-        + four * g1 * g1 * g1
-        + Poly.const(f, f.from_int(27)) * g0 * g0
+        -(c(27) * g0 * g0)
+        + c(18) * g0 * g1 * g2
+        - c(4) * g0 * g2 * g2 * g2
+        - c(4) * g1 * g1 * g1
+        + g1 * g1 * g2 * g2
     )
 
 
@@ -153,11 +157,10 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
     if root is None:
         raise SquareRootObstruction("s(t) is not lc(s) times a perfect square")
     alpha, r = root
-    four = Poly.const(f, f.from_int(4))
-    u_locus = (f1 * f1 - four * f2 * f0) * _discriminant_cubic_neg(g0, g1, g2)
+    quad_disc = f1 * f1 - Poly.const(f, f.from_int(4)) * f0 * f2
     return TrigonalFibration(
-        field=f, curve=H, gmap=g, g0=g0, g1=g1, g2=g2, G=G,
-        f0=f0, f1=f1, f2=f2, s=s, alpha=alpha, r=r, u_locus=u_locus,
+        field=f, curve=H, gmap=g, g0=g0, g1=g1, g2=g2, G=G, f0=f0, f1=f1, f2=f2,
+        s=s, alpha=alpha, r=r, quad_disc=quad_disc, cubic_disc=_discriminant_cubic(g0, g1, g2),
     )
 
 
@@ -205,11 +208,28 @@ def assess(S: TractableSubgroup, H: HCurve, full: bool = True) -> Verdict:
 
 @dataclass(frozen=True)
 class CurveXModel:
-    """X|_U in A^1 x A^6: three linear-in-b_ij equations plus the six quadrics."""
+    """X|_U in A^1 x A^6: three linear-in-b_ij equations plus the six quadrics.
+
+    The equations are a few products of the fibration's polynomials, formed
+    when rows is first read, so a construction that is only kept holds no
+    second copy of them.
+    """
 
     fib: TrigonalFibration
-    rows: tuple  # three (coeff dict var -> Poly, const Poly) pairs
     _embed_cache: dict = _embedding_cache()
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """Three (coeff dict var -> Poly, const Poly) pairs."""
+        fib = self.fib
+        f = fib.field
+        one = Poly.one(f)
+        two = Poly.const(f, f.from_int(2))
+        g0, g1, g2 = fib.g0, fib.g1, fib.g2
+        c0 = ({"b22": g2 * g0, "b12": -(two * g0), "b00": one}, -fib.f0)
+        c1 = ({"b22": g2 * g1 - g0, "b12": -(two * g1), "b01": two}, -fib.f1)
+        c2 = ({"b22": g2 * g2 - g1, "b12": -(two * g2), "b02": two, "b11": one}, -fib.f2)
+        return (c0, c1, c2)
 
     def linear_values(self, field, t0, b):
         """The residuals of c0, c1, c2 at a candidate point."""
@@ -242,15 +262,8 @@ class CurveXModel:
 
 
 def build_X(fib: TrigonalFibration) -> CurveXModel:
-    """The three linear-in-b_ij equations of X|_U (plus the fixed quadrics)."""
-    f = fib.field
-    one = Poly.one(f)
-    two = Poly.const(f, f.from_int(2))
-    g0, g1, g2 = fib.g0, fib.g1, fib.g2
-    c0 = ({"b22": g2 * g0, "b12": -(two * g0), "b00": one}, -fib.f0)
-    c1 = ({"b22": g2 * g1 - g0, "b12": -(two * g1), "b01": two}, -fib.f1)
-    c2 = ({"b22": g2 * g2 - g1, "b12": -(two * g2), "b02": two, "b11": one}, -fib.f2)
-    return CurveXModel(fib, (c0, c1, c2))
+    """The model of X|_U over fib: three linear-in-b_ij equations (plus the fixed quadrics)."""
+    return CurveXModel(fib)
 
 
 @dataclass(frozen=True)
@@ -270,13 +283,6 @@ def build_plane_model(fib: TrigonalFibration) -> PlaneQuarticModel:
     c = lambda n: Poly.const(f, f.from_int(n))
     g0, g1, g2 = fib.g0, fib.g1, fib.g2
     f0, f1, f2 = fib.f0, fib.f1, fib.f2
-    delta4 = (
-        -(c(27) * g0 * g0)
-        + c(18) * g0 * g1 * g2
-        - c(4) * g0 * g2 * g2 * g2
-        - c(4) * g1 * g1 * g1
-        + g1 * g1 * g2 * g2
-    )
     delta2 = (
         c(12) * f0 * g1
         - c(4) * f0 * g2 * g2
@@ -285,7 +291,8 @@ def build_plane_model(fib: TrigonalFibration) -> PlaneQuarticModel:
         + c(12) * f2 * g0 * g2
         - c(4) * f2 * g1 * g1
     )
-    delta0 = f1 * f1 - c(4) * f0 * f2
+    # delta0 and delta4 are the fibration's two discriminants
+    delta0, delta4 = fib.quad_disc, fib.cubic_disc
     rational = f.is_square(fib.alpha)
     if rational:
         root_alpha = f.sqrt(fib.alpha)

@@ -304,6 +304,10 @@ def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None 
         if len(quads) != 4:
             raise NotAPartitionOf8(f"a pairing of the orbits gave {len(quads)} quadratics, not 4")
         out.append(TractableSubgroup.from_quads(quads))
+    # the subgroups keep the orbit algebras for their ring arithmetic only,
+    # not the Frobenius matrices the enumeration built in them
+    for A in mat._alg_cache.values():
+        A._frob.clear()
     out.sort(key=lambda s: s.key())
     return out
 
