@@ -87,6 +87,9 @@ def test_fast_representation_agrees():
         a = enumerate_tractable(H)
         b = enumerate_tractable(H, fast=True)
         assert len(a) == len(b)
+        # the orbit algebras the subgroups keep drop their Frobenius matrices; the map is rebuilt on use
+        for A, c in {(id(q.field), x): (q.field, x) for s in b for q in s.quads if q.field.k > 1 for x in q.c}.values():
+            assert A.frobenius_power(c, 1) == A.pow(c, 101)
         L = splitting_degree(H)
         if L <= 12:
             E = make_extension(101, L)
