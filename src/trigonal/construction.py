@@ -57,6 +57,7 @@ class FibrationOver(NamedTuple):
     s: Poly
     F: Poly  # the curve's polynomial
     G: tuple  # the x-coefficients of G(t, x), Polys in t
+    F_nu: Poly  # F / nu, nu the field's non-residue (fiber_points' anti-fixed branch)
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,13 @@ class TrigonalFibration:
     _embed_cache: dict = _embedding_cache()
 
     def over(self, field) -> FibrationOver:
-        """The two discriminants, s, F and the coefficients of G carried into field, once per field."""
+        """The two discriminants, s, F, the coefficients of G and F / nu carried into field, once per field."""
         got = self._embed_cache.get(field)
         if got is None:
             polys = (self.quad_disc, self.cubic_disc, self.s, self.curve.F) + self.G.cx
             e = [embed_poly(q, self.field, field) for q in polys]
-            got = self._embed_cache[field] = FibrationOver(e[0], e[1], e[2], e[3], tuple(e[4:]))
+            F_nu = e[3].scale(field.inv(field.nonresidue()))
+            got = self._embed_cache[field] = FibrationOver(e[0], e[1], e[2], e[3], tuple(e[4:]), F_nu)
         return got
 
     def ramified_at(self, t0, field=None) -> bool:

@@ -450,16 +450,20 @@ def count_points(H: HCurve, k: int) -> int:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
     field = make_extension(p, k)
     F = embed_poly(H.F, H.field, field)
-    pending = set()  # the conjugates still ahead of the orbits met so far
+    # bit i marks the element of encoding i as a conjugate of an orbit met
+    # before: one bit per element where a set of the pending conjugates
+    # held tens of bytes each
+    seen = bytearray((field.order >> 3) + 1)
     n = 0
-    for x in field.elements():
-        if x in pending:
-            pending.remove(x)
+    for i in range(field.order):
+        if seen[i >> 3] >> (i & 7) & 1:
             continue
+        x = field.decode(i)
         size = 1
         y = field.frobenius_power(x, 1)
         while y != x:
-            pending.add(y)
+            j = field.encode(y)
+            seen[j >> 3] |= 1 << (j & 7)
             size += 1
             y = field.frobenius_power(y, 1)
         fx = F.eval(x)

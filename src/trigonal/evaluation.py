@@ -156,15 +156,14 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     """
     fib = X.fib
     Gt = _fiber_cubic(fib, t0, field)
-    F = fib.over(field).F
+    over = fib.over(field)
     _, factors = factorize(Gt)
     if any(m != 1 for _, m in factors):
         raise NotSquarefree("the fiber cubic has a repeated factor")
     # one ring per factor serves both branches, Tonelli-Shanks constants included
     rings = [(h, ExtField(field, h.c) if h.degree > 1 else None) for h, _ in factors]
-    nu = field.nonresidue()
     out = []
-    for scale, FF in ((field.one, F), (nu, F.scale(field.inv(nu)))):
+    for scale, FF in ((field.one, over.F), (field.nonresidue(), over.F_nu)):
         parts = _square_root_parts(FF, rings, field)
         if parts is None:
             continue

@@ -4,22 +4,25 @@ Elements are plain data, interpreted by a field context that is passed
 around with them.  An element of F_p is an int in [0, p).  An element of an
 extension of F_p is one int too: its coefficients on the polynomial basis
 1, x, ..., x^{k-1} of F_p[x]/(modulus) sit in w-bit slots, constant term in
-the lowest, w = 2 bits(p) + bits(2k) + 1 (Kronecker substitution; Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-2009).  An F_p value is therefore its own image in every extension.  Only a
-tower, an extension of an extension, keeps a tuple of base elements.
-coeffs(a) and from_coeffs(seq) convert between an element and its
-coefficients over the base on every context; code outside this module
-reads and builds elements only through them.
+the lowest, w the bit length of _ACC k (p - 1)^2 (Kronecker substitution;
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009).  An F_p value is therefore its own image in every
+extension.  A tower, an extension of an extension F_{p^m}, is one int on
+two levels: each of its coefficients is a packed F_{p^m} element in a
+block of 2m - 1 slots.  The slots are wide enough for a sum of _ACC - 1
+raw products (the accumulation bound), so polynomial code adds raw int
+products and reduces once per output coefficient.  coeffs(a) and
+from_coeffs(seq) convert between an element and its coefficients over the
+base on every context; code outside this module reads and builds elements
+only through them.
 
 One quotient-ring context, ExtField(base, modulus), serves every extension:
 F_{p^k} itself, the orbit algebras F_p[x]/(orbit polynomial) of the subgroup
 enumeration, and the etale factors over F_{q^j} in which phi takes square
 roots.  Its ring operations take any monic modulus, so it is also the ring
-F_p[x]/(f) in which polyring takes powers and Frobenius maps modulo a fixed
-f.  Over F_p it runs on packed ints, a product being one int multiply and
-one slot reduction; over an extension base it goes through the base
-context's operations.
+F_q[x]/(f) in which polyring takes powers and Frobenius maps modulo a fixed
+f, over F_p and over F_{p^m} alike.  A product is one int multiply and one
+reduction of the slots, on either level.
 
 The F_{p^k} contexts are built by make_extension(p, k) with a modulus chosen
 deterministically from (p, k): the lexicographically least monic irreducible
@@ -36,9 +39,11 @@ constants, and safe to share across threads/processes.
 
 Square roots are Tonelli-Shanks with its constants (the 2-adic split of
 order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
-On an extension, Euler's criterion runs on the norm N(a) = Res(modulus, a)
-in the base, so a non-square never reaches Tonelli-Shanks, and an odd-degree
-extension takes its roots from the norm instead (see ExtField).
+On an extension, Euler's criterion runs on the norm N(a) in the base (the
+product of the conjugates of a over F_p, Res(modulus, a) by Euclid on a
+tower), so a non-square never reaches Tonelli-Shanks, and an odd-degree
+extension takes its roots from the norm instead (see ExtField).  An inverse
+over F_p is N(a)^-1 times the product of the other conjugates.
 nonresidue() of a prime field is a seeded search; an ExtField reads its
 non-residue off the base instead.  No output depends on which non-residue a
 context holds: square roots are canonical, and the anti-fixed fiber
@@ -240,6 +245,12 @@ class PrimeField(_FieldOps):
     def mul(self, a, b):
         return a * b % self.p
 
+    # Python ints do not overflow: polyring sums any number of raw products
+    _lazy = 1 << 62
+
+    def _fold(self, c):
+        return c % self.p
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -303,18 +314,23 @@ def _irreducible_mod_p(f, p) -> bool:
 
 _layout_cache: dict[tuple[int, int], tuple] = {}
 
+# The accumulation bound: a slot of a packed F_{p^k} element is wide enough
+# for the sum of _ACC products of two of its elements (k products of two
+# coefficients each), the fold of one more product included.
+_ACC = 16
+
 
 def _slot_layout(p: int, k: int) -> tuple:
     """The k-slot packing over F_p, computed once and shared by every context of that size.
 
     (top bit, slot mask, slot shifts, packed ones, packed p, packed
-    2^(w-1) - p, fold pairs) for w = 2 bits(p) + bits(2k) + 1; a fold pair
-    is (high slot, where its fold lands), from the top slot of a product
-    down.
+    2^(w-1) - p, fold pairs) for w the bit length of _ACC k (p - 1)^2; a
+    fold pair is (high slot, where its fold lands), from the top slot of a
+    product down.
     """
     lay = _layout_cache.get((p, k))
     if lay is None:
-        w = 2 * p.bit_length() + (2 * k).bit_length() + 1
+        w = (_ACC * k * (p - 1) ** 2).bit_length()
         mask = (1 << w) - 1
         ones = ((1 << (k * w)) - 1) // mask
         fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
@@ -326,39 +342,43 @@ class ExtField(_FieldOps):
     """Context for the quotient ring base[x]/(modulus), modulus monic over the base context.
 
     The ring operations (add, sub, neg, mul, pow, scalar_mul, xq,
-    frobenius_power(., 1), coeffs, encode) take any monic modulus, so over
-    F_p this is also the packed ring in which polyring runs its products
-    modulo a fixed polynomial.  Only inv, norm, is_square and sqrt, and
+    frobenius_power(., j) for j < k, coeffs, encode) take any monic
+    modulus, so this is also the ring in which polyring runs its products
+    and Frobenius maps modulo a fixed polynomial, over F_p and over
+    F_{p^m} alike.  Only inv, norm, is_square and sqrt, and
     frobenius_power(., j) for j >= k, need the modulus irreducible, the
     ring a field.
 
-    Over F_p (base.k == 1) an element is one int: coefficient i of the
-    polynomial basis sits in bits [i w, (i + 1) w) with
-    w = 2 bits(p) + bits(2k) + 1, every slot in [0, p) (Kronecker
-    substitution).  add, sub and neg are SWAR operations on all slots at
-    once: add 2^(w-1) - p to every slot, read each slot's top bit, subtract
-    p where it is set.  mul is one int product; each high slot c_j is
-    folded back as (c_j mod p) * packed(-modulus mod p) << w (j - k), and
-    one pass reduces every slot mod p.  The slot width keeps every slot of
-    a product below 2k p^2 < 2^(w-1), so no slot carries into the next.
-    frobenius_power, scalar_mul, embed and project work on packed ints too;
-    inv and norm unpack once.
+    Every element is one int.  Over F_p (base.k == 1) coefficient i of the
+    polynomial basis sits in bits [i w, (i + 1) w), with w the bit length
+    of _ACC k (p - 1)^2 and every slot in [0, p) (Kronecker substitution).
+    add, sub and neg are SWAR operations on all slots at once: add
+    2^(w-1) - p to every slot, read each slot's top bit, subtract p where
+    it is set.  mul is one int product; each high slot c_j is folded back
+    as (c_j mod p) * packed(-modulus mod p) << w (j - k), and one pass
+    reduces every slot mod p.  The slot width keeps every slot of a product
+    below 2k p^2, and of a sum of up to _ACC - 1 products and its fold below
+    2^w, so no slot carries into the next: polyring adds raw products of
+    coefficients and folds once per output coefficient (_lazy, _fold).
+    frobenius_power, scalar_mul, embed and project work on packed ints too.
 
-    Over an extension base (a tower, as for the etale factors over F_{q^j})
-    the context is a _TowerField: an element is a tuple of packed base
-    elements and the arithmetic goes through the base context.
+    Over an extension base the context is a _TowerField, packed on two
+    levels: see there.
 
     coeffs(a) and from_coeffs(seq) convert between an element and its
-    coefficient sequence over the base, constant term first, in either
-    representation; encode(a) is the base-order digit value of those
-    coefficients, so encodings do not depend on the packing.
+    coefficient sequence over the base, constant term first; encode(a) is
+    the base-order digit value of those coefficients, so encodings do not
+    depend on the packing.
 
-    x is the class of x; xq() is x^p, computed once, or seeded by the
-    constructor's xp (an ascending coefficient sequence) when the caller
-    has it.  The Frobenius matrices are built from it.
+    x is the class of x; xq() is x^q, q the base order, computed once or
+    seeded by the constructor's xq (an ascending coefficient sequence), and
+    x^(p^j) for another j when the constructor names that j.  The
+    Frobenius matrices of a -> a^(p^j) are built from it.
 
-    Square roots test Euler's criterion on the norm first, so a non-square
-    costs one Euclid over the base.  An odd degree d takes the root as
+    N(a) is a times the product of its other conjugates a^(p^j), 0 < j < k,
+    k - 1 Frobenius maps; inv divides that product by N(a).  Square roots
+    test Euler's criterion on the norm first, so a non-square costs one
+    norm.  An odd degree d takes the root as
     a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
     order: a^T = N(a) and T is odd.  N(a) is then known to be a nonzero
     square of the base, whose root runs no second Euler test
@@ -367,12 +387,12 @@ class ExtField(_FieldOps):
     searched for.
     """
 
-    def __new__(cls, base, modulus, xp=None):
+    def __new__(cls, base, modulus, xq=None, j=None):
         # over an extension base the arithmetic is _TowerField's, held on
         # the class so that a context is not a reference cycle
         return super().__new__(_TowerField if base.k > 1 else cls)
 
-    def __init__(self, base, modulus, xp=None):
+    def __init__(self, base, modulus, xq=None, j=None):
         if modulus[-1] != base.one:
             raise ContextMismatch("the modulus of an extension must be monic")
         self.base = base
@@ -381,18 +401,24 @@ class ExtField(_FieldOps):
         self.k = base.k * self.deg
         self.modulus = tuple(modulus)
         self.order = base.order**self.deg
+        self.zero = 0
+        self.one = 1
         self._init_elements()
+        self._negmod = self.from_coeffs([base.neg(c) for c in self.modulus[:-1]])
+        self.x = 1 << self._cshifts[1] if self.deg > 1 else self._negmod
         self._frob = {}
-        self._xp = None if xp is None else self.from_coeffs(xp)
+        self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
         self._half_nonresidue_root = None
+
+    _lazy = _ACC - 1
 
     def _init_elements(self):
         """The slot layout and the packed constants of the SWAR arithmetic."""
-        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._fold = _slot_layout(self.p, self.k)
-        self._negmod = self.from_coeffs([-c for c in self.modulus[:-1]])
-        self.x = self._mask + 1 if self.k > 1 else self._negmod
-        self.zero = 0
-        self.one = 1
+        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._highs = _slot_layout(self.p, self.k)
+        # a coefficient is one slot; a reduction may take _span columns of
+        # a linear map (_ACC k products per slot, one left for the partial sum)
+        self._cshifts, self._cmask = self._shifts, self._mask
+        self._span = _ACC * self.k - 1
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -400,9 +426,9 @@ class ExtField(_FieldOps):
     # -- coefficients, encodings ---------------------------------------------
 
     def coeffs(self, a) -> tuple:
-        """The k coefficients of a over F_p, constant term first."""
-        m = self._mask
-        return tuple((a >> s) & m for s in self._shifts)
+        """The deg coefficients of a over the base, constant term first."""
+        m = self._cmask
+        return tuple((a >> s) & m for s in self._cshifts)
 
     def from_coeffs(self, seq):
         """The element with the given coefficients (at most deg, constant term first)."""
@@ -444,35 +470,16 @@ class ExtField(_FieldOps):
     # -- norm and square roots ------------------------------------------------
 
     def norm(self, a):
-        """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
-        B = self.base
-        z = B.zero
-        r0, r1 = list(self.modulus), list(self.coeffs(a))
-        acc = B.one
-        while True:
-            while r1 and r1[-1] == z:
-                r1.pop()
-            if not r1:
-                return z
-            n0, n1 = len(r0) - 1, len(r1) - 1
-            if n1 == 0:
-                return B.mul(acc, B.pow(r1[0], n0))
-            # r0 mod r1, then Res(r0, r1) = (-1)^(n0 n1) lc(r1)^(n0 - deg r) Res(r1, r)
-            linv = B.inv(r1[-1])
-            while len(r0) > n1:
-                q = B.mul(r0.pop(), linv)
-                if q != z:
-                    d = len(r0) - n1
-                    for i in range(n1):
-                        r0[d + i] = B.sub(r0[d + i], B.mul(q, r1[i]))
-            while r0 and r0[-1] == z:
-                r0.pop()
-            if not r0:
-                return z
-            acc = B.mul(acc, B.pow(r1[-1], n0 - len(r0) + 1))
-            if n0 * n1 % 2:
-                acc = B.neg(acc)
-            r0, r1 = r1, r0
+        """N(a), the product of the conjugates of a, in F_p: a times _conjugate_product(a)."""
+        return self.mul(a, self._conjugate_product(a))
+
+    def _conjugate_product(self, a):
+        """prod_{0 < j < k} a^(p^j), by k - 1 Frobenius maps."""
+        c, prod = a, self.one
+        for _ in range(1, self.k):
+            c = self.frobenius_power(c, 1)
+            prod = c if prod == self.one else self.mul(prod, c)
+        return prod
 
     def is_square(self, a) -> bool:
         """Euler's criterion on the norm; zero counts as a square by convention."""
@@ -560,10 +567,10 @@ class ExtField(_FieldOps):
             return self.from_coeffs((B.pow(nr[0], m % (B.order - 1)),))
         return self.pow(self.from_coeffs(nr), m)
 
-    # -- over F_p: packed arithmetic ------------------------------------------
+    # -- packed arithmetic ----------------------------------------------------
 
     def _reduce(self, c):
-        """The element whose slots are those of c mod p (the first k slots of c, each below 2^w)."""
+        """The element whose slots are those of c mod p (c has no slot outside the element's, each below 2^w)."""
         p, m = self.p, self._mask
         r = 0
         for s in self._shifts:
@@ -585,9 +592,19 @@ class ExtField(_FieldOps):
     def mul(self, a, b):
         c = a * b
         p, m, nm = self.p, self._mask, self._negmod
-        for hi, lo in self._fold:
+        # _fold, inlined on the hottest path
+        for hi, lo in self._highs:
             c += (((c >> hi) & m) % p * nm) << lo
-        # _reduce, inlined on the hottest path
+        r = 0
+        for s in self._shifts:
+            r |= ((c >> s) & m) % p << s
+        return r
+
+    def _fold(self, c):
+        """The element of c, a sum of raw products (at most _lazy of them, plus an element)."""
+        p, m, nm = self.p, self._mask, self._negmod
+        for hi, lo in self._highs:
+            c += (((c >> hi) & m) % p * nm) << lo
         r = 0
         for s in self._shifts:
             r |= ((c >> s) & m) % p << s
@@ -598,64 +615,81 @@ class ExtField(_FieldOps):
         return self._reduce(a * c)
 
     def inv(self, a):
+        """a^-1 = N(a)^-1 * prod_{0 < j < k} a^(p^j): k - 1 Frobenius maps and one F_p inverse."""
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        k = self.k
-        # extended Euclid on int coefficient lists: s0 * a = r0 and
-        # s1 * a = r1 modulo the modulus; the cofactors have degree <= k
-        r0, r1 = list(self.modulus), list(self.coeffs(a))
-        s0, s1 = [0] * (k + 1), [1] + [0] * k
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if not r1:
-                break
-            binv = pow(r1[-1], -1, p)
-            n = len(r1)
-            while len(r0) >= n:
-                qc = r0[-1] * binv % p
-                if qc:
-                    d = len(r0) - n
-                    for i in range(n):
-                        r0[d + i] = (r0[d + i] - qc * r1[i]) % p
-                    for i in range(k + 1 - d):
-                        s0[d + i] = (s0[d + i] - qc * s1[i]) % p
-                r0.pop()
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        if len(r0) != 1:
+        prod = self._conjugate_product(a)
+        n = self.mul(a, prod)
+        if not 0 < n < self.p:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        c = pow(r0[0], -1, p)
-        return self.from_coeffs([x * c for x in s0[:k]])
+        return self.scalar_mul(prod, pow(n, -1, self.p))
+
+    # -- Frobenius maps ---------------------------------------------------------
 
     def xq(self):
-        """x^p mod modulus, packed, computed once: the seed of the Frobenius matrices."""
-        if self._xp is None:
-            self._xp = self.pow(self.x, self.p)
-        return self._xp
+        """x^q mod modulus, q the base order, packed, computed once."""
+        return self._x_frobenius(self.base.k)
+
+    def _x_frobenius(self, j: int):
+        """x^(p^j) mod modulus, packed (cached): from the seed, the q-power matrix, or a power."""
+        xj = self._xfrob.get(j)
+        if xj is None:
+            m = self.base.k
+            if j == m:
+                xj = self.pow(self.x, self.base.order)
+            elif j % m == 0:
+                xj = self._apply(self._frobenius_matrix(m), self._x_frobenius(j - m))
+            else:
+                xj = self.pow(self.x, self.p**j)
+            self._xfrob[j] = xj
+        return xj
 
     def _frobenius_matrix(self, j: int):
-        """Packed columns x^(i p^j) mod modulus of a -> a^(p^j), a linear map over F_p, for 0 < j < k."""
+        """Packed columns of a -> a^(p^j), a linear map over F_p, for 0 < j < k (cached).
+
+        One column per slot of the packing, in the order of _shifts: the
+        image (y^t x^i)^(p^j) = sigma(y^t) (x^(p^j))^i of the basis element
+        in coefficient i, base slot t, with sigma the p^j-power map of the
+        base (over F_p the columns are just the x^(i p^j)).
+        """
         mat = self._frob.get(j)
         if mat is None:
-            xpj = self.xq()
-            for _ in range(j - 1):
-                xpj = self._apply(self._frobenius_matrix(1), xpj)
-            cols = [self.one]
-            for _ in range(1, self.k):
-                cols.append(self.mul(cols[-1], xpj))
-            mat = self._frob[j] = tuple(cols)
+            xpj = self._x_frobenius(j)
+            pows = [self.one]
+            for _ in range(1, self.deg):
+                pows.append(self.mul(pows[-1], xpj))
+            B = self.base
+            mat = pows
+            if B.k > 1:
+                # no comprehension: it would make self a cell on every call
+                ys = []
+                for t in range(B.k):
+                    ys.append(B.frobenius_power(B.from_coeffs((0,) * t + (1,)), j))
+                mat = []
+                for xi in pows:
+                    for y in ys:
+                        mat.append(self.scalar_mul(xi, y))
+            mat = self._frob[j] = tuple(mat)
         return mat
 
     def _apply(self, mat, a):
-        """The linear map with packed columns mat, applied to a: one slot reduction."""
-        m = self._mask
+        """The linear map with packed columns mat, applied to a: one slot reduction per _span columns."""
+        m, step = self._mask, self._span
         out = 0
-        for s, col in zip(self._shifts, mat):
-            ai = (a >> s) & m
-            if ai:
-                out += ai * col
-        return self._reduce(out)
+        if len(mat) <= step:
+            for s, col in zip(self._shifts, mat):
+                ai = (a >> s) & m
+                if ai:
+                    out += ai * col
+            return self._reduce(out)
+        # a tower of degree above _ACC has more columns than a slot may sum
+        for lo in range(0, len(mat), step):
+            for s, col in zip(self._shifts[lo : lo + step], mat[lo : lo + step]):
+                ai = (a >> s) & m
+                if ai:
+                    out += ai * col
+            out = self._reduce(out)
+        return out
 
     def frobenius_power(self, a, j: int):
         """a^(p^j); j is taken mod k, which presumes a field: a ring that is not one takes j < k."""
@@ -666,84 +700,125 @@ class ExtField(_FieldOps):
 
 
 class _TowerField(ExtField):
-    """ExtField over an extension base: tuples of base elements, arithmetic through the base."""
+    """ExtField over a packed extension base B = F_{p^m}: two-level packing, one int per element.
+
+    Coefficient i, a packed B element, sits in block i, and the blocks are
+    2m - 1 base slots apart, so the product of two coefficients stays
+    inside its block and a product of two elements is one int multiply.
+    _fold reduces it: from the top block down, each high block is reduced
+    as a B product (B's fold, then every slot mod p) and folded back
+    against packed -modulus, and the low blocks are reduced last.  The
+    slots have B's width: a slot of a product takes at most 2 deg m
+    products of two coefficients, within the accumulation bound _ACC m
+    while 2 deg <= _ACC.  A longer modulus multiplies as Polys over B
+    instead.  The SWAR add, sub and neg, the Frobenius maps and the
+    encodings run on the used slots as over F_p; a Frobenius column is
+    the image of one slot's basis element, so the p^j-power map of B acts
+    on every block through the matrix.  norm is Res(modulus, a) by Euclid
+    over B and inv an extended Euclid over B.
+    """
+
+    _lazy = 0  # Polys over a tower add and multiply coefficient by coefficient
 
     def _init_elements(self):
         B = self.base
-        self.zero = (B.zero,) * self.deg
-        self.one = (B.one,) + self.zero[1:]
-
-    def coeffs(self, a) -> tuple:
-        return a
+        if B.base.k != 1:
+            raise ContextMismatch(f"{B!r} is a tower: no tower is built over one")
+        d = self.deg
+        self._top, self._mask = B._top, B._mask
+        stride = (2 * B.k - 1) * (B._top + 1)
+        self._cshifts = tuple(range(0, d * stride, stride))
+        self._cmask = (1 << stride) - 1
+        self._shifts = tuple(i + t for i in self._cshifts for t in B._shifts)
+        self._ones = sum(B._ones << s for s in self._cshifts)
+        self._pp, self._half = self.p * self._ones, B._half // B._ones * self._ones
+        self._highs = tuple((j * stride, (j - d) * stride) for j in range(2 * d - 2, d - 1, -1))
+        self._span = _ACC * B.k - 1
+        self._long = 2 * d > _ACC
 
     def from_coeffs(self, seq):
+        """The element with the given base elements as coefficients (at most deg, constant term first)."""
         if len(seq) > self.deg:
             raise ContextMismatch(f"{len(seq)} coefficients for {self!r}")
-        return tuple(seq) + self.zero[len(seq) :]
-
-    def from_int(self, n: int):
-        return (self.base.from_int(n),) + self.zero[1:]
-
-    def encode(self, a) -> int:
-        n = 0
-        B = self.base
-        for c in reversed(a):
-            n = n * B.order + B.encode(c)
-        return n
-
-    def decode(self, n: int):
-        if not 0 <= n < self.order:
-            raise ValueError("encoding out of range")
-        out = []
-        B = self.base
-        for _ in range(self.deg):
-            n, r = divmod(n, B.order)
-            out.append(B.decode(r))
-        return tuple(out)
-
-    def add(self, a, b):
-        F = self.base
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        F = self.base
-        return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        F = self.base
-        return tuple(F.neg(x) for x in a)
+        a = 0
+        for c, s in zip(seq, self._cshifts):
+            a |= c << s
+        return a
 
     def mul(self, a, b):
-        F = self.base
-        n = self.deg
-        c = [F.zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai != F.zero:
-                for j, bj in enumerate(b):
-                    c[i + j] = F.add(c[i + j], F.mul(ai, bj))
-        m = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            ci = c[i]
-            if ci != F.zero:
-                d = i - n
-                for j in range(n):
-                    c[d + j] = F.sub(c[d + j], F.mul(ci, m[j]))
-        return tuple(c[:n])
+        if self._long:
+            P = polyring.Poly
+            B = self.base
+            r = P(B, self.coeffs(a)) * P(B, self.coeffs(b)) % P(B, self.modulus)
+            return self.from_coeffs(r.c)
+        return self._fold(a * b)
+
+    def _fold(self, c):
+        """The element of c, one raw product (deg <= _ACC / 2) or a base multiple of an element."""
+        B = self.base
+        p, m, blk, nm, bnm = self.p, self._mask, self._cmask, self._negmod, B._negmod
+        bhighs, bshifts = B._highs, B._shifts
+        for hi, lo in self._highs:
+            v = (c >> hi) & blk
+            for h, l in bhighs:
+                v += (((v >> h) & m) % p * bnm) << l
+            e = 0
+            for s in bshifts:
+                e |= ((v >> s) & m) % p << s
+            if e:
+                c += (e * nm) << lo
+        r = 0
+        for cs in self._cshifts:
+            v = (c >> cs) & blk
+            for h, l in bhighs:
+                v += (((v >> h) & m) % p * bnm) << l
+            for s in bshifts:
+                r |= ((v >> s) & m) % p << (cs + s)
+        return r
 
     def scalar_mul(self, a, c):
-        F = self.base
-        return tuple(F.mul(x, c) for x in a)
+        """a times the base element c: every block a B product."""
+        return self._fold(a * c)
+
+    def norm(self, a):
+        """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
+        B = self.base
+        z = B.zero
+        r0, r1 = list(self.modulus), list(self.coeffs(a))
+        acc = B.one
+        while True:
+            while r1 and r1[-1] == z:
+                r1.pop()
+            if not r1:
+                return z
+            n0, n1 = len(r0) - 1, len(r1) - 1
+            if n1 == 0:
+                return B.mul(acc, B.pow(r1[0], n0))
+            # r0 mod r1, then Res(r0, r1) = (-1)^(n0 n1) lc(r1)^(n0 - deg r) Res(r1, r)
+            linv = B.inv(r1[-1])
+            while len(r0) > n1:
+                q = B.mul(r0.pop(), linv)
+                if q != z:
+                    d = len(r0) - n1
+                    for i in range(n1):
+                        r0[d + i] = B.sub(r0[d + i], B.mul(q, r1[i]))
+            while r0 and r0[-1] == z:
+                r0.pop()
+            if not r0:
+                return z
+            acc = B.mul(acc, B.pow(r1[-1], n0 - len(r0) + 1))
+            if n0 * n1 % 2:
+                acc = B.neg(acc)
+            r0, r1 = r1, r0
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        F = self.base
-        g, s, _ = polyring.xgcd(polyring.Poly(F, a), polyring.Poly(F, self.modulus))
+        B = self.base
+        g, s, _ = polyring.xgcd(polyring.Poly(B, self.coeffs(a)), polyring.Poly(B, self.modulus))
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         return self.from_coeffs(s.c)
-
-    frobenius_power = _FieldOps.frobenius_power
 
 
 # --- context construction and caching -------------------------------------

@@ -14,14 +14,17 @@ instead of powers with q^d-sized exponents (von zur Gathen and Shoup,
 
 Every product modulo a fixed modulus (pow_mod, x^q, the Frobenius matrix
 and its maps, the conjugate products of the splitting loops) runs in a
-quotient ring from _quotient.  Over F_p that is the packed ring
-fields.ExtField(F_p, monic modulus): an element is one int with a
-coefficient per slot, a product one int multiply, a fold of the high slots
-and one slot reduction (Kronecker substitution; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009).  Values stay
-packed through each loop and are unpacked into a Poly for the gcd.  Over
-an extension field the ring is a _PolyQuotient on Poly values.  gcd,
-divmod, Poly products and everything over F_{p^m}[x] stay on Poly.
+quotient ring from _quotient: the packed ring fields.ExtField(F_q, monic
+modulus).  Over F_p an element is one int with a coefficient per slot, a
+product one int multiply, a fold of the high slots and one slot reduction
+(Kronecker substitution; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", 2009).  Over F_{p^m} the packing has
+two levels, a block of slots per coefficient, and a product is still one
+int multiply.  Values stay packed through each loop and are unpacked into
+a Poly for the gcd.  Poly products, divmod and eval over F_p and a packed
+F_{p^m} add up raw int products and reduce once per output coefficient
+(the field's _fold); only over a tower does each product reduce on its
+own.
 
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
@@ -149,20 +152,7 @@ class Poly:
         a, b = self.c, other.c
         if not a or not b:
             return Poly.zero(f)
-        if f.k == 1:
-            p = f.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(f, [x % p for x in out])
-        out = [f.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai != f.zero:
-                for j, bj in enumerate(b):
-                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly(f, out)
+        return Poly(f, _convolve(f, a, b))
 
     def scale(self, c):
         f = self.field
@@ -180,9 +170,9 @@ class Poly:
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        b = other.c
         if f.k == 1:
             p = f.p
-            b = other.c
             binv = pow(b[-1], -1, p)
             r = list(self.c)
             n = len(b)
@@ -199,7 +189,25 @@ class Poly:
                 while r and r[-1] == 0:
                     r.pop()
             return Poly(f, q), Poly(f, r)
-        b = other.c
+        if f._lazy:
+            # each step adds a raw product to the remainder's coefficients
+            # and folds only the one it divides by (and all of them after
+            # every f._lazy steps)
+            fold, lazy = f._fold, f._lazy
+            binv = None if b[-1] == f.one else f.inv(b[-1])
+            nb = list(map(f.neg, b[:-1]))
+            r = list(self.c)
+            n = len(nb)
+            q = [0] * max(0, len(r) - n)
+            for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
+                if t and t % lazy == 0:
+                    r[: d + n] = map(fold, r[: d + n])
+                c = fold(r[d + n])
+                if c:
+                    qc = q[d] = c if binv is None else f.mul(c, binv)
+                    for i, x in enumerate(nb):
+                        r[d + i] += qc * x
+            return Poly(f, q), Poly(f, list(map(fold, r[:n])))
         monic = b[-1] == f.one
         binv = None if monic else f.inv(b[-1])
         r = list(self.c)
@@ -239,6 +247,12 @@ class Poly:
             for ci in reversed(self.c):
                 y = (y * x + ci) % p
             return y
+        if f._lazy:
+            fold = f._fold
+            y = 0
+            for ci in reversed(self.c):
+                y = fold(y * x + ci)
+            return y
         y = f.zero
         for ci in reversed(self.c):
             y = f.add(f.mul(y, x), ci)
@@ -267,6 +281,53 @@ class Poly:
         if fn is None:
             return Poly(new_field, self.c, trim=False)
         return Poly(new_field, [fn(x) for x in self.c])
+
+
+def _lincomb(f, terms, n: int) -> list:
+    """The n coefficients over f of the sum of c * x^off * row over terms (c, row, off).
+
+    Over F_p and a packed extension the raw int products are summed and
+    folded once per output coefficient (and after every f._lazy terms);
+    over a tower each product is reduced.
+    """
+    if f._lazy:
+        fold, lazy = f._fold, f._lazy
+        out = [0] * n
+        for t, (c, row, off) in enumerate(terms):
+            if t and t % lazy == 0:
+                out = list(map(fold, out))
+            if c:
+                for j, x in enumerate(row, off):
+                    out[j] += c * x
+        return list(map(fold, out))
+    out = [f.zero] * n
+    for c, row, off in terms:
+        if c != f.zero:
+            for j, x in enumerate(row, off):
+                out[j] = f.add(out[j], f.mul(c, x))
+    return out
+
+
+def _convolve(f, a, b) -> list:
+    """The coefficients of the product of the nonempty sequences a and b over f: _lincomb over the rows of the shorter."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not f._lazy:
+        return _lincomb(f, zip(a, [b] * len(a), range(len(a))), len(a) + len(b) - 1)
+    # _lincomb's lazy loop, inlined on the path of every Poly product (no
+    # comprehension over f or b: either would become a cell on every call)
+    lazy = f._lazy
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            if i and i % lazy == 0:
+                out = list(map(f._fold, out))
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    if f.k == 1:
+        p = f.p
+        return [x % p for x in out]
+    return list(map(f._fold, out))
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -352,18 +413,15 @@ def _random_poly(field, degree, rng):
 
 
 def _quotient(modulus: Poly, xq: Poly | None = None):
-    """The ring F_q[x]/(modulus), q the order of the coefficient field, modulus of degree >= 1.
+    """The packed ring F_q[x]/(modulus), q the order of the coefficient field, modulus of degree >= 1.
 
-    Over F_p it is the packed fields.ExtField with the monic modulus; over
-    an extension field a _PolyQuotient.  xq, x^q reduced mod modulus, seeds
-    the Frobenius matrix when the caller has it.  Both have one, mul, pow,
-    xq(), frobenius_power(., 1), _frobenius_matrix(1), from_coeffs and
-    coeffs; _unpacked turns an element into a Poly.
+    It is fields.ExtField with the monic modulus, packed on one level over
+    F_p and on two over an extension field.  xq, x^q reduced mod modulus,
+    seeds the q-power Frobenius matrix when the caller has it; _unpacked
+    turns an element into a Poly.
     """
     f = modulus.field
-    if f.k == 1:
-        return fields.ExtField(f, modulus.monic()[0].c, None if xq is None else xq.c)
-    return _PolyQuotient(modulus, xq)
+    return fields.ExtField(f, modulus.monic()[0].c, None if xq is None else xq.c)
 
 
 def _unpacked(R, a) -> Poly:
@@ -371,75 +429,17 @@ def _unpacked(R, a) -> Poly:
     return Poly(R.base, R.coeffs(a))
 
 
-class _PolyQuotient:
-    """F_Q[x]/(modulus) on reduced Poly values, for an extension field F_Q.
+def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
+    """h^(e * (1 + q + ... + q^(n-1))) in the quotient ring R, q = p^j (j = R.base.k by default).
 
-    The q-power map for a subfield F_q over which modulus is defined is
-    u -> sum sigma(u_i) x^(iq) mod modulus: cols are the x^(iq), and sigma
-    is a -> a^q on the coefficients, left out when q = Q (the map is then
-    linear).  By default q = Q and cols come from xq.
+    u -> u^q is R.frobenius_power(., j).  For e = (q - 1) / 2 that is
+    h^((q^n - 1) / 2): one power with a q-sized exponent and n - 1
+    Frobenius maps instead of a power with a q^n-sized one.
     """
-
-    def __init__(self, modulus: Poly, xq: Poly | None = None, cols=None, sigma=None):
-        self.base = modulus.field
-        self.modulus = modulus
-        self.one = Poly.one(self.base)
-        self._xq = xq
-        self._cols = cols
-        self._sigma = sigma
-
-    def coeffs(self, a) -> tuple:
-        return a.c
-
-    def from_coeffs(self, seq) -> Poly:
-        return Poly(self.base, seq)
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.modulus
-
-    def pow(self, a: Poly, n: int) -> Poly:
-        """a^n for n >= 0 (the ring has no inv), by the left-to-right loop of every field context."""
-        return fields._FieldOps.pow(self, a, n)
-
-    def xq(self) -> Poly:
-        if self._xq is None:
-            self._xq = self.pow(Poly.x(self.base) % self.modulus, self.base.order)
-        return self._xq
-
-    def _frobenius_matrix(self, j: int):
-        """[x^(iq) mod modulus for i < deg modulus], for j = 1."""
-        if self._cols is None:
-            cols = [self.one]
-            for _ in range(1, self.modulus.degree):
-                cols.append(self.mul(cols[-1], self.xq()))
-            self._cols = cols
-        return self._cols
-
-    def frobenius_power(self, a: Poly, j: int) -> Poly:
-        """a^(q^j) by j q-power maps."""
-        cols, sigma = self._frobenius_matrix(1), self._sigma
-        f = self.base
-        for _ in range(j):
-            out = [f.zero] * len(cols)
-            for ai, col in zip(a.c, cols):
-                if ai != f.zero:
-                    if sigma is not None:
-                        ai = sigma(ai)
-                    for t, ct in enumerate(col.c):
-                        out[t] = f.add(out[t], f.mul(ai, ct))
-            a = Poly(f, out)
-        return a
-
-
-def _conjugate_product(R, h, e: int, n: int):
-    """h^(e * (1 + q + ... + q^(n-1))) in the quotient ring R, u -> u^q its frobenius_power(., 1).
-
-    For e = (q - 1) / 2 that is h^((q^n - 1) / 2): one power with a q-sized
-    exponent and n - 1 Frobenius maps instead of a power with a q^n-sized one.
-    """
+    j = R.base.k if j is None else j
     b = acc = R.pow(h, e)
     for _ in range(n - 1):
-        b = R.frobenius_power(b, 1)
+        b = R.frobenius_power(b, j)
         acc = R.mul(acc, b)
     return acc
 
@@ -465,7 +465,7 @@ def _distinct_degree(poly: Poly):
             R = _quotient(poly)
             h = R.xq()
         else:
-            h = R.frobenius_power(h, 1)
+            h = R.frobenius_power(h, poly.field.k)
         g = gcd(_unpacked(R, h) - x, rest)
         if g.degree > 0:
             out.append((g, d))
@@ -553,38 +553,34 @@ def split_root(poly: Poly, xq: Poly | None, field, ring=None):
     xq is x^q mod poly over F_q, or None to have it computed.  ring, the
     quotient ring F_q[x]/(poly) (from _quotient, or an ExtField over F_p
     with poly as modulus) when the caller already holds one, stands in for
-    xq and supplies the q-power columns.  As poly has F_q coefficients, the
-    q-power map on field[x]/(poly) is u -> sum sigma(u_j) * (x^(jq) mod
-    poly), sigma the q-power Frobenius of the field, so h^((|field| - 1) / 2)
-    is the product of the [field : F_q] conjugates of h^((q - 1) / 2).  No
-    distinct-degree step runs (poly is known to split), and splitting stops
-    at the first linear factor.  A quadratic over F_p in a degree-2 field
-    has a closed form with one F_p square root instead.  The other roots are
-    the q-power conjugates of the one returned.
+    xq.  As poly has F_q coefficients, x^q mod poly is the same over the
+    field, and it seeds the q-power map u -> u^q of the packed ring
+    field[x]/(poly), whose matrix applies the field's q-power Frobenius to
+    every coefficient.  So h^((|field| - 1) / 2) is the product of the
+    [field : F_q] conjugates of h^((q - 1) / 2).  No distinct-degree step
+    runs (poly is known to split), and splitting stops at the first linear
+    factor.  A quadratic over F_p in a degree-2 field has a closed form
+    with one F_p square root instead.  The other roots are the q-power
+    conjugates of the one returned.
     """
-    from .fields import embed_poly
-
     K, F = field, poly.field
     if K.p != F.p or K.k % (F.k * poly.degree):
         raise ContextMismatch(f"a degree-{poly.degree} irreducible over {F!r} does not split in {K!r}")
+    if poly.degree == 1:
+        return K.neg(fields.embed(poly[0], F, K))
     if K.k == 2 and F.k == 1 and poly.degree == 2:
         return _quadratic_root(poly, K)
     rng = _poly_rng(poly)
     s = F.k
-
-    def sigma(a):
-        return K.frobenius_power(a, s)
-
-    pk = embed_poly(poly, F, K)
     Fq = ring if ring is not None else _quotient(poly, xq)
-    cols = [embed_poly(_unpacked(Fq, c), F, K) for c in Fq._frobenius_matrix(1)]
-    R = _PolyQuotient(pk, cols=cols, sigma=sigma)
+    pk = fields.embed_poly(poly, F, K)
+    R = fields.ExtField(K, pk.c, [fields.embed(c, F, K) for c in Fq.coeffs(Fq.xq())], s)
     e = (F.order - 1) // 2
     one = Poly.one(K)
     g = pk
     while g.degree > 1:
         h = _random_poly(K, rng.randrange(1, pk.degree), rng)
-        r = gcd(_conjugate_product(R, h, e, K.k // s) - one, g)
+        r = gcd(_unpacked(R, _conjugate_product(R, R.from_coeffs(h.c), e, K.k // s, s)) - one, g)
         if 0 < r.degree < g.degree:
             g = r if 2 * r.degree <= g.degree else g // r
     return K.neg(g.c[0])
@@ -759,30 +755,16 @@ class BinaryForm:
     def substituted(self, a, b, c, d):
         """The form (u, v) -> self(a*u + b*v, c*u + d*v)."""
         f = self.field
-
-        def convolve(x, y):
-            out = [f.zero] * (len(x) + len(y) - 1)
-            for i, xi in enumerate(x):
-                if xi != f.zero:
-                    for j, yj in enumerate(y):
-                        out[i + j] = f.add(out[i + j], f.mul(xi, yj))
-            return out
-
         # powers of the two linear forms, as coefficient lists ascending in u
         lin1 = [b, a]  # a*u + b*v
         lin2 = [d, c]  # c*u + d*v
         pow1 = [[f.one]]
         pow2 = [[f.one]]
         for _ in range(self.d):
-            pow1.append(convolve(pow1[-1], lin1))
-            pow2.append(convolve(pow2[-1], lin2))
-        out = [f.zero] * (self.d + 1)
-        for i, ci in enumerate(self.c):
-            if ci != f.zero:
-                term = convolve(pow1[i], pow2[self.d - i])
-                for j, tj in enumerate(term):
-                    out[j] = f.add(out[j], f.mul(ci, tj))
-        return BinaryForm(f, self.d, out)
+            pow1.append(_convolve(f, pow1[-1], lin1))
+            pow2.append(_convolve(f, pow2[-1], lin2))
+        terms = [(ci, _convolve(f, pow1[i], pow2[self.d - i]), 0) for i, ci in enumerate(self.c) if ci != f.zero]
+        return BinaryForm(f, self.d, _lincomb(f, terms, self.d + 1))
 
     def is_squarefree(self) -> bool:
         if self.is_zero:

@@ -1,5 +1,6 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
-tuple field arithmetic, schoolbook F_p[x] powers and Frobenius maps, point counts by enumeration."""
+tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
+point counts by enumeration."""
 
 from trigonal.errors import TooLarge
 from trigonal.fields import embed_poly, make_extension
@@ -128,6 +129,35 @@ class SchoolbookField:
             a = self.mul(a, a)
             e >>= 1
         return r
+
+
+def schoolbook_poly_mul(R, a, b):
+    """The product of two coefficient lists over the SchoolbookField R."""
+    out = [R.zero] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = R.add(out[i + j], R.mul(x, y))
+    return out
+
+
+def schoolbook_poly_divmod(R, a, b, binv):
+    """(quotient, remainder) of coefficient lists over R by long division; binv is the inverse of b's leading coefficient."""
+    r = list(a)
+    n = len(b) - 1
+    q = [R.zero] * max(0, len(r) - n)
+    for d in range(len(r) - n - 1, -1, -1):
+        qc = q[d] = R.mul(r[d + n], binv)
+        for i in range(n + 1):
+            r[d + i] = R.sub(r[d + i], R.mul(qc, b[i]))
+    return q, r[:n]
+
+
+def schoolbook_eval(R, a, x):
+    """a(x) over R by Horner's rule."""
+    y = R.zero
+    for c in reversed(a):
+        y = R.add(R.mul(y, x), c)
+    return y
 
 
 def schoolbook_of(K):

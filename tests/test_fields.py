@@ -247,7 +247,7 @@ def test_extfield_over_a_tower_base(k, degree):
         assert A.is_square(a) == euler == (A.sqrt(a) is not None)
         assert A.pow(a, A.order) == a  # a^(37^6) = a: the multiplication is the field's
         # base-order digits, constant term first
-        assert A.encode(a) == sum(K.encode(c) * K.order**i for i, c in enumerate(a))
+        assert A.encode(a) == sum(K.encode(c) * K.order**i for i, c in enumerate(A.coeffs(a)))
         assert A.decode(A.encode(a)) == a
     with pytest.raises(ZeroDivisionError):
         A.inv(A.zero)
@@ -516,3 +516,84 @@ def test_embed_and_project_match_the_schoolbook_reference(p, k1, k2):
         assert as_tuple(dst, ea) == want
         assert project(ea, dst, src) == a
     assert project(dst.from_coeffs((0, 1)), dst, src) is None
+
+
+# --- two-level packed rings over F_{p^m} against the schoolbook reference ------
+
+
+def _moduli_over(K, d, rng):
+    """Monic moduli of degree d over K: irreducible (d <= 8), reducible, with a repeated factor, and every slot p - 1."""
+
+    def rand(n):
+        return Poly(K, [K.random(rng) for _ in range(n)] + [K.one])
+
+    lin = rand(1)
+    out = [rand(1) * rand(d - 1), lin * lin * rand(d - 2), Poly(K, [_operands(K, rng, 0)[2]] * d + [K.one])]
+    if d <= 8:
+        out.insert(0, Poly(K, _irreducible_over(K, d, rng)))
+    return [m.c for m in out]
+
+
+# (p, m, d): the ring F_{p^m}[x]/(modulus of degree d); d = 8 is the
+# longest modulus multiplied as one int product, d = 9 multiplies as Polys
+# and d = 17 also splits its Frobenius map
+_TWO_LEVEL = [(37, 2, 2), (37, 2, 3), (37, 2, 8), (37, 2, 9), (37, 2, 17), (_P30, 4, 4), (_P160, 4, 4)]
+
+
+@pytest.mark.parametrize("p, m, d", _TWO_LEVEL, ids=lambda v: str(v)[:6])
+def test_two_level_ring_matches_the_schoolbook_reference(p, m, d):
+    from oracles import as_tuple, schoolbook_of
+
+    K = make_extension(p, m)
+    rng = random.Random(p % 1000 + 10 * m + d)
+    for mod in _moduli_over(K, d, rng):
+        A = ExtField(K, mod)
+        R = schoolbook_of(A)
+        xs = _operands(A, rng, n=2)
+        for a in xs:
+            ta = as_tuple(A, a)
+            assert as_tuple(A, A.neg(a)) == R.neg(ta)
+            for b in xs:
+                tb = as_tuple(A, b)
+                assert as_tuple(A, A.add(a, b)) == R.add(ta, tb)
+                assert as_tuple(A, A.sub(a, b)) == R.sub(ta, tb)
+                assert as_tuple(A, A.mul(a, b)) == R.mul(ta, tb)
+            c = _operands(K, rng, 0)[2]
+            assert as_tuple(A, A.scalar_mul(a, c)) == R.mul(ta, as_tuple(A, A.from_coeffs((c,))))
+            assert A.decode(A.encode(a)) == a and A.from_coeffs(A.coeffs(a)) == a
+        # x^q for q = |K|, the q-power map, and the p-power map
+        assert as_tuple(A, A.xq()) == R.pow(as_tuple(A, A.x), K.order)
+        a = xs[2]
+        assert as_tuple(A, A.frobenius_power(a, m)) == R.pow(as_tuple(A, a), K.order)
+        assert as_tuple(A, A.frobenius_power(a, 1)) == R.pow(as_tuple(A, a), p)
+
+
+@pytest.mark.parametrize("p, s, m, d", [(37, 1, 2, 2), (37, 1, 2, 3), (37, 1, 6, 3), (37, 2, 4, 2), (_P30, 2, 4, 4)], ids=lambda v: str(v)[:6])
+def test_twisted_frobenius_of_split_root_matches_the_schoolbook_reference(p, s, m, d):
+    # split_root's ring: F_{p^m}[x]/(poly) for poly over the subfield
+    # F_{p^s}, seeded with x^(p^s) mod poly taken over the subfield; its
+    # q-power map applies the p^s-power Frobenius of F_{p^m} to every
+    # coefficient
+    from oracles import as_tuple, schoolbook_of
+    from trigonal.polyring import _conjugate_product, _quotient
+
+    F, K = make_extension(p, s), make_extension(p, m)
+    rng = random.Random(p % 1000 + 100 * s + 10 * m + d)
+    for poly in (Poly(F, _irreducible_over(F, d, rng)), Poly(F, [F.random(rng) for _ in range(d)] + [F.one])):
+        Fq = _quotient(poly)
+        A = ExtField(K, fields.embed_poly(poly, F, K).c, [embed(c, F, K) for c in Fq.coeffs(Fq.xq())], s)
+        R = schoolbook_of(A)
+        q = p**s
+        for a in _operands(A, rng, n=2)[2:]:
+            ta = as_tuple(A, a)
+            assert as_tuple(A, A.frobenius_power(a, s)) == R.pow(ta, q)
+            e = (q - 1) // 2
+            n = m // s
+            got = _conjugate_product(A, a, e, n, s)
+            assert as_tuple(A, got) == R.pow(ta, sum(e * q**i for i in range(n)))
+
+
+def test_no_tower_over_a_tower():
+    T = _tower(37, 2, 2, 31)
+    with pytest.raises(ContextMismatch):
+        ExtField(T, (T.one, T.zero, T.one))

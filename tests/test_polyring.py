@@ -460,3 +460,57 @@ def test_packed_frobenius_matches_schoolbook(p):
             total = sum(e * p**i for i in range(d))
             got = _unpacked(R, _conjugate_product(R, a, e, d))
             assert list(got.c) == schoolbook_pow_mod(u, total, mod, p), (mod, u)
+
+
+# --- lazy Poly arithmetic over packed fields ----------------------------------
+
+
+def _trimmed(seq, zero):
+    seq = list(seq)
+    while seq and seq[-1] == zero:
+        seq.pop()
+    return seq
+
+
+@pytest.mark.parametrize("p, m", [(37, 2), (P30, 4), (deterministic_prime(160, 0), 4)], ids=lambda v: str(v)[:6])
+def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m):
+    # raw products are summed and folded once per output coefficient, and
+    # after every K._lazy of them: all-(p - 1) coefficients make every sum
+    # its largest, at lengths up to, at and past the bound
+    from oracles import as_tuple, schoolbook_eval, schoolbook_of, schoolbook_poly_divmod, schoolbook_poly_mul
+
+    K = make_extension(p, m)
+    R = schoolbook_of(K)
+    rng = random.Random(70 + p % 1000 + m)
+    top = K.from_coeffs([p - 1] * m)
+
+    def tup(poly):
+        return [as_tuple(K, c) for c in poly.c]
+
+    lazy = K._lazy
+    divisors = [Poly(K, [top] * 3 + [K.one]), Poly(K, [top] * 5), Poly(K, [K.random(rng) for _ in range(3)] + [top])]
+    for n in (lazy - 1, lazy, lazy + 1, 2 * lazy, 2 * lazy + 1, 3 * lazy + 2):
+        a = Poly(K, [top] * n)
+        for b in (a, Poly(K, [top] * (lazy + 1)), Poly(K, [K.random(rng) for _ in range(n)] + [top])):
+            assert tup(a * b) == _trimmed(schoolbook_poly_mul(R, tup(a), tup(b)), R.zero)
+        for b in divisors:
+            q, r = a.divmod(b)
+            want_q, want_r = schoolbook_poly_divmod(R, tup(a), tup(b), as_tuple(K, K.inv(b.lc)))
+            assert (tup(q), tup(r)) == (_trimmed(want_q, R.zero), _trimmed(want_r, R.zero))
+        for x in (top, K.random(rng)):
+            assert as_tuple(K, a.eval(x)) == schoolbook_eval(R, tup(a), as_tuple(K, x))
+
+
+def test_substituted_over_a_packed_field_matches_evaluation():
+    # form(a u + b v, c u + d v) at (u, v) is the substituted form at (u, v)
+    K = make_extension(37, 2)
+    rng = random.Random(71)
+    top = K.from_coeffs([36, 36])
+    for d in (2, 8):
+        for coeffs in ([top] * (d + 1), [K.random(rng) for _ in range(d + 1)]):
+            form = BinaryForm(K, d, coeffs)
+            a, b, c, e = (K.random(rng) for _ in range(4))
+            sub = form.substituted(a, b, c, e)
+            for _ in range(4):
+                u, v = K.random(rng), K.random(rng)
+                assert sub.eval(u, v) == form.eval(K.add(K.mul(a, u), K.mul(b, v)), K.add(K.mul(c, u), K.mul(e, v)))
