@@ -227,6 +227,7 @@ class PrimeField(_FieldOps):
         self.order = p
         self.zero = 0
         self.one = 1
+        self._fold = p.__rmod__  # c -> c % p, without a Python frame per call
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -247,9 +248,6 @@ class PrimeField(_FieldOps):
 
     # Python ints do not overflow: polyring sums any number of raw products
     _lazy = 1 << 62
-
-    def _fold(self, c):
-        return c % self.p
 
     def inv(self, a):
         if a == 0:

@@ -171,33 +171,16 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         b = other.c
-        if f.k == 1:
-            p = f.p
-            binv = pow(b[-1], -1, p)
-            r = list(self.c)
-            n = len(b)
-            q = [0] * max(0, len(r) - n + 1)
-            while len(r) >= n:
-                if r[-1] == 0:
-                    r.pop()
-                    continue
-                qc = r[-1] * binv % p
-                d = len(r) - n
-                q[d] = qc
-                for i in range(n):
-                    r[d + i] = (r[d + i] - qc * b[i]) % p
-                while r and r[-1] == 0:
-                    r.pop()
-            return Poly(f, q), Poly(f, r)
         if f._lazy:
-            # each step adds a raw product to the remainder's coefficients
-            # and folds only the one it divides by (and all of them after
-            # every f._lazy steps)
+            # each step adds raw products of the negated quotient
+            # coefficient to the remainder's coefficients and folds only
+            # the one it divides by (and all of them after every f._lazy
+            # steps)
             fold, lazy = f._fold, f._lazy
             binv = None if b[-1] == f.one else f.inv(b[-1])
-            nb = list(map(f.neg, b[:-1]))
+            b = b[:-1]
             r = list(self.c)
-            n = len(nb)
+            n = len(b)
             q = [0] * max(0, len(r) - n)
             for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
                 if t and t % lazy == 0:
@@ -205,8 +188,9 @@ class Poly:
                 c = fold(r[d + n])
                 if c:
                     qc = q[d] = c if binv is None else f.mul(c, binv)
-                    for i, x in enumerate(nb):
-                        r[d + i] += qc * x
+                    qc = f.neg(qc)
+                    for i, x in enumerate(b, d):
+                        r[i] += qc * x
             return Poly(f, q), Poly(f, list(map(fold, r[:n])))
         monic = b[-1] == f.one
         binv = None if monic else f.inv(b[-1])
@@ -241,12 +225,6 @@ class Poly:
 
     def eval(self, x):
         f = self.field
-        if f.k == 1:
-            p = f.p
-            y = 0
-            for ci in reversed(self.c):
-                y = (y * x + ci) % p
-            return y
         if f._lazy:
             fold = f._fold
             y = 0
@@ -312,22 +290,7 @@ def _convolve(f, a, b) -> list:
     """The coefficients of the product of the nonempty sequences a and b over f: _lincomb over the rows of the shorter."""
     if len(a) > len(b):
         a, b = b, a
-    if not f._lazy:
-        return _lincomb(f, zip(a, [b] * len(a), range(len(a))), len(a) + len(b) - 1)
-    # _lincomb's lazy loop, inlined on the path of every Poly product (no
-    # comprehension over f or b: either would become a cell on every call)
-    lazy = f._lazy
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            if i and i % lazy == 0:
-                out = list(map(f._fold, out))
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
-    if f.k == 1:
-        p = f.p
-        return [x % p for x in out]
-    return list(map(f._fold, out))
+    return _lincomb(f, zip(a, [b] * len(a), range(len(a))), len(a) + len(b) - 1)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

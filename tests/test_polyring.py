@@ -499,6 +499,13 @@ def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m):
             assert (tup(q), tup(r)) == (_trimmed(want_q, R.zero), _trimmed(want_r, R.zero))
         for x in (top, K.random(rng)):
             assert as_tuple(K, a.eval(x)) == schoolbook_eval(R, tup(a), as_tuple(K, x))
+    # a zero coefficient at a multiple of K._lazy adds no product but still
+    # counts towards the bound: the rows after it must not overflow a slot
+    for n in (2 * lazy + 1, 3 * lazy + 2):
+        a = Poly(K, [K.zero if i in (lazy, 2 * lazy) else top for i in range(n)])
+        for b in (a, Poly(K, [top] * (n + 1))):
+            assert tup(a * b) == _trimmed(schoolbook_poly_mul(R, tup(a), tup(b)), R.zero)
+            assert tup(b * a) == tup(a * b)
 
 
 def test_substituted_over_a_packed_field_matches_evaluation():
