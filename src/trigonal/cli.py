@@ -27,7 +27,7 @@ from .curves import (
 from .errors import NotRational, TooLarge, TrigonalError
 from .evaluation import consensus_sign, fiber_partition_oracle, fiber_points, phi_on_class
 from .fields import make_extension
-from .subgroups import enumerate_tractable, expectation, pattern_of
+from .subgroups import OrbitSplit, enumerate_tractable, expectation
 from .survey import SurveyConfig, deterministic_prime, pattern_str, run_survey
 
 # the isogeny report counts points for zeta_h only up to p^3 = 2^21
@@ -36,11 +36,12 @@ _REPORT_ZETA_ORDER = 1 << 21
 
 def cmd_analyze(args):
     H = serialize.load_curve(args.curve)
-    subs = enumerate_tractable(H)
+    split = OrbitSplit(H)
+    subs = enumerate_tractable(H, split=split)
     verdicts = [assess(S, H) for S in subs]
     doc = {
         "curve": serialize.curve_to_json(H),
-        "pattern": pattern_str(pattern_of(H)),
+        "pattern": pattern_str(split.pattern),
         "num_tractable": len(subs),
         "subgroups": [
             {
@@ -138,7 +139,6 @@ def cmd_verify(args):
         doc["zeta_h"] = [str(c) for c in l_polynomial(H)]
     except TooLarge:
         doc["zeta_h"] = None
-    model = OddModel.from_curve(H)
     classes = [random_class(H, 1, rng) for _ in range(args.trials)]
     doc["roundtrip"] = {"trials": args.trials, "consensus": consensus_sign(classes, R, rng)}
     field = make_extension(H.field.p, args.ext)

@@ -263,7 +263,6 @@ class DivisorClass:
         return cantor_add(self, other)
 
     def __neg__(self):
-        f = self.model.field
         return DivisorClass(self.model, self.a, (-self.b) % self.a, check=False)
 
     def __sub__(self, other):

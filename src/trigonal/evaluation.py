@@ -42,7 +42,7 @@ from .construction import CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import Poly, factorize, is_squarefree, roots, split_root, xgcd
+from .polyring import BinaryForm, Poly, factorize, is_squarefree, roots, split_root, xgcd
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,6 @@ def _mumford_transform(a: Poly, b: Poly, matrix, w_scale, field, target_F: Poly)
     n = a.degree
     det = f.sub(f.mul(al, de), f.mul(be, ga))
     # target a: substitute the adjugate into the degree-n homogenization of a
-    from .polyring import BinaryForm
-
     aform = BinaryForm.from_affine(a, n)
     a2form = aform.substituted(de, f.neg(be), f.neg(ga), al)
     a2 = a2form.affine()

@@ -40,10 +40,10 @@ constants, and safe to share across threads/processes.
 Square roots are Tonelli-Shanks with its constants (the 2-adic split of
 order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
 On an extension, Euler's criterion runs on the norm N(a) in the base (the
-product of the conjugates of a over F_p, Res(modulus, a) by Euclid on a
-tower), so a non-square never reaches Tonelli-Shanks, and an odd-degree
-extension takes its roots from the norm instead (see ExtField).  An inverse
-over F_p is N(a)^-1 times the product of the other conjugates.
+product of the conjugates of a over the base, Res(modulus, a) by Euclid on
+a tower), so a non-square never reaches Tonelli-Shanks, and an odd-degree
+extension takes its roots from the norm instead (see ExtField).  An inverse,
+on every context, is N(a)^-1 times the product of the other conjugates.
 nonresidue() of a prime field is a seeded search; an ExtField reads its
 non-residue off the base instead.  No output depends on which non-residue a
 context holds: square roots are canonical, and the anti-fixed fiber
@@ -208,10 +208,6 @@ class _FieldOps:
         rn = self.neg(r)
         return r if self.encode(r) <= self.encode(rn) else rn
 
-    def frobenius_power(self, a, j: int):
-        """a^(p^j); overridden with a matrix fast path on extensions."""
-        return self.pow(a, self.p ** (j % self.k))
-
 
 class PrimeField(_FieldOps):
     """Context for F_p, p > 3 prime.  Elements are ints in [0, p)."""
@@ -373,8 +369,9 @@ class ExtField(_FieldOps):
     x^(p^j) for another j when the constructor names that j.  The
     Frobenius matrices of a -> a^(p^j) are built from it.
 
-    N(a) is a times the product of its other conjugates a^(p^j), 0 < j < k,
-    k - 1 Frobenius maps; inv divides that product by N(a).  Square roots
+    N(a) is a times the product of its other conjugates a^(q^j), 0 < j < deg,
+    q the base order: deg - 1 Frobenius maps.  inv divides that product by
+    N(a), an element of the base, on every context.  Square roots
     test Euler's criterion on the norm first, so a non-square costs one
     norm.  An odd degree d takes the root as
     a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
@@ -386,9 +383,12 @@ class ExtField(_FieldOps):
     """
 
     def __new__(cls, base, modulus, xq=None, j=None):
-        # over an extension base the arithmetic is _TowerField's, held on
-        # the class so that a context is not a reference cycle
-        return super().__new__(_TowerField if base.k > 1 else cls)
+        # over an extension base the arithmetic is _TowerField's (past the
+        # accumulation bound _LongTowerField's), held on the class so that
+        # a context is not a reference cycle
+        if base.k > 1:
+            cls = _LongTowerField if 2 * (len(modulus) - 1) > _ACC else _TowerField
+        return super().__new__(cls)
 
     def __init__(self, base, modulus, xq=None, j=None):
         if modulus[-1] != base.one:
@@ -468,14 +468,14 @@ class ExtField(_FieldOps):
     # -- norm and square roots ------------------------------------------------
 
     def norm(self, a):
-        """N(a), the product of the conjugates of a, in F_p: a times _conjugate_product(a)."""
+        """N(a), the product of the conjugates of a, in the base: a times _conjugate_product(a)."""
         return self.mul(a, self._conjugate_product(a))
 
     def _conjugate_product(self, a):
-        """prod_{0 < j < k} a^(p^j), by k - 1 Frobenius maps."""
-        c, prod = a, self.one
-        for _ in range(1, self.k):
-            c = self.frobenius_power(c, 1)
+        """prod_{0 < j < deg} a^(q^j), q the base order, by deg - 1 Frobenius maps."""
+        c, prod, m = a, self.one, self.base.k
+        for _ in range(1, self.deg):
+            c = self.frobenius_power(c, m)
             prod = c if prod == self.one else self.mul(prod, c)
         return prod
 
@@ -613,14 +613,18 @@ class ExtField(_FieldOps):
         return self._reduce(a * c)
 
     def inv(self, a):
-        """a^-1 = N(a)^-1 * prod_{0 < j < k} a^(p^j): k - 1 Frobenius maps and one F_p inverse."""
+        """a^-1 = N(a)^-1 * prod_{0 < j < deg} a^(q^j): deg - 1 Frobenius maps and one inverse in the base.
+
+        N(a) is a base element, which sits in the lowest coefficient alone;
+        anything else means the modulus is not irreducible.
+        """
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         prod = self._conjugate_product(a)
         n = self.mul(a, prod)
-        if not 0 < n < self.p:
+        if not 0 < n <= self._cmask:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        return self.scalar_mul(prod, pow(n, -1, self.p))
+        return self.scalar_mul(prod, self.base.inv(n))
 
     # -- Frobenius maps ---------------------------------------------------------
 
@@ -708,15 +712,21 @@ class _TowerField(ExtField):
     against packed -modulus, and the low blocks are reduced last.  The
     slots have B's width: a slot of a product takes at most 2 deg m
     products of two coefficients, within the accumulation bound _ACC m
-    while 2 deg <= _ACC.  A longer modulus multiplies as Polys over B
-    instead.  The SWAR add, sub and neg, the Frobenius maps and the
-    encodings run on the used slots as over F_p; a Frobenius column is
-    the image of one slot's basis element, so the p^j-power map of B acts
-    on every block through the matrix.  norm is Res(modulus, a) by Euclid
-    over B and inv an extended Euclid over B.
+    while 2 deg <= _ACC, and that leaves room for one element added to
+    the product: Poly arithmetic folds after every raw product (_lazy).  A
+    longer modulus makes a _LongTowerField.  The SWAR add, sub and neg, the
+    Frobenius maps and the encodings run on the used slots as over F_p; a
+    Frobenius column is the image of one slot's basis element, so the
+    p^j-power map of B acts on every block through the matrix.  inv is
+    ExtField's, the product of the conjugates over B divided by its norm.
+
+    norm is Res(modulus, a) by Euclid over B instead: the conjugate
+    product needs the q-power Frobenius matrix, so x^q, in every fresh
+    fiber ring, and taking the norm that way ran verify37 4.5 % slower
+    (694-727 against 737-752 ops/s over 5 paired runs).
     """
 
-    _lazy = 0  # Polys over a tower add and multiply coefficient by coefficient
+    _lazy = 1
 
     def _init_elements(self):
         B = self.base
@@ -732,7 +742,6 @@ class _TowerField(ExtField):
         self._pp, self._half = self.p * self._ones, B._half // B._ones * self._ones
         self._highs = tuple((j * stride, (j - d) * stride) for j in range(2 * d - 2, d - 1, -1))
         self._span = _ACC * B.k - 1
-        self._long = 2 * d > _ACC
 
     def from_coeffs(self, seq):
         """The element with the given base elements as coefficients (at most deg, constant term first)."""
@@ -744,15 +753,10 @@ class _TowerField(ExtField):
         return a
 
     def mul(self, a, b):
-        if self._long:
-            P = polyring.Poly
-            B = self.base
-            r = P(B, self.coeffs(a)) * P(B, self.coeffs(b)) % P(B, self.modulus)
-            return self.from_coeffs(r.c)
         return self._fold(a * b)
 
     def _fold(self, c):
-        """The element of c, one raw product (deg <= _ACC / 2) or a base multiple of an element."""
+        """The element of c, one raw product of two elements plus an element."""
         B = self.base
         p, m, blk, nm, bnm = self.p, self._mask, self._cmask, self._negmod, B._negmod
         bhighs, bshifts = B._highs, B._shifts
@@ -775,8 +779,12 @@ class _TowerField(ExtField):
         return r
 
     def scalar_mul(self, a, c):
-        """a times the base element c: every block a B product."""
-        return self._fold(a * c)
+        """a times the base element c: every block a B product, folded in B."""
+        fold, blk = self.base._fold, self._cmask
+        r = 0
+        for s in self._cshifts:
+            r |= fold(((a >> s) & blk) * c) << s
+        return r
 
     def norm(self, a):
         """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
@@ -809,14 +817,21 @@ class _TowerField(ExtField):
                 acc = B.neg(acc)
             r0, r1 = r1, r0
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        B = self.base
-        g, s, _ = polyring.xgcd(polyring.Poly(B, self.coeffs(a)), polyring.Poly(B, self.modulus))
-        if g.degree != 0:
-            raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        return self.from_coeffs(s.c)
+
+class _LongTowerField(_TowerField):
+    """A _TowerField whose modulus is past the accumulation bound, 2 deg > _ACC.
+
+    The high blocks of a raw product would overflow a slot as they fold
+    back, so mul multiplies as Polys over B, and there is no _fold: Poly
+    arithmetic over such a tower raises ContextMismatch.
+    """
+
+    def mul(self, a, b):
+        P, B = polyring.Poly, self.base
+        return self.from_coeffs((P(B, self.coeffs(a)) * P(B, self.coeffs(b)) % P(B, self.modulus)).c)
+
+    def _fold(self, c):
+        raise ContextMismatch(f"a raw product of two elements of {self!r} overflows its slots")
 
 
 # --- context construction and caching -------------------------------------

@@ -21,10 +21,10 @@ product one int multiply, a fold of the high slots and one slot reduction
 multipoint Kronecker substitution", 2009).  Over F_{p^m} the packing has
 two levels, a block of slots per coefficient, and a product is still one
 int multiply.  Values stay packed through each loop and are unpacked into
-a Poly for the gcd.  Poly products, divmod and eval over F_p and a packed
-F_{p^m} add up raw int products and reduce once per output coefficient
-(the field's _fold); only over a tower does each product reduce on its
-own.
+a Poly for the gcd.  Poly products, divmod and eval over every context add
+up raw int products and reduce them with the field's _fold once per output
+coefficient, and after every _lazy products where the slots hold fewer (one
+product over a tower).
 
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
@@ -130,15 +130,7 @@ class Poly:
         a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        if f.k == 1:
-            p = f.p
-            for i, bi in enumerate(b):
-                out[i] = (out[i] + bi) % p
-        else:
-            for i, bi in enumerate(b):
-                out[i] = f.add(out[i], bi)
-        return Poly(f, out)
+        return Poly(f, [*map(f.add, a, b), *a[len(b) :]])
 
     def __neg__(self):
         f = self.field
@@ -167,48 +159,32 @@ class Poly:
         return Poly(self.field, (self.field.zero,) * n + self.c, trim=False)
 
     def divmod(self, other):
+        """(quotient, remainder).
+
+        Each step adds raw products of the negated quotient coefficient to
+        the remainder's coefficients and folds only the one it divides by,
+        and all of them after every f._lazy steps.
+        """
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        fold, lazy = f._fold, f._lazy
         b = other.c
-        if f._lazy:
-            # each step adds raw products of the negated quotient
-            # coefficient to the remainder's coefficients and folds only
-            # the one it divides by (and all of them after every f._lazy
-            # steps)
-            fold, lazy = f._fold, f._lazy
-            binv = None if b[-1] == f.one else f.inv(b[-1])
-            b = b[:-1]
-            r = list(self.c)
-            n = len(b)
-            q = [0] * max(0, len(r) - n)
-            for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
-                if t and t % lazy == 0:
-                    r[: d + n] = map(fold, r[: d + n])
-                c = fold(r[d + n])
-                if c:
-                    qc = q[d] = c if binv is None else f.mul(c, binv)
-                    qc = f.neg(qc)
-                    for i, x in enumerate(b, d):
-                        r[i] += qc * x
-            return Poly(f, q), Poly(f, list(map(fold, r[:n])))
-        monic = b[-1] == f.one
-        binv = None if monic else f.inv(b[-1])
+        binv = None if b[-1] == f.one else f.inv(b[-1])
+        b = b[:-1]
         r = list(self.c)
         n = len(b)
-        q = [f.zero] * max(0, len(r) - n + 1)
-        while len(r) >= n:
-            if r[-1] == f.zero:
-                r.pop()
-                continue
-            qc = r[-1] if monic else f.mul(r[-1], binv)
-            d = len(r) - n
-            q[d] = qc
-            for i in range(n):
-                r[d + i] = f.sub(r[d + i], f.mul(qc, b[i]))
-            while r and r[-1] == f.zero:
-                r.pop()
-        return Poly(f, q), Poly(f, r)
+        q = [0] * max(0, len(r) - n)
+        for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
+            if t and t % lazy == 0:
+                r[: d + n] = map(fold, r[: d + n])
+            c = fold(r[d + n])
+            if c:
+                qc = q[d] = c if binv is None else f.mul(c, binv)
+                qc = f.neg(qc)
+                for i, x in enumerate(b, d):
+                    r[i] += qc * x
+        return Poly(f, q), Poly(f, list(map(fold, r[:n])))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -224,27 +200,16 @@ class Poly:
         return self.scale(self.field.inv(c)), c
 
     def eval(self, x):
-        f = self.field
-        if f._lazy:
-            fold = f._fold
-            y = 0
-            for ci in reversed(self.c):
-                y = fold(y * x + ci)
-            return y
-        y = f.zero
+        fold = self.field._fold
+        y = 0
         for ci in reversed(self.c):
-            y = f.add(f.mul(y, x), ci)
+            y = fold(y * x + ci)
         return y
 
     def derivative(self):
         f = self.field
-        if f.k == 1:
-            p = f.p
-            return Poly(f, [i * ci % p for i, ci in enumerate(self.c)][1:])
-        out = []
-        for i in range(1, len(self.c)):
-            out.append(f.mul(self.c[i], f.from_int(i)))
-        return Poly(f, out)
+        p, fold = f.p, f._fold
+        return Poly(f, [fold(i % p * c) for i, c in enumerate(self.c[1:], 1)])
 
     def pow_mod(self, n: int, modulus: "Poly"):
         """self^n mod modulus, for n >= 0, in the quotient ring of _quotient (packed over F_p)."""
@@ -264,26 +229,18 @@ class Poly:
 def _lincomb(f, terms, n: int) -> list:
     """The n coefficients over f of the sum of c * x^off * row over terms (c, row, off).
 
-    Over F_p and a packed extension the raw int products are summed and
-    folded once per output coefficient (and after every f._lazy terms);
-    over a tower each product is reduced.
+    The raw int products are summed and folded once per output coefficient
+    (and after every f._lazy terms).
     """
-    if f._lazy:
-        fold, lazy = f._fold, f._lazy
-        out = [0] * n
-        for t, (c, row, off) in enumerate(terms):
-            if t and t % lazy == 0:
-                out = list(map(fold, out))
-            if c:
-                for j, x in enumerate(row, off):
-                    out[j] += c * x
-        return list(map(fold, out))
-    out = [f.zero] * n
-    for c, row, off in terms:
-        if c != f.zero:
+    fold, lazy = f._fold, f._lazy
+    out = [0] * n
+    for t, (c, row, off) in enumerate(terms):
+        if t and t % lazy == 0:
+            out = list(map(fold, out))
+        if c:
             for j, x in enumerate(row, off):
-                out[j] = f.add(out[j], f.mul(c, x))
-    return out
+                out[j] += c * x
+    return list(map(fold, out))
 
 
 def _convolve(f, a, b) -> list:
@@ -329,11 +286,7 @@ def is_squarefree(poly: Poly) -> bool:
 def _pth_root(poly: Poly) -> Poly:
     """Inverse of x -> x^p on polynomials of the form g(x^p)."""
     f = poly.field
-    p = f.p
-    out = []
-    for i in range(0, len(poly.c), p):
-        out.append(f.frobenius_power(poly.c[i], f.k - 1) if f.k > 1 else poly.c[i])
-    return Poly(f, out)
+    return Poly(f, [f.frobenius_power(c, f.k - 1) for c in poly.c[:: f.p]])
 
 
 def squarefree_decomposition(poly: Poly):

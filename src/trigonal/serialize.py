@@ -135,7 +135,6 @@ def xdivisor_to_json(DX) -> dict:
 
 def isogeny_report(H, S, index, g, fib, plane, X, sign, verification=None) -> dict:
     """Assemble the full construction report (JSON-ready dict)."""
-    f = H.field
     d1f = plane.delta1_field
     report = {
         "curve": curve_to_json(H),

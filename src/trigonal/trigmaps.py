@@ -76,7 +76,7 @@ def build_M(S: TractableSubgroup, H: HCurve):
         else:
             cols = [q.field.coeffs(x) for x in row]
             vectors.extend([c[i] for c in cols] for i in range(q.field.k))
-    rows, pivots = _rref(vectors, base)
+    rows, _ = _rref(vectors, base)
     if len(rows) != 4:
         raise DegenerateConfiguration(f"chord matrix has rank {len(rows)}, expected 4")
     return [tuple(r) for r in rows]

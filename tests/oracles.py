@@ -140,6 +140,12 @@ def schoolbook_poly_mul(R, a, b):
     return out
 
 
+def schoolbook_poly_add(R, a, b):
+    """The sum of two coefficient lists over the SchoolbookField R."""
+    n = max(len(a), len(b))
+    return [R.add(x, y) for x, y in zip(list(a) + [R.zero] * (n - len(a)), list(b) + [R.zero] * (n - len(b)))]
+
+
 def schoolbook_poly_divmod(R, a, b, binv):
     """(quotient, remainder) of coefficient lists over R by long division; binv is the inverse of b's leading coefficient."""
     r = list(a)

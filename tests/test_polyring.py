@@ -472,17 +472,29 @@ def _trimmed(seq, zero):
     return seq
 
 
-@pytest.mark.parametrize("p, m", [(37, 2), (P30, 4), (deterministic_prime(160, 0), 4)], ids=lambda v: str(v)[:6])
-def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m):
-    # raw products are summed and folded once per output coefficient, and
-    # after every K._lazy of them: all-(p - 1) coefficients make every sum
-    # its largest, at lengths up to, at and past the bound
-    from oracles import as_tuple, schoolbook_eval, schoolbook_of, schoolbook_poly_divmod, schoolbook_poly_mul
+# (p, m, degree): F_{p^m} itself for degree 1, else a tower of that degree
+# over it, up to the accumulation bound 2 * degree <= 16
+_LAZY_CONTEXTS = [(37, 2, 1), (P30, 4, 1), (deterministic_prime(160, 0), 4, 1), (37, 2, 2), (37, 2, 3), (37, 2, 8), (53, 3, 2)]
 
-    K = make_extension(p, m)
-    R = schoolbook_of(K)
+
+@pytest.mark.parametrize(
+    "p, m, degree",
+    [pytest.param(p, m, d, id=f"{str(p)[:6]}-{m}" + (f"-tower{d}" if d > 1 else "")) for p, m, d in _LAZY_CONTEXTS],
+)
+def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m, degree):
+    # raw products are summed and folded once per output coefficient, and
+    # after every K._lazy of them (every one over a tower): all-(p - 1)
+    # coefficients make every sum its largest, at lengths up to, at and
+    # past the bound
+    from oracles import as_tuple, schoolbook_eval, schoolbook_of, schoolbook_poly_add, schoolbook_poly_divmod, schoolbook_poly_mul
+
     rng = random.Random(70 + p % 1000 + m)
+    K = make_extension(p, m)
     top = K.from_coeffs([p - 1] * m)
+    if degree > 1:
+        K = ExtField(K, random_irreducible(K, degree, rng).c)
+        top = K.from_coeffs([top] * degree)
+    R = schoolbook_of(K)
 
     def tup(poly):
         return [as_tuple(K, c) for c in poly.c]
@@ -493,6 +505,7 @@ def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m):
         a = Poly(K, [top] * n)
         for b in (a, Poly(K, [top] * (lazy + 1)), Poly(K, [K.random(rng) for _ in range(n)] + [top])):
             assert tup(a * b) == _trimmed(schoolbook_poly_mul(R, tup(a), tup(b)), R.zero)
+            assert tup(a + b) == _trimmed(schoolbook_poly_add(R, tup(a), tup(b)), R.zero)
         for b in divisors:
             q, r = a.divmod(b)
             want_q, want_r = schoolbook_poly_divmod(R, tup(a), tup(b), as_tuple(K, K.inv(b.lc)))
@@ -506,6 +519,16 @@ def test_lazy_poly_arithmetic_at_the_accumulation_bound(p, m):
         for b in (a, Poly(K, [top] * (n + 1))):
             assert tup(a * b) == _trimmed(schoolbook_poly_mul(R, tup(a), tup(b)), R.zero)
             assert tup(b * a) == tup(a * b)
+
+
+def test_poly_over_a_tower_past_the_accumulation_bound_raises():
+    # a raw product of two elements of a degree-9 tower may overflow its
+    # slots: the ring still multiplies, Poly arithmetic over it refuses
+    K = make_extension(37, 2)
+    T = ExtField(K, [K.one] + [K.zero] * 8 + [K.one])
+    assert T.mul(T.x, T.x) == T.from_coeffs([K.zero, K.zero, K.one])
+    with pytest.raises(ContextMismatch):
+        Poly(T, [T.one, T.x]) * Poly(T, [T.x, T.x])
 
 
 def test_substituted_over_a_packed_field_matches_evaluation():
