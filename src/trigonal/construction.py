@@ -13,8 +13,10 @@ otherwise delta1 (and with it rho and the correspondence) lives over F_{q^2}
 and the object is flagged non-rational but still fully inspectable.
 
 assess(S, H) runs the whole chain of tests that decides a subgroup's fate
-(chord matrix, pencil discriminant, trigonal map, fibration, lc(s) a
-square); the survey and the CLI both read their flags from its Verdict.
+(chord matrix, pencil discriminant, trigonal map, lc(s) a square); the
+survey and the CLI both read their flags from its Verdict.  It reads lc(s)'s
+square class from one nonzero value s(t0), which needs only F mod the scalar
+cubic G(t0, x), and builds the fibration only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -116,18 +118,17 @@ def _discriminant_cubic(g0: Poly, g1: Poly, g2: Poly) -> Poly:
     )
 
 
-def _s_polynomial(f0, f1, f2, g0, g1, g2) -> Poly:
-    F = f0.field
-    c = lambda n: Poly.const(F, F.from_int(n))
+def _s_terms(f0, f1, f2, g0, g1, g2, two, three):
+    """The norm of f0 + f1 x + f2 x^2 down x^3 + g2 x^2 + g1 x + g0: over Polys in t, or F_p ints at one t."""
     return (
         f0 * f0 * f0
         - f0 * f0 * f1 * g2
-        - c(2) * f0 * f0 * f2 * g1
+        - two * f0 * f0 * f2 * g1
         + f0 * f0 * f2 * g2 * g2
         + f0 * f1 * f1 * g1
-        + c(3) * f0 * f1 * f2 * g0
+        + three * f0 * f1 * f2 * g0
         - f0 * f1 * f2 * g1 * g2
-        - c(2) * f0 * f2 * f2 * g0 * g2
+        - two * f0 * f2 * f2 * g0 * g2
         + f0 * f2 * f2 * g1 * g1
         - f1 * f1 * f1 * g0
         + f1 * f1 * f2 * g0 * g2
@@ -152,14 +153,15 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
     g0 = Poly.const(f, g.n0) - t.scale(g.d0)
     G = BiPoly(f, (g0, g1, g2, one))
     f0, f1, f2 = reduce_mod_cubic(H.F, G)
-    s = _s_polynomial(f0, f1, f2, g0, g1, g2)
+    c = lambda n: Poly.const(f, f.from_int(n))
+    s = _s_terms(f0, f1, f2, g0, g1, g2, c(2), c(3))
     if s.is_zero:
         raise SquareRootObstruction("s(t) vanishes identically")
     root = exact_square_root(s)
     if root is None:
         raise SquareRootObstruction("s(t) is not lc(s) times a perfect square")
     alpha, r = root
-    quad_disc = f1 * f1 - Poly.const(f, f.from_int(4)) * f0 * f2
+    quad_disc = f1 * f1 - c(4) * f0 * f2
     return TrigonalFibration(
         field=f, curve=H, gmap=g, g0=g0, g1=g1, g2=g2, G=G, f0=f0, f1=f1, f2=f2,
         s=s, alpha=alpha, r=r, quad_disc=quad_disc, cubic_disc=_discriminant_cubic(g0, g1, g2),
@@ -167,8 +169,25 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
 
 
 def isogeny_is_rational(fib: TrigonalFibration) -> bool:
-    """Prop.-6 style criterion: the leading coefficient of s is a square."""
+    """Prop.-6 style criterion: the leading coefficient of s is a square (assess reads it from one s(t0))."""
     return fib.field.is_square(fib.alpha)
+
+
+def _isog_from_value(g: TrigonalMap) -> bool | None:
+    """Whether s(t0) is a square at the first t0 = 0, 1, ... with s(t0) != 0; None if all min(p, 9) are zero.
+
+    s = alpha r^2, so a nonzero s(t0) has alpha's square class.  s = +-Res_x(G, F)
+    has degree <= 8 (G's coefficients are linear in t), so nine zeros mean s = 0.
+    """
+    f = g.field
+    fold = f._fold
+    for t0 in range(min(f.p, 9)):
+        G = (fold(g.n0 - t0 * g.d0), fold(g.n1 - t0 * g.d1), fold(-t0))
+        r = g.curve.F % Poly(f, G + (f.one,))
+        s0 = fold(_s_terms(r[0], r[1], r[2], *G, 2, 3))
+        if s0:
+            return f.is_square(s0)
+    return None
 
 
 @dataclass(frozen=True)
@@ -177,22 +196,28 @@ class Verdict:
 
     trig (a rational trigonal map exists) and isog (the isogeny is rational)
     are True, False, or None when the chain stopped before their test.
-    failure is the DegenerateConfiguration that stopped it, if any.
+    failure is the DegenerateConfiguration or SquareRootObstruction that
+    stopped it, if any.
     """
 
     trig: bool | None
     isog: bool | None
     map: TrigonalMap | None = None
-    fibration: TrigonalFibration | None = None
-    failure: DegenerateConfiguration | None = None
+    failure: DegenerateConfiguration | SquareRootObstruction | None = None
+
+    @functools.cached_property
+    def fibration(self) -> TrigonalFibration | None:
+        """The map's fibration, built on first read; None when isog was not decided."""
+        return None if self.isog is None else build_fibration(self.map, self.map.curve)
 
 
 def assess(S: TractableSubgroup, H: HCurve, full: bool = True) -> Verdict:
-    """Decide S: chord matrix, pencil discriminant, map, fibration, lc(s) a square.
+    """Decide S: chord matrix, pencil discriminant, map, s(t0) a square.
 
-    With full=False the chain stops after the discriminant.  The map and
-    fibration are kept in the verdict for callers that go on to build the
-    correspondence.
+    With full=False the chain stops after the discriminant.  isog comes from
+    one nonzero s(t0); only if every tried value is zero is the fibration built
+    here (s = 0 fails with SquareRootObstruction).  The map is kept for callers
+    that go on to build the correspondence, and the fibration on first read.
     """
     f = H.field
     trig = None
@@ -202,10 +227,12 @@ def assess(S: TractableSubgroup, H: HCurve, full: bool = True) -> Verdict:
         if not (trig and full):
             return Verdict(trig, None)
         g = trigonal_map_for(S, H, _kernel=(alpha, beta))
-        fib = build_fibration(g, g.curve)
-    except DegenerateConfiguration as exc:
+        isog = _isog_from_value(g)
+        if isog is None:
+            isog = isogeny_is_rational(build_fibration(g, g.curve))
+    except (DegenerateConfiguration, SquareRootObstruction) as exc:
         return Verdict(trig, None, failure=exc)
-    return Verdict(trig, isogeny_is_rational(fib), g, fib)
+    return Verdict(trig, isog, g)
 
 
 @dataclass(frozen=True)

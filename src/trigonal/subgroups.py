@@ -121,7 +121,8 @@ class OrbitSplit:
 
     def __init__(self, H: HCurve):
         F = H.F.monic()[0]
-        if not is_squarefree(F):
+        # an HCurve's constructor has already rejected a non-squarefree form
+        if not isinstance(H, HCurve) and not is_squarefree(F):
             raise NotSquarefree("F~ has a repeated factor")
         self.F = F
         self.has_v = H.form.v_multiplicity == 1

@@ -5,7 +5,8 @@ so any execution order (and any worker count) produces identical statistics,
 which merge as plain sums.  Per trial: sample a squarefree octic form, read
 off the factor pattern, enumerate the tractable subgroups, and read each
 one's construction.assess verdict: a rational trigonal map (square pencil
-discriminant) and then a rational isogeny (square leading coefficient of s).
+discriminant) and then a rational isogeny (square leading coefficient of s,
+read from one nonzero value s(t0); the fibration itself is not built).
 Each piece of per-curve work runs once: the octic's orbit split feeds both
 the pattern and the enumeration, and assess hands the pencil found for the
 discriminant to the trigonal map.
@@ -134,7 +135,7 @@ def random_curve(p: int, rng) -> HCurve:
 
 
 def survey_trial(p: int, master_seed: int, index: int, depth: str):
-    """One trial: (pattern tuple, num_tractable, trig flags, isog flags, degenerate count)."""
+    """One trial: (pattern tuple, num_tractable, trig flags, isog flags, failure count)."""
     rng = trial_rng(master_seed, index)
     H = random_curve(p, rng)
     split = OrbitSplit(H)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from trigonal import construction
 from trigonal.construction import build_correspondence, build_fibration
 from trigonal.curves import HCurve, OddModel
 from trigonal.fields import prime_field
@@ -122,3 +123,11 @@ def run_under(flags, code, *args, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     argv = [sys.executable, *flags, "-c", code, *args]
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def count_fibrations(monkeypatch):
+    """The maps construction.build_fibration is called on from here on (assess and Verdict call it by name)."""
+    calls = []
+    real = construction.build_fibration
+    monkeypatch.setattr(construction, "build_fibration", lambda g, H: calls.append(g) or real(g, H))
+    return calls

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import constructions
+from conftest import constructions, count_fibrations
 from ex37 import (
     EX37_DELTA0,
     EX37_DELTA1,
@@ -32,6 +32,7 @@ from trigonal.evaluation import fiber_points
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import Poly, exact_square_root
 from trigonal.subgroups import enumerate_tractable
+from trigonal.survey import deterministic_prime, random_curve
 from trigonal.trigmaps import verify_trigonal
 
 
@@ -338,3 +339,57 @@ def test_build_correspondence_rejects_a_bad_sign(ex37_fibration):
     for sign in (0, 2, -2):
         with pytest.raises(BadSign):
             build_correspondence(ex37_fibration, sign)
+
+
+# --- the verdict from one value of s -----------------------------------------
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 37, deterministic_prime(30, 0), deterministic_prime(64, 0)])
+def test_value_verdict_matches_the_fibration(p, monkeypatch):
+    from trigonal import construction
+    from trigonal.curves import Mobius
+    from trigonal.polyring import roots
+    from trigonal.trigmaps import TrigonalMap
+
+    calls = count_fibrations(monkeypatch)
+    f = prime_field(p)
+    rng = random.Random(p)
+    maps = 0
+    while maps < 25:
+        H = random_curve(p, rng)
+        for S in enumerate_tractable(H, fast=True):
+            v = assess(S, H)
+            if v.map is not None:
+                maps += 1
+                assert v.isog == isogeny_is_rational(build_fibration(v.map, v.map.curve))
+    # s = alpha r^2 with deg r <= 4 < p: no genuine map has s(t0) = 0 at every tried t0
+    assert calls == []
+    if p > 7:
+        return
+    # N and D sharing a root of F put a Weierstrass point in every fiber, so
+    # s = 0: every tried value vanishes, and the fibration built instead fails
+    while True:
+        H = random_curve(p, rng)
+        rs = roots(H.F)
+        subs = [S for S in enumerate_tractable(H, fast=True) if assess(S, H, full=False).trig]
+        if rs and subs:
+            break
+    rho = rs[0]
+    n0 = f.neg(f.add(f.pow(rho, 3), rho))
+    d0 = f.neg(f.add(f.sqr(rho), rho))
+    bad = TrigonalMap(f, f.one, n0, f.one, d0, H, subs[0], Mobius.identity(f), H)
+    monkeypatch.setattr(construction, "trigonal_map_for", lambda S, H, _kernel: bad)
+    v = assess(subs[0], H)
+    assert calls == [bad]
+    assert v.trig and v.isog is None and v.map is None
+    assert isinstance(v.failure, SquareRootObstruction)
+
+
+def test_verdict_builds_its_fibration_on_first_read(monkeypatch, ex37_curve, ex37_subgroup, ex37_fibration):
+    calls = count_fibrations(monkeypatch)
+    v = assess(ex37_subgroup, ex37_curve)
+    assert v.isog and calls == []
+    fib = v.fibration
+    assert calls == [v.map]
+    assert v.fibration is fib and len(calls) == 1
+    assert fib.s == ex37_fibration.s and isogeny_is_rational(fib) == v.isog

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import count_fibrations
 from trigonal.errors import PrimeTooSmall
 from trigonal.subgroups import PATTERN_COUNTS, count_for_pattern, partition_weight
 from trigonal.survey import (
@@ -138,3 +139,34 @@ def test_criterion_8_rows_frozen():
     _, rows = run_survey(cfg)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "54485f61898c9b048ded6dc9a155ba51b0b71b996007fd5cc8e51cafc8fd6e36"
+
+
+def test_survey_trial_builds_no_fibration(monkeypatch):
+    calls = count_fibrations(monkeypatch)
+    isog = [survey_trial(P30, 20080514, i, "full")[3] for i in range(50)]
+    assert calls == []
+    assert any(any(flags) for flags in isog)
+
+
+def test_survey_trial_counts_a_fibration_failure(monkeypatch):
+    from trigonal import construction
+    from trigonal.errors import SquareRootObstruction
+
+    i = next(i for i in range(50) if any(survey_trial(P30, 20080514, i, "full")[2]))
+    before = survey_trial(P30, 20080514, i, "full")
+    real = construction.build_fibration
+    raised = []
+
+    def obstruct_once(g, H):
+        if raised:
+            return real(g, H)
+        raised.append(g)
+        raise SquareRootObstruction("forced")
+
+    # every value of s reads zero, so assess builds the fibration, which fails once
+    monkeypatch.setattr(construction, "_isog_from_value", lambda g: None)
+    monkeypatch.setattr(construction, "build_fibration", obstruct_once)
+    after = survey_trial(P30, 20080514, i, "full")
+    assert len(raised) == 1
+    assert after[:3] == before[:3]
+    assert after[4] == before[4] + 1
