@@ -33,8 +33,6 @@ from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
 from .subgroups import TractableSubgroup
 from .trigmaps import TrigonalMap, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
-X_VARS = ("b00", "b01", "b02", "b11", "b12", "b22")
-
 # the six rank-1 relations among the b_ij = b_i b_j
 X_QUADRICS = (
     (("b01", "b01"), ("b00", "b11")),

@@ -17,9 +17,10 @@ the smallest field that holds its argument: the discriminant, and the values
 of F at the other two roots when these lie in K, are rooted in K; conjugate
 roots share one square root in K2.  The b with b(x1) = y1 are glued by CRT
 over K2 from y1 and those square roots, and the sheet test keeps the two
-with rho(b22) = b2.  fiber_points, which factors the fiber cubic,
-enumerates whole fibers: it counts X's points and is the test oracle for the
-lift.  Both glue square roots with the same code.
+with rho(b22) = b2.  fiber_points enumerates whole fibers: it counts X's
+points and is the test oracle for the lift.  It splits the fiber cubic once,
+with no squarefree step, and the x^q of that split seeds the norm of every
+factor ring.  Both glue square roots with the same code.
 
 The support of a class is split with one root per irreducible factor
 (polyring.split_root, over F_p or an extension base alike); its other roots
@@ -42,7 +43,7 @@ from .construction import CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, factorize, is_squarefree, roots, split_root, xgcd
+from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, factorize, roots, split_root, xgcd
 
 
 @dataclass(frozen=True)
@@ -152,16 +153,18 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     of u^2 = F/nu with coordinates b_ij = nu * u_i u_j; a character-parity
     argument shows this branch is empty whenever the construction is
     isogeny-rational (lc(s) a square), but it does populate fibers on the
-    non-rational side.  G(t0, x) is factored once for both branches.
+    non-rational side.  G(t0, x) is split once for both branches, with no
+    squarefree step: an unramified fiber's cubic is squarefree.  Its x^q,
+    which the split computes anyway, seeds the Frobenius of every factor
+    ring, so a norm there takes no power for it.
     """
     fib = X.fib
     Gt = _fiber_cubic(fib, t0, field)
     over = fib.over(field)
-    _, factors = factorize(Gt)
-    if any(m != 1 for _, m in factors):
-        raise NotSquarefree("the fiber cubic has a repeated factor")
+    factors, xq = _split_squarefree(Gt, _poly_rng(Gt))
+    factors.sort(key=Poly.sort_key)
     # one ring per factor serves both branches, Tonelli-Shanks constants included
-    rings = [(h, ExtField(field, h.c) if h.degree > 1 else None) for h, _ in factors]
+    rings = [(h, ExtField(field, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
     out = []
     for scale, FF in ((field.one, over.F), (field.nonresidue(), over.F_nu)):
         parts = _square_root_parts(FF, rings, field)
@@ -196,12 +199,12 @@ def _effective_points(D: DivisorClass):
     """
     model = D.model
     f = model.field
-    if D.a.degree != 3 or not is_squarefree(D.a):
+    if D.a.degree != 3:
         return None
     out = []
     _, factors = factorize(D.a)
-    for h, _ in factors:
-        if 2 * f.k * h.degree > _MAX_EXT_DEGREE:
+    for h, m in factors:
+        if m > 1 or 2 * f.k * h.degree > _MAX_EXT_DEGREE:
             return None
         if h.degree == 1:
             K, xs, bK = f, [f.neg(h[0])], D.b

@@ -39,11 +39,11 @@ constants, and safe to share across threads/processes.
 
 Square roots are Tonelli-Shanks with its constants (the 2-adic split of
 order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
-On an extension, Euler's criterion runs on the norm N(a) in the base (the
-product of the conjugates of a over the base, Res(modulus, a) by Euclid on
-a tower), so a non-square never reaches Tonelli-Shanks, and an odd-degree
-extension takes its roots from the norm instead (see ExtField).  An inverse,
-on every context, is N(a)^-1 times the product of the other conjugates.
+On an extension, Euler's criterion runs on the norm N(a) in the base, the
+product of the conjugates of a over the base on every context, so a
+non-square never reaches Tonelli-Shanks, and an odd-degree extension takes
+its roots from the norm instead (see ExtField).  An inverse is N(a)^-1
+times the product of the other conjugates.
 nonresidue() of a prime field is a seeded search; an ExtField reads its
 non-residue off the base instead.  No output depends on which non-residue a
 context holds: square roots are canonical, and the anti-fixed fiber
@@ -717,13 +717,10 @@ class _TowerField(ExtField):
     longer modulus makes a _LongTowerField.  The SWAR add, sub and neg, the
     Frobenius maps and the encodings run on the used slots as over F_p; a
     Frobenius column is the image of one slot's basis element, so the
-    p^j-power map of B acts on every block through the matrix.  inv is
-    ExtField's, the product of the conjugates over B divided by its norm.
-
-    norm is Res(modulus, a) by Euclid over B instead: the conjugate
-    product needs the q-power Frobenius matrix, so x^q, in every fresh
-    fiber ring, and taking the norm that way ran verify37 4.5 % slower
-    (694-727 against 737-752 ops/s over 5 paired runs).
+    p^j-power map of B acts on every block through the matrix.  norm and
+    inv are ExtField's, through the product of the conjugates over B; a
+    caller that already holds x^q mod the modulus (evaluation.fiber_points
+    does, from splitting the fiber cubic) seeds the q-power matrix with it.
     """
 
     _lazy = 1
@@ -785,37 +782,6 @@ class _TowerField(ExtField):
         for s in self._cshifts:
             r |= fold(((a >> s) & blk) * c) << s
         return r
-
-    def norm(self, a):
-        """N(a) = Res(modulus, a), the product of the conjugates of a, by Euclid over the base."""
-        B = self.base
-        z = B.zero
-        r0, r1 = list(self.modulus), list(self.coeffs(a))
-        acc = B.one
-        while True:
-            while r1 and r1[-1] == z:
-                r1.pop()
-            if not r1:
-                return z
-            n0, n1 = len(r0) - 1, len(r1) - 1
-            if n1 == 0:
-                return B.mul(acc, B.pow(r1[0], n0))
-            # r0 mod r1, then Res(r0, r1) = (-1)^(n0 n1) lc(r1)^(n0 - deg r) Res(r1, r)
-            linv = B.inv(r1[-1])
-            while len(r0) > n1:
-                q = B.mul(r0.pop(), linv)
-                if q != z:
-                    d = len(r0) - n1
-                    for i in range(n1):
-                        r0[d + i] = B.sub(r0[d + i], B.mul(q, r1[i]))
-            while r0 and r0[-1] == z:
-                r0.pop()
-            if not r0:
-                return z
-            acc = B.mul(acc, B.pow(r1[-1], n0 - len(r0) + 1))
-            if n0 * n1 % 2:
-                acc = B.neg(acc)
-            r0, r1 = r1, r0
 
 
 class _LongTowerField(_TowerField):

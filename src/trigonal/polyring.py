@@ -416,6 +416,16 @@ def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
     return _equal_degree(g, d, rng, xq) + _equal_degree(poly // g, d, rng, xq)
 
 
+def _split_squarefree(poly: Poly, rng):
+    """(the monic irreducible factors of a monic squarefree poly, x^q mod poly or None).
+
+    The factors come in the order of the equal-degree step, unsorted; x^q
+    is the one _distinct_degree took, None when it took none.
+    """
+    parts, xq = _distinct_degree(poly)
+    return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, xq)], xq
+
+
 def factorize(poly: Poly, rng=None):
     """(leading coefficient, [(monic irreducible, multiplicity)]) sorted canonically."""
     if poly.is_zero:
@@ -425,10 +435,7 @@ def factorize(poly: Poly, rng=None):
         rng = _poly_rng(poly)
     factors = []
     for part, mult in squarefree_decomposition(poly):
-        parts, xq = _distinct_degree(part)
-        for prod, d in parts:
-            for irr in _equal_degree(prod, d, rng, xq):
-                factors.append((irr, mult))
+        factors += [(irr, mult) for irr in _split_squarefree(part, rng)[0]]
     factors.sort(key=lambda fm: fm[0].sort_key())
     return lc, factors
 

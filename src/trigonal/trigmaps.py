@@ -220,12 +220,8 @@ def _try_build(field, alpha, beta, roots, which, H, S):
     g = TrigonalMap(
         field, n1, n0, d1, d0, H, S, Mobius.identity(field), H, (alpha, beta, roots, which)
     )
-    if gcd(g.N, g.D).degree != 0:
-        # the candidate line passes through an embedded Weierstrass point:
-        # the projection drops to degree 2 and is not a trigonal map
-        raise DegenerateConfiguration("N and D share a factor")
     if not verify_trigonal(g, S):
-        raise DegenerateConfiguration("constructed map fails the pairing conditions")
+        raise DegenerateConfiguration("N and D share a factor, or the map fails the pairing conditions")
     return g
 
 
@@ -313,7 +309,9 @@ def verify_trigonal(g: TrigonalMap, S: TractableSubgroup) -> bool:
     x = infinity maps there together iff D vanishes at the affine partner.
     """
     if gcd(g.N, g.D).degree != 0:
-        return False  # common factor: the map degenerates to degree <= 2
+        # a common factor: the candidate line passes through an embedded
+        # Weierstrass point, and the map drops to degree <= 2
+        return False
     for q in S.quads:
         K = q.field
         NK = embed_poly(g.N, g.field, K)

@@ -1,5 +1,6 @@
 """Isogeny evaluation: fibers, the correspondence, and the +/-2 round trip."""
 
+import hashlib
 import random
 
 import pytest
@@ -87,6 +88,22 @@ def test_fiber_points_satisfy_model(ex37_fibration, ex37_R):
         for q in fiber_points(ex37_R.X, t0, K):
             assert ex37_R.X.contains(K, t0, q.bmap())
             n += 1
+
+
+def test_fiber_points_frozen_over_f37_2(ex37_fibration, ex37_R):
+    # the point keys of every unramified fiber over F_37^2, digested and
+    # recorded while fiber_points still factored each cubic with factorize
+    K = make_extension(37, 2)
+    h = hashlib.sha256()
+    n = 0
+    for t0 in K.elements():
+        if ex37_fibration.ramified_at(t0, K):
+            continue
+        keys = [q.key() for q in fiber_points(ex37_R.X, t0, K)]
+        n += len(keys)
+        h.update(repr((K.encode(t0), keys)).encode())
+    assert n == 1327
+    assert h.hexdigest() == "14bfa11d5391d30d0fb910aa963cb817b0f9a0f49243d256cc97a94014fc1bb1"
 
 
 def test_phi_identity_is_empty(ex37_model, ex37_R):

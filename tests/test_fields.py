@@ -341,9 +341,18 @@ def test_etale_contexts_take_their_nonresidue_from_the_base(p, k, degree):
             assert nu_c[1] == K.one and nu_c[2:] == zeros[2:]  # x + c with c in F_p
 
 
+def _seeded_tower(p, k, degree, seed):
+    """A tower whose q-power Frobenius is seeded with x^q mod its modulus, as evaluation.fiber_points seeds it."""
+    K = make_extension(p, k)
+    h = _irreducible_over(K, degree, random.Random(seed))
+    return ExtField(K, h, Poly.x(K).pow_mod(K.order, Poly(K, h)).c)
+
+
 def test_norm_is_the_product_of_the_conjugates():
     rng = random.Random(11)
-    for A in (make_extension(37, 3), make_extension(53, 4), _tower(37, 2, 3, 5)):
+    seeded, long_tower = _seeded_tower(37, 2, 3, 6), _tower(37, 2, 9, 8)
+    assert isinstance(long_tower, fields._LongTowerField)
+    for A in (make_extension(37, 3), make_extension(53, 4), _tower(37, 2, 3, 5), seeded, long_tower):
         B = A.base
         for _ in range(10):
             a = A.random(rng)

@@ -1,0 +1,105 @@
+"""Source hygiene of the trigonal package: no unused import, no dead definition.
+
+Both checks read the source with ast alone; nothing is imported.  An import
+of a module other than __init__ is used where its module loads the name.  A
+top-level or class-level definition is referenced where any file of src,
+tests or pipebench loads it, reads it as an attribute, imports it, passes it
+as a keyword or names it in a string that is not a docstring (pipebench
+names the functions it wraps in strings).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trigonal"
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _docstrings(tree):
+    """The ids of the docstring constants of a module and its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def _loads(tree):
+    """Every name tree loads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def _references(tree):
+    """Every name tree loads, reads as an attribute, imports or passes as a keyword, and the words of its strings."""
+    docs = _docstrings(tree)
+    out = _loads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.add(node.arg)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            out.update(_WORD.findall(node.value))
+    return out
+
+
+def _defined(body):
+    """The names a module or class body binds by def, class or assignment."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id
+
+
+def _modules():
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def test_no_unused_import():
+    unused = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.stem}: {bound}"
+                    for bound in (a.asname or a.name.split(".")[0] for a in node.names)
+                    if bound not in used
+                ]
+    assert unused == []
+
+
+def test_no_unreferenced_definition():
+    used = set()
+    for sub in ("src", "tests", "pipebench"):
+        for path in (ROOT / sub).rglob("*.py"):
+            used |= _references(_tree(path))
+    dead = []
+    for path in _modules():
+        tree = _tree(path)
+        names = list(_defined(tree.body))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names += _defined(node.body)
+        dead += [f"{path.stem}.{n}" for n in names if not (n.startswith("__") and n.endswith("__")) and n not in used]
+    assert dead == []
