@@ -307,18 +307,16 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     return picked
 
 
-def phi_on_class(D: DivisorClass, R: CorrespondenceR, rng=None, attempts=None) -> XDivisor:
+def phi_on_class(D: DivisorClass, R: CorrespondenceR, rng=None) -> XDivisor:
     """The image divisor phi(D) on X, as a degree-0 formal sum of X-points."""
     g = R.fib.gmap
     if D.model.source != g.source_curve and D.model.source != R.fib.curve:
         raise ModelMismatch("divisor class does not live on the construction's curve")
     if rng is None:
         rng = _class_rng(D, R)
-    if attempts is None:
-        # over large base extensions only fully-split supports are usable,
-        # so give the shuffle proportionally more tries
-        attempts = max(16, 16 * D.model.field.k)
-    for _ in range(attempts):
+    # over large base extensions only fully-split supports are usable, so
+    # give the shuffle proportionally more tries
+    for _ in range(max(16, 16 * D.model.field.k)):
         E = random_class_on(D.model, rng)
         Dp = cantor_add(D, E)
         plus = _good_curve_points(Dp, R)
@@ -421,14 +419,14 @@ def reverse_on_xdivisor(DX: XDivisor, R: CorrespondenceR, model: OddModel | None
     return DivisorClass(model, Poly(base, a_c), Poly(base, b_c))
 
 
-def roundtrip(D: DivisorClass, R: CorrespondenceR, rng=None, attempts=8) -> str:
+def roundtrip(D: DivisorClass, R: CorrespondenceR, rng=None) -> str:
     """Compare reverse(phi(D)) against [2]D and [-2]D: '+2', '-2', or 'mismatch'."""
     if rng is None:
         rng = _class_rng(D, R)
     model = D.model
     twice = cantor_mul(D, 2)
     last = None
-    for _ in range(attempts):
+    for _ in range(8):
         try:
             DX = phi_on_class(D, R, rng)
             E = reverse_on_xdivisor(DX, R, model)

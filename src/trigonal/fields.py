@@ -406,7 +406,8 @@ class ExtField(_FieldOps):
         self.x = 1 << self._cshifts[1] if self.deg > 1 else self._negmod
         self._frob = {}
         self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
-        self._half_nonresidue_root = None
+        # set here, not on first use: an attribute added later can cost a context CPython's shared layout
+        self._half_nonresidue_root = self._nonresidue = self._sqrt_constants = None
 
     _lazy = _ACC - 1
 

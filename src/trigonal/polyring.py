@@ -426,13 +426,12 @@ def _split_squarefree(poly: Poly, rng):
     return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, xq)], xq
 
 
-def factorize(poly: Poly, rng=None):
+def factorize(poly: Poly):
     """(leading coefficient, [(monic irreducible, multiplicity)]) sorted canonically."""
     if poly.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     lc = poly.lc
-    if rng is None:
-        rng = _poly_rng(poly)
+    rng = _poly_rng(poly)
     factors = []
     for part, mult in squarefree_decomposition(poly):
         factors += [(irr, mult) for irr in _split_squarefree(part, rng)[0]]
@@ -449,13 +448,12 @@ def is_irreducible(poly: Poly) -> bool:
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == poly.degree
 
 
-def roots(poly: Poly, rng=None) -> list:
+def roots(poly: Poly) -> list:
     """Distinct roots of poly in its own field."""
     f = poly.field
     if poly.is_zero:
         raise ZeroPolynomial("roots of the zero polynomial")
-    if rng is None:
-        rng = _poly_rng(poly)
+    rng = _poly_rng(poly)
     sf = poly.monic()[0]
     g = gcd(sf, sf.derivative())
     if g.degree > 0:

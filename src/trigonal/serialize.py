@@ -23,12 +23,10 @@ def elem_to_json(field, a):
     return {"p": str(field.p), "k": field.k, "coeffs": [str(c) for c in field.coeffs(a)]}
 
 
-def elem_from_json(obj, field=None):
-    """Parse an element; field may be inferred from an extension tag."""
+def elem_from_json(obj):
+    """(context, element) of an extension element, the context read from its (p, k) tag."""
     if isinstance(obj, str):
-        if field is None:
-            raise ValueError("prime-field element needs an explicit context")
-        return field.from_int(int(obj))
+        raise ValueError("prime-field element needs an explicit context")
     p = int(obj["p"])
     k = int(obj["k"])
     f = make_extension(p, k)
@@ -111,7 +109,8 @@ def quad_from_json(obj) -> BinaryForm:
 
 
 def subgroup_to_json(S: TractableSubgroup) -> list:
-    return [quad_to_json(q) for q in S.quads]
+    """The quadratics over the deterministic contexts that their (p, k) tags name."""
+    return [quad_to_json(q) for q in S.canonical().quads]
 
 
 def subgroup_from_json(obj) -> TractableSubgroup:

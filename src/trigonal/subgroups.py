@@ -1,21 +1,20 @@
 """Rational tractable subgroups: Galois-stable pairings of the 8 Weierstrass points.
 
 A tractable subgroup is stored as its four coprime quadratic factors of F~,
-each over the smallest extension containing its coefficients and normalized
-to a canonical scaling, so subgroups compare as plain value objects.
+normalized to a canonical scaling, so subgroups compare as plain value objects.
 
-Enumeration never factors over the full splitting field: each Frobenius orbit
-of Weierstrass points is an F_q-irreducible factor, an even orbit self-pairs
-by factoring over the half-degree extension, and two equal-size orbits
-cross-pair at m offsets over the degree-m extension.  Extensions of degree
-above 4 only ever appear in subgroup_elements, which materializes divisor
+Enumeration factors over F_q alone: each Frobenius orbit of Weierstrass
+points is an F_q-irreducible factor h, whose quadratics are built in its own
+algebra F_q[x]/(h); canonical() projects them into the deterministic context
+of degree at most 4 that holds their coefficients.  Larger deterministic
+contexts only appear in subgroup_elements, which materializes divisor
 classes over the splitting field.
 
 Each curve's octic is split once (OrbitSplit): the distinct-degree step
 alone gives the pattern, and a pattern without tractable subgroups stops
 there.  A cross pairing needs the roots of the second orbit o2 in the
-degree-m field K, ordered as the least root by encoding followed by its
-Frobenius conjugates, so finding any one root fixes the whole chain.  That
+first orbit's algebra K, ordered as the least root by encoding followed by
+its Frobenius conjugates, so finding any one root fixes the whole chain.  That
 root comes from polyring.split_root: for m = 2 its closed form with one F_p
 square root; for m = 3, 4 it skips the x^(p^m) step (o2 is known to split in
 K) and builds h^((p^m - 1)/2) from the m Frobenius conjugates of
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
 from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
-from .fields import ExtField, embed_poly, make_extension
+from .fields import ExtField, embed_poly, make_extension, project
 from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _poly_rng, is_squarefree, split_root
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
@@ -93,6 +92,23 @@ class TractableSubgroup:
         for q in self.quads:
             out.append(normalize_quadratic(embed_poly(q, q.field, big_field)).encode())
         return frozenset(out)
+
+    def canonical(self):
+        """Each quadratic projected into the smallest F_{p^d} holding its coefficients.
+
+        An orbit's quadratics are a Frobenius-stable set, so every embedding
+        of its algebra carries them onto the same set.
+        """
+        out = []
+        for q in self.quads:
+            A = q.field
+            for d in (d for d in range(1, A.k + 1) if A.k % d == 0):
+                K = make_extension(A.p, d)
+                c = [project(x, A, K) for x in q.c]
+                if None not in c:
+                    break
+            out.append(BinaryForm(K, 2, c))
+        return TractableSubgroup.from_quads(out)
 
     def field_degrees(self):
         return tuple(q.field.k for q in self.quads)
@@ -175,21 +191,15 @@ def _quad_from_pair(field, r1, r2) -> BinaryForm:
 
 
 class _Materializer:
-    """Caches per-orbit factorizations and root lists used by the matchings.
+    """Builds and caches each orbit's quadratics in its own algebra F_p[x]/(h).
 
-    Canonical mode puts quadratics over the deterministic extension contexts
-    (needed for serialization and cross-run comparison).  Fast mode represents
-    them inside F_p[x]/(h) for the orbit's own factor h: the antipodal
-    quadratic is Y^2 - (theta + theta^sigma) Y + theta theta^sigma with sigma
-    the p^(m/2)-power Frobenius, which costs m/2 products with the p-power
-    matrix instead of a factorization over F_{p^(m/2)}.  Either representation spans
-    the same rational row space downstream.
+    An even orbit self-pairs by Y^2 - (theta + theta^sigma) Y + theta theta^sigma,
+    sigma the p^(m/2)-power Frobenius: m/2 products with the p-power matrix.
+    Two equal-size orbits cross-pair at m offsets in the first one's algebra.
     """
 
-    def __init__(self, H: HCurve, fast: bool = False):
+    def __init__(self, H: HCurve):
         self.H = H
-        self.p = H.field.p
-        self.fast = fast
         self._self_cache = {}
         self._root_cache = {}
         self._alg_cache = {}
@@ -210,7 +220,7 @@ class _Materializer:
         if got is None:
             if m == 2:
                 got = [BinaryForm(self.H.field, 2, (poly[0], poly[1], self.H.field.one))]
-            elif self.fast:
+            else:
                 # every conjugate comes from the p-power matrix alone, so the
                 # algebra builds (and the subgroup keeps) no other matrix
                 A = self._algebra(orbit)
@@ -222,14 +232,6 @@ class _Materializer:
                 for _ in range(1, m // 2):
                     coeffs = tuple(A.frobenius_power(c, 1) for c in coeffs)
                     got.append(BinaryForm(A, 2, coeffs))
-            else:
-                K = make_extension(self.p, m // 2)
-                pk, _ = embed_poly(poly, poly.field, K).monic()
-                facs = _equal_degree(pk, 2, _poly_rng(pk))
-                if any(g.degree != 2 for g in facs):
-                    raise ContextMismatch(f"{poly!r} does not split into quadratics over {K!r}")
-                facs.sort(key=lambda g: g.sort_key())
-                got = [BinaryForm(K, 2, (g[0], g[1], K.one)) for g in facs]
             self._self_cache[key] = got
         return got
 
@@ -245,7 +247,7 @@ class _Materializer:
         if got is None:
             if poly is None:
                 got = [None]
-            elif self.fast and field.modulus == poly.c:
+            elif field.modulus == poly.c:
                 # the orbit's own algebra: its roots are theta and conjugates
                 theta = field.from_coeffs((0, 1))
                 got = [theta]
@@ -270,7 +272,7 @@ class _Materializer:
             r1 = None if o1.poly is None else f.neg(o1.poly[0])
             r2 = None if o2.poly is None else f.neg(o2.poly[0])
             return [_quad_from_pair(f, r1, r2)]
-        K = self._algebra(o1) if self.fast else make_extension(self.p, m)
+        K = self._algebra(o1)
         rs1 = self.ordered_roots(o1, K)
         rs2 = self.ordered_roots(o2, K)
         return [_quad_from_pair(K, rs1[i], rs2[(i + j) % m]) for i in range(m)]
@@ -279,11 +281,10 @@ class _Materializer:
 def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None = None):
     """All F_q-rational tractable subgroups of Jac(H)[2] (canonically sorted).
 
-    With fast=True, quadratics over extensions are represented in quotient
-    algebras by the orbit's own irreducible factor instead of the canonical
-    contexts: same subgroups and same downstream linear algebra, no
-    extension-field factorizations (used on the survey hot path).  split is
-    the curve's OrbitSplit when the caller already has it; a pattern with no
+    fast=True keeps the quadratics in the orbit algebras (the survey hot path:
+    same subgroups, same downstream linear algebra); otherwise canonical()
+    carries each subgroup into the deterministic contexts.  split is the
+    curve's OrbitSplit when the caller already has it; a pattern with no
     tractable subgroup returns before the equal-degree step.
     """
     if split is None:
@@ -292,7 +293,7 @@ def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None 
         return []
     orbits = split.orbits()
     orbits.sort(key=lambda o: (-o.size, o.poly.encode() if o.poly else ()))
-    mat = _Materializer(H, fast)
+    mat = _Materializer(H)
     out = []
     for matching in _matchings(orbits):
         quads = []
@@ -309,6 +310,8 @@ def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None 
     # not the Frobenius matrices the enumeration built in them
     for A in mat._alg_cache.values():
         A._frob.clear()
+    if not fast:
+        out = [S.canonical() for S in out]
     out.sort(key=lambda s: s.key())
     return out
 

@@ -1,11 +1,12 @@
-"""Source hygiene of the trigonal package: no unused import, no dead definition.
+"""Source hygiene of the trigonal package: no unused import, no dead definition, no idle knob.
 
-Both checks read the source with ast alone; nothing is imported.  An import
+The checks read the source with ast alone; nothing is imported.  An import
 of a module other than __init__ is used where its module loads the name.  A
 top-level or class-level definition is referenced where any file of src,
 tests or pipebench loads it, reads it as an attribute, imports it, passes it
 as a keyword or names it in a string that is not a docstring (pipebench
-names the functions it wraps in strings).
+names the functions it wraps in strings).  A defaulted parameter is a knob
+some call site turns: by keyword, by position, or through * or **.
 """
 
 import ast
@@ -103,3 +104,58 @@ def test_no_unreferenced_definition():
                 names += _defined(node.body)
         dead += [f"{path.stem}.{n}" for n in names if not (n.startswith("__") and n.endswith("__")) and n not in used]
     assert dead == []
+
+
+def _functions():
+    """(label, call name, def node, bound) for each top-level function and method of src/trigonal.
+
+    A method is called by its name, a constructor by its class's name; bound
+    is 1 where the first parameter is bound by the call (self or cls).
+    """
+    for path in _modules():
+        tree = _tree(path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node.name, node, 0
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        name = cls.name if fn.name in ("__init__", "__new__") else fn.name
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                        yield f"{path.stem}.{cls.name}.{fn.name}", name, fn, int(not static)
+
+
+def _defaulted(fn, bound):
+    """(position at a call site or None for keyword-only, name) of each defaulted parameter."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(i - bound, a.arg) for i, a in enumerate(pos) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _turns(call, index, name):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = {}
+    for sub in ("src", "tests", "pipebench"):
+        for path in (ROOT / sub).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    idle = []
+    for label, name, fn, bound in _functions():
+        sites = calls.get(name)
+        if not sites:
+            continue  # never called: test_no_unreferenced_definition's concern
+        idle += [f"{label}({arg})" for i, arg in _defaulted(fn, bound) if not any(_turns(c, i, arg) for c in sites)]
+    assert idle == []

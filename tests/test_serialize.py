@@ -1,5 +1,7 @@
 """Isogeny reports: the Mobius pre-transform survives a parse and re-serialization."""
 
+import random
+
 import pytest
 
 from trigonal import serialize
@@ -7,6 +9,8 @@ from trigonal.curves import Mobius
 from trigonal.errors import ContextMismatch
 from trigonal.fields import make_extension
 from trigonal.polyring import BinaryForm, Poly
+from trigonal.subgroups import enumerate_tractable
+from trigonal.survey import random_curve
 from trigonal.trigmaps import TrigonalMap
 
 
@@ -61,3 +65,14 @@ def test_extension_elements_round_trip_through_json():
     doc = serialize.elem_to_json(K, a)
     assert doc == {"p": "37", "k": 3, "coeffs": ["5", "0", "36"]}
     assert serialize.elem_from_json(doc) == (K, a)
+
+
+def test_a_fast_subgroup_survives_serialization():
+    # orbit-algebra quadratics are written over the deterministic contexts
+    # that their (p, k) tags name, so parsing gives the canonical subgroup
+    rng = random.Random(5)
+    for _ in range(40):
+        H = random_curve(101, rng)
+        docs = [serialize.subgroup_to_json(S) for S in enumerate_tractable(H, fast=True)]
+        parsed = sorted((serialize.subgroup_from_json(d) for d in docs), key=lambda s: s.key())
+        assert parsed == enumerate_tractable(H)

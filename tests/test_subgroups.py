@@ -1,5 +1,6 @@
 """Tractable subgroup enumeration, the pattern table, and the expectation sum."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -206,11 +207,48 @@ def test_cross_orbit_chain_matches_roots(p, pattern, fast):
     for _ in range(2):
         H = curve_with_pattern(F, pattern, rng)
         orbits = [o for o in OrbitSplit(H).orbits() if o.size == m]
-        mat = _Materializer(H, fast)
+        mat = _Materializer(H)
         for o1 in orbits:
             K = mat._algebra(o1) if fast else make_extension(p, m)
             for o2 in orbits:
                 assert mat.ordered_roots(o2, K) == _roots_chain(o2.poly, K)
+
+
+# --- canonical contexts by projection from the orbit algebras -----------------
+
+# SHA-256 of the canonical key lists below, recorded while canonical subgroups
+# were still built by factoring over the deterministic extensions
+CANONICAL_KEYS_SHA256 = "8bcf237689149c3f7a74470f5ce9fd10c342a081ab5239459202366d61bbafe9"
+
+
+def _curves_with_subgroups(p, n, seed):
+    from trigonal.survey import random_curve
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        H = random_curve(p, rng)
+        if count_for_pattern(pattern_of(H)):
+            out.append(H)
+    return out
+
+
+def test_canonical_keys_frozen():
+    keys, shapes = [], set()
+    for p in (37, 101, 1009, 10**6 + 3):
+        for H in _curves_with_subgroups(p, 20, p):
+            subs = enumerate_tractable(H)
+            keys.append([S.key() for S in subs])
+            shapes |= {tuple(sorted(S.field_degrees())) for S in subs}
+    assert shapes == {(1, 3, 3, 3), (4, 4, 4, 4), (1, 1, 2, 2), (2, 2, 2, 2), (1, 1, 1, 1)}
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == CANONICAL_KEYS_SHA256
+
+
+@pytest.mark.parametrize("p", [37, 101, 1009, 10**6 + 3, 2**61 - 1])
+def test_canonical_of_the_fast_subgroups_is_the_enumeration(p):
+    for H in _curves_with_subgroups(p, 8, p + 1):
+        fast = sorted((S.canonical() for S in enumerate_tractable(H, fast=True)), key=lambda s: s.key())
+        assert fast == enumerate_tractable(H)
 
 
 def _v_curve(F, rng):
