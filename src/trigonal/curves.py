@@ -110,10 +110,10 @@ class HCurve:
 
     __slots__ = ("field", "form", "F")
 
-    def __init__(self, field, form: BinaryForm):
+    def __init__(self, field, form: BinaryForm, check=True):
         if form.d != 8:
             raise ValueError("hyperelliptic form must have total degree 8")
-        if form.is_zero or not form.is_squarefree():
+        if form.is_zero or check and not form.is_squarefree():
             raise ValueError("hyperelliptic polynomial must be squarefree")
         self.field = field
         self.form = form
@@ -131,7 +131,8 @@ class HCurve:
         return HCurve(self.field, self.form.scale(c))
 
     def base_change(self, new_field):
-        return HCurve(new_field, embed_poly(self.form, self.field, new_field))
+        """The curve over an extension: squarefreeness survives it, so it is not tested again."""
+        return HCurve(new_field, embed_poly(self.form, self.field, new_field), check=False)
 
     def on_curve(self, pt) -> bool:
         u, v, w = pt

@@ -22,9 +22,10 @@ points and is the test oracle for the lift.  It splits the fiber cubic once,
 with no squarefree step, and the x^q of that split seeds the norm of every
 factor ring.  Both glue square roots with the same code.
 
-The support of a class is split with one root per irreducible factor
-(polyring.split_root, over F_p or an extension base alike); its other roots
-are Frobenius conjugates, and no roots() call runs.
+A Frobenius orbit over the class's field is the unit of work both ways: phi
+checks and lifts one root per support factor (polyring.split_root) and maps
+that lift to the conjugates; the reverse builds one triple class per orbit of
+X-points, over the point's own field, and sums its conjugates by doubling.
 
 Classes are always re-represented as a difference of two good degree-3
 effective divisors before evaluation (support must avoid Weierstrass points,
@@ -43,7 +44,7 @@ from .construction import CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, factorize, roots, split_root, xgcd
+from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots, split_root, xgcd
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ class XPoint:
         f = self.field
         return (f.k, f.encode(self.t), tuple(f.encode(x) for x in self.b))
 
+    def frobenius_power(self, j):
+        """The conjugate point: t and every b_ij raised to the p^j-th power."""
+        f = self.field
+        return XPoint(f, f.frobenius_power(self.t, j), tuple(f.frobenius_power(x, j) for x in self.b))
+
 
 @dataclass(frozen=True)
 class XDivisor:
@@ -71,10 +77,6 @@ class XDivisor:
     @property
     def degree(self):
         return sum(w for _, w in self.entries)
-
-    @property
-    def is_empty(self):
-        return not self.entries
 
 
 def _square_root_parts(F: Poly, factors, field):
@@ -186,51 +188,51 @@ def _class_rng(D: DivisorClass, R: CorrespondenceR) -> random.Random:
 _MAX_EXT_DEGREE = 24
 
 
-def _effective_points(D: DivisorClass):
-    """Split the effective part of a reduced class into points over extensions.
+def _support_orbits(D: DivisorClass):
+    """The effective part of a reduced class as [(field, x, y, js)], one point per support factor.
 
-    Returns [(field, x, y)] on the odd model, or None if the support is not
-    usable: degree < 3, repeated x-coordinates, or points over extensions so
-    large that the fiber field would overflow the degree guard (the shuffle
-    then looks for a representative with smaller splitting fields).  One
-    root of each degree-d support factor comes from split_root and the other
-    d - 1 are its conjugates under the base field's Frobenius, sorted by
-    encoding.
+    x is the factor's split_root, and its points are the p^j-power images of
+    (x, y), j in js, in the order of their encodings.  None if the support
+    is not usable: degree < 3, repeated x-coordinates, or points over
+    extensions so large that the fiber field would overflow the degree guard.
     """
-    model = D.model
-    f = model.field
-    if D.a.degree != 3:
+    f = D.model.field
+    if D.a.degree != 3 or not is_squarefree(D.a):
         return None
+    factors, xq = _split_squarefree(D.a, _poly_rng(D.a))
     out = []
-    _, factors = factorize(D.a)
-    for h, m in factors:
-        if m > 1 or 2 * f.k * h.degree > _MAX_EXT_DEGREE:
+    for h in sorted(factors, key=Poly.sort_key):
+        if 2 * f.k * h.degree > _MAX_EXT_DEGREE:
             return None
-        if h.degree == 1:
-            K, xs, bK = f, [f.neg(h[0])], D.b
-        else:
-            K = make_extension(f.p, f.k * h.degree)
-            r = split_root(h, None, K)
-            xs = sorted((K.frobenius_power(r, f.k * i) for i in range(h.degree)), key=K.encode)
-            bK = embed_poly(D.b, f, K)
-        for x0 in xs:
-            out.append((K, x0, bK.eval(x0)))
+        K = make_extension(f.p, f.k * h.degree) if h.degree > 1 else f
+        r = split_root(h, xq % h, K)
+        js = sorted((f.k * i for i in range(h.degree)), key=lambda j: K.encode(K.frobenius_power(r, j)))
+        out.append((K, r, embed_poly(D.b, f, K).eval(r), js))
     return out
 
 
+def _effective_points(D: DivisorClass):
+    """The points of the effective part, [(field, x, y)] sorted per factor by encoding; see _support_orbits."""
+    orbits = _support_orbits(D)
+    if orbits is None:
+        return None
+    return [(K, K.frobenius_power(x, j), K.frobenius_power(y, j)) for K, x, y, js in orbits for j in js]
+
+
 def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
-    """Points of the effective part carried onto the construction's curve.
+    """The factors' points carried onto the construction's curve, as [(K, x1, y1, t0, js)].
 
     Applies odd-model -> source and the trigonal map's pre-transform, then
-    checks the full bad-support list; None means try another representative.
+    checks the full bad-support list (Galois-invariant, so one point decides
+    for its factor); None means try another representative.
     """
     model = D.model
     g = R.fib.gmap
-    pts = _effective_points(D)
-    if pts is None:
+    orbits = _support_orbits(D)
+    if orbits is None:
         return None
     out = []
-    for K, x0, y0 in pts:
+    for K, x0, y0, js in orbits:
         mk = model if K is model.field else model.base_change(K)
         u, v, w = mk.to_source((x0, K.one, y0))
         if v == K.zero:
@@ -251,7 +253,7 @@ def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
         t0 = K.div(NK.eval(x1), DK.eval(x1))
         if R.fib.ramified_at(t0, K):
             return None
-        out.append((K, x1, y1, t0))
+        out.append((K, x1, y1, t0, js))
     return out
 
 
@@ -308,7 +310,11 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
 
 
 def phi_on_class(D: DivisorClass, R: CorrespondenceR, rng=None) -> XDivisor:
-    """The image divisor phi(D) on X, as a degree-0 formal sum of X-points."""
+    """The image divisor phi(D) on X, as a degree-0 formal sum of X-points.
+
+    One lift per support factor: a conjugate's two points are the p^j-power
+    images of the lifted pair.
+    """
     g = R.fib.gmap
     if D.model.source != g.source_curve and D.model.source != R.fib.curve:
         raise ModelMismatch("divisor class does not live on the construction's curve")
@@ -325,12 +331,11 @@ def phi_on_class(D: DivisorClass, R: CorrespondenceR, rng=None) -> XDivisor:
             continue
         try:
             entries = []
-            for K, x1, y1, t0 in plus:
-                for q in _phi_point(R, K, x1, y1, t0):
-                    entries.append((q, 1))
-            for K, x1, y1, t0 in minus:
-                for q in _phi_point(R, K, x1, y1, t0):
-                    entries.append((q, -1))
+            for pts, w in ((plus, 1), (minus, -1)):
+                for K, x1, y1, t0, js in pts:
+                    pair = _phi_point(R, K, x1, y1, t0)
+                    for j in js:
+                        entries += [(q, w) for q in sorted((q.frobenius_power(j) for q in pair), key=XPoint.key)]
         except BadSupport:
             continue
         return XDivisor(tuple(entries))
@@ -368,12 +373,9 @@ def _mumford_transform(a: Poly, b: Poly, matrix, w_scale, field, target_F: Poly)
 
 
 def _triple_class(R: CorrespondenceR, q: XPoint, odd_big: OddModel):
-    """The class [(pi_H preimage triple of q) - 3 inf] on the big-field odd model."""
+    """The class [(pi_H preimage triple of q) - 3 inf] on an odd model over q's field."""
     fib = R.fib
-    K = q.field
-    big = odd_big.field
-    t0 = embed(q.t, K, big)
-    b = {k: embed(v, K, big) for k, v in q.bmap().items()}
+    big, t0, b = odd_big.field, q.t, q.bmap()
     aq = Poly(big, [c.eval(t0) for c in fib.over(big).G])
     rho = R.rho(big, t0, b["b22"])
     bq = Poly(big, [b["b02"], b["b12"], b["b22"]]).scale(big.inv(rho))
@@ -393,30 +395,59 @@ def _triple_class(R: CorrespondenceR, q: XPoint, odd_big: OddModel):
     return DivisorClass(odd_big, aq, bq)
 
 
+def _orbit_sum(T: DivisorClass, e: int, s: int) -> DivisorClass:
+    """T + sigma(T) + ... + sigma^(e-1)(T), sigma the p^s-power map on the coefficients of a and b.
+
+    S_m, the sum of m conjugates, doubles as S_2m = S_m + sigma^m(S_m) and
+    steps as S_(m+1) = T + sigma(S_m).
+    """
+    K = T.model.field
+
+    def conj(D, j):
+        a, b = (Poly(K, [K.frobenius_power(c, j) for c in P.c]) for P in (D.a, D.b))
+        return DivisorClass(D.model, a, b, check=False)
+
+    S, m = T, 1
+    for bit in bin(e)[3:]:
+        S, m = cantor_add(S, conj(S, s * m)), 2 * m
+        if bit == "1":
+            S, m = cantor_add(T, conj(S, s)), m + 1
+    return S
+
+
 def reverse_on_xdivisor(DX: XDivisor, R: CorrespondenceR, model: OddModel | None = None) -> DivisorClass:
-    """(pi_H)_* (pi_X)^* of an X-divisor, Cantor-reduced on the source odd model."""
+    """(pi_H)_* (pi_X)^* of an X-divisor, Cantor-reduced on the source odd model.
+
+    One Frobenius orbit over the model's field at a time: its triple class
+    is built over its point's own field K, an extension of the model's,
+    summed over the orbit there (_orbit_sum), projected to the model's
+    field and added with the orbit's weight.  BadSupport unless every orbit
+    is complete with one weight, as a rational divisor's are.
+    """
     g = R.fib.gmap
     if model is None:
         model = OddModel.from_curve(g.source_curve)
     base = model.field
-    if DX.is_empty:
-        return DivisorClass.identity(model)
-    degs = {e.field.k for e, _ in DX.entries}
-    J = math.lcm(base.k, *degs)
-    big = make_extension(base.p, J)
-    odd_big = model.base_change(big) if big is not base else model
-    total = DivisorClass.identity(odd_big)
+    weights, points = {}, {}
     for q, w in DX.entries:
-        cls = _triple_class(R, q, odd_big)
-        total = cantor_add(total, cantor_mul(cls, w))
-    if big is base:
-        return total
-    # the result of a Galois-stable divisor is rational: coerce down
-    a_c = [project(c, big, base) for c in total.a.c]
-    b_c = [project(c, big, base) for c in total.b.c]
-    if any(c is None for c in a_c) or any(c is None for c in b_c):
-        raise BadSupport("reverse image is not rational over the base field")
-    return DivisorClass(model, Poly(base, a_c), Poly(base, b_c))
+        weights[q.key()] = weights.get(q.key(), 0) + w
+        points[q.key()] = q
+    total = DivisorClass.identity(model)
+    while points:
+        _, q = points.popitem()
+        w, e, conj = weights[q.key()], 1, q.frobenius_power(base.k)
+        while conj != q:
+            if weights.get(conj.key(), 0) != w:
+                raise BadSupport("the X-divisor is not Galois-stable over the base field")
+            points.pop(conj.key(), None)
+            e, conj = e + 1, conj.frobenius_power(base.k)
+        K = q.field
+        T = _orbit_sum(_triple_class(R, q, model if K is base else model.base_change(K)), e, base.k)
+        a_c, b_c = ([project(x, K, base) for x in P.c] for P in (T.a, T.b))
+        if None in a_c + b_c:
+            raise BadSupport("reverse image is not rational over the base field")
+        total = cantor_add(total, cantor_mul(DivisorClass(model, Poly(base, a_c), Poly(base, b_c)), w))
+    return total
 
 
 def roundtrip(D: DivisorClass, R: CorrespondenceR, rng=None) -> str:

@@ -407,7 +407,7 @@ class ExtField(_FieldOps):
         self._frob = {}
         self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
         # set here, not on first use: an attribute added later can cost a context CPython's shared layout
-        self._half_nonresidue_root = self._nonresidue = self._sqrt_constants = None
+        self._half_nonresidue_root = self._nonresidue = self._sqrt_constants = self._pair_tables = None
 
     _lazy = _ACC - 1
 
@@ -920,14 +920,28 @@ def frobenius(field, a, q: int):
 _embed_cache: dict[tuple[int, int, int], tuple] = {}
 
 
+def _pair_cache(cache, tag, a, b):
+    """Where a table of the pair (a, b) is kept: cache for two make_extension contexts, else the
+    other context's own tables under tag, which die with it (an orbit algebra is made per curve)."""
+    for c in (b, a):
+        if c.k > 1 and _ext_cache.get((c.p, c.k)) is not c:
+            if c._pair_tables is None:
+                c._pair_tables = {}
+            return c._pair_tables.setdefault(tag, {})
+    return cache
+
+
 def _root_powers(src: ExtField, dst: ExtField):
-    """Powers of the canonical root of src.modulus inside dst (cached).
+    """Powers of the canonical root of src.modulus inside dst (cached, see _pair_cache).
 
     The canonical root is the least by encoding among one split_root and
     its Frobenius conjugates.
     """
     key = (src.p, src.modulus, dst.k, dst.modulus)
     tab = _embed_cache.get(key)
+    if tab is None:
+        cache = _pair_cache(_embed_cache, "embed", src, dst)
+        tab = cache.get(key)
     if tab is None:
         F = src.base
         mod = polyring.Poly(F, src.modulus)
@@ -936,8 +950,7 @@ def _root_powers(src: ExtField, dst: ExtField):
         powers = [dst.one]
         for _ in range(src.k - 1):
             powers.append(dst.mul(powers[-1], root))
-        tab = tuple(powers)
-        _embed_cache[key] = tab
+        tab = cache[key] = tuple(powers)
     return tab
 
 
@@ -1013,7 +1026,7 @@ def project(a, big, small):
 
     Solves the linear system over F_p expressing a on the embedded power
     basis of the small field: _rref of the basis columns beside an identity
-    block leaves a left inverse in the first rows (cached per field pair).
+    block leaves a left inverse in the first rows (cached, see _pair_cache).
     """
     if big is small:
         return a
@@ -1022,6 +1035,9 @@ def project(a, big, small):
         return a if a < big.p else None
     key = (small.p, small.modulus, big.k, big.modulus)
     solver = _project_cache.get(key)
+    if solver is None:
+        cache = _pair_cache(_project_cache, "project", small, big)
+        solver = cache.get(key)
     p = big.p
     if solver is None:
         cols = [big.coeffs(w) for w in _root_powers(small, big)]
@@ -1030,8 +1046,7 @@ def project(a, big, small):
         rows, pivots = _rref(aug, prime_field(p))
         if pivots[: small.k] != list(range(small.k)):
             raise ContextMismatch(f"the embedded basis of {small!r} is rank-deficient in {big!r}")
-        solver = tuple(tuple(row[small.k :]) for row in rows[: small.k])
-        _project_cache[key] = solver
+        solver = cache[key] = tuple(tuple(row[small.k :]) for row in rows[: small.k])
     ac = big.coeffs(a)
     cand = small.from_coeffs([sum(x * y for x, y in zip(row, ac)) for row in solver])
     if embed(cand, small, big) != a:

@@ -1,10 +1,14 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
-point counts by enumeration."""
+point counts by enumeration, the reverse composition in the lcm field of its points."""
 
-from trigonal.errors import TooLarge
-from trigonal.fields import embed_poly, make_extension
-from trigonal.polyring import BinaryForm, factorize, roots
+import math
+
+from trigonal.curves import DivisorClass, cantor_add, cantor_mul
+from trigonal.errors import BadSupport, TooLarge
+from trigonal.evaluation import XPoint, _triple_class
+from trigonal.fields import embed, embed_poly, make_extension, project
+from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
 
 
@@ -248,3 +252,24 @@ def count_points_by_enumeration(H, k):
     elif field.from_int(H.F.lc) in squares:
         n += 2
     return n
+
+
+def reverse_on_xdivisor_lcm(DX, R, model):
+    """The reverse composition in one field: every triple class over F_{p^J}, J the lcm of the
+    entry degrees and the model's, summed there with its weight and projected to the model's field."""
+    base = model.field
+    J = math.lcm(base.k, *(q.field.k for q, _ in DX.entries))
+    big = make_extension(base.p, J)
+    odd_big = model.base_change(big) if big is not base else model
+    total = DivisorClass.identity(odd_big)
+    for q, w in DX.entries:
+        K = q.field
+        q = XPoint(big, embed(q.t, K, big), tuple(embed(c, K, big) for c in q.b))
+        total = cantor_add(total, cantor_mul(_triple_class(R, q, odd_big), w))
+    if big is base:
+        return total
+    a_c = [project(c, big, base) for c in total.a.c]
+    b_c = [project(c, big, base) for c in total.b.c]
+    if None in a_c or None in b_c:
+        raise BadSupport("reverse image is not rational over the base field")
+    return DivisorClass(model, Poly(base, a_c), Poly(base, b_c))

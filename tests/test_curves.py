@@ -22,7 +22,7 @@ from trigonal.curves import (
     two_torsion_from_pair,
 )
 from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, TooFewPoints, TooLarge
-from trigonal.fields import make_extension, prime_field
+from trigonal.fields import embed_poly, make_extension, prime_field
 from trigonal.polyring import BinaryForm, Poly, is_irreducible
 from trigonal.subgroups import splitting_degree
 from trigonal.survey import random_curve
@@ -75,6 +75,15 @@ def test_odd_model_requires_rational_weierstrass_point():
     # but the model exists over F_{101^8}
     model = OddModel.from_curve(H, make_extension(101, 8))
     assert model.F.degree == 7
+
+
+def test_base_change_equals_the_checked_curve(ex37_curve):
+    # base_change skips the squarefree test, which an extension cannot fail
+    rng = random.Random(61)
+    for H in (ex37_curve, random_curve(101, rng), random_curve(10**6 + 3, rng)):
+        for k in (2, 3):
+            K = make_extension(H.field.p, k)
+            assert H.base_change(K) == HCurve(K, embed_poly(H.form, H.field, K))
 
 
 def test_cantor_identity_and_inverse(ex37_curve):

@@ -31,6 +31,9 @@ from trigonal.evaluation import (
 )
 from trigonal.fields import embed, make_extension, prime_field
 from trigonal.polyring import Poly, factorize, is_squarefree, roots
+from trigonal.subgroups import subgroup_elements
+
+from oracles import reverse_on_xdivisor_lcm
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -373,6 +376,86 @@ def test_effective_points_match_the_roots_reference(ex37_curve, bits, k):
             degrees |= {h.degree for h, _ in factorize(D.a)[1]}
         assert _effective_points(D) == _reference_effective_points(D)
     assert degrees == {1, 2, 3}, degrees
+
+
+def _roundtrip_construction(bits):
+    """The pipeline benchmark's roundtrip construction: the first isogeny-rational
+    map of a curve with an odd model, at deterministic_prime(bits, 0)."""
+    from trigonal import construction, subgroups, survey, trigmaps
+    from trigonal.errors import DegenerateConfiguration, NotRational
+
+    p = survey.deterministic_prime(bits, 0)
+    rng = random.Random(bits)
+    while True:
+        H = _odd_model_curve(p, rng)
+        for S in subgroups.enumerate_tractable(H, fast=True):
+            try:
+                g = trigmaps.trigonal_map_for(S, H)
+            except (NotRational, DegenerateConfiguration):
+                continue
+            fib = construction.build_fibration(g, g.curve)
+            if construction.isogeny_is_rational(fib):
+                return g, construction.build_correspondence(fib)
+
+
+@pytest.fixture(scope="module")
+def phi_classes(ex37_curve, ex37_R):
+    """(D, R, phi(D)) for seeded classes: the worked example over F_37 and
+    F_37^2, and the 30- and 64-bit roundtrip constructions."""
+    cases = [(ex37_curve, ex37_R, 1), (ex37_curve, ex37_R, 2)]
+    for bits in (30, 64):
+        g, R = _roundtrip_construction(bits)
+        cases.append((g.source_curve, R, 1))
+    out = []
+    for i, (H, R, k) in enumerate(cases):
+        rng = random.Random(70 + i)
+        for _ in range(4):
+            D = random_class(H, k, rng)
+            out.append((D, R, phi_on_class(D, R)))
+    return out
+
+
+def test_phi_entries_frozen(phi_classes):
+    # the (key, weight) lists, digested and recorded while phi still lifted
+    # every conjugate of a support point on its own
+    h = hashlib.sha256()
+    for _, _, DX in phi_classes:
+        h.update(repr([(q.key(), w) for q, w in DX.entries]).encode())
+    assert {q.field.k for _, _, DX in phi_classes for q, _ in DX.entries} == {2, 4, 6, 8, 12}
+    assert h.hexdigest() == "2e09fd18afee2b024e8354ada954395a5d9530f5a8b3aa5a569cc6d9c5483739"
+
+
+def test_reverse_matches_the_lcm_field_oracle(phi_classes, ex37_curve, ex37_subgroup, ex37_R):
+    # one orbit at a time over each point's own field against every triple
+    # class summed in the lcm field; also on the kernel classes over the
+    # splitting field of the worked example
+    for D, R, DX in phi_classes:
+        E = reverse_on_xdivisor(DX, R, D.model)
+        assert E == reverse_on_xdivisor_lcm(DX, R, D.model)
+        assert E in (cantor_mul(D, 2), cantor_mul(D, -2))
+    els = subgroup_elements(ex37_subgroup, ex37_curve)
+    big_model = els[0].model
+    assert big_model.field.k > 1
+    for T in els:
+        DX = phi_on_class(T, ex37_R)
+        assert reverse_on_xdivisor(DX, ex37_R, big_model) == reverse_on_xdivisor_lcm(DX, ex37_R, big_model)
+
+
+def test_reverse_rejects_an_incomplete_orbit(phi_classes):
+    # a divisor missing one conjugate of a point, or weighting it apart from
+    # the rest of its orbit, is not rational
+    hit = 0
+    for D, R, DX in phi_classes:
+        s = D.model.field.k
+        for i, (q, w) in enumerate(DX.entries):
+            if q.frobenius_power(s) == q:
+                continue
+            for changed in ((), ((q, 2 * w),)):
+                with pytest.raises(BadSupport):
+                    reverse_on_xdivisor(XDivisor(DX.entries[:i] + changed + DX.entries[i + 1 :]), R, D.model)
+            hit += 1
+            break
+    assert hit == len(phi_classes)
 
 
 def test_typed_errors_survive_python_O():

@@ -428,6 +428,46 @@ def test_tower_context_is_freed_without_the_collector():
         gc.enable()
 
 
+def test_canonical_enumerations_leave_the_pair_caches_flat():
+    # an orbit algebra keeps its embed and project tables on itself, so
+    # canonical enumerations of many curves add nothing to the module-level
+    # caches, which hold pairs of make_extension contexts only
+    from trigonal.subgroups import enumerate_tractable
+    from trigonal.survey import random_curve
+
+    rng = random.Random(60)
+    p = 10**6 + 3
+    enumerate_tractable(random_curve(p, rng))
+    sizes = (len(fields._embed_cache), len(fields._project_cache))
+    projected = 0
+    for _ in range(200):
+        for S in enumerate_tractable(random_curve(p, rng)):
+            projected += sum(k > 1 for k in S.field_degrees())
+    assert projected > 50
+    assert (len(fields._embed_cache), len(fields._project_cache)) == sizes
+
+
+def test_algebra_tables_die_with_the_algebra():
+    # F_37[x]/(h) for a random sextic h: the embed and project tables of
+    # F_37^2 in it live on the algebra and go with it
+    E2 = make_extension(37, 2)
+    h = _irreducible_over(prime_field(37), 6, random.Random(15))
+    gc.disable()
+    try:
+        sizes = (len(fields._embed_cache), len(fields._project_cache))
+        A = ExtField(prime_field(37), h)
+        assert A.modulus != make_extension(37, 6).modulus
+        a = E2.random(random.Random(14))
+        assert project(embed(a, E2, A), A, E2) == a
+        assert len(A._pair_tables) == 2  # one embed table, one project table
+        assert (len(fields._embed_cache), len(fields._project_cache)) == sizes
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # --- packed arithmetic against the schoolbook tuple reference ------------------
 
 _PACKED_FIELDS = [(37, 2), (37, 3), (5, 24), (_P30, 4), (_P30, 6), (_P30, 8), (_P160, 4), (_P160, 8)]
