@@ -222,14 +222,15 @@ def to_odd_model(H: HCurve, field=None) -> OddModel:
 
 
 class DivisorClass:
-    """Reduced Mumford pair (a, b) on an odd model: deg a <= 3, b^2 = F mod a."""
+    """Reduced Mumford pair (a, b) on an odd model: deg a <= 3, b^2 = F mod a (drawn: see random_class_on)."""
 
-    __slots__ = ("model", "a", "b")
+    __slots__ = ("model", "a", "b", "drawn")
 
     def __init__(self, model: OddModel, a: Poly, b: Poly, check=True):
         self.model = model
         self.a = a
         self.b = b
+        self.drawn = None
         if check:
             if a.degree > 3 or a.lc != model.field.one:
                 raise ModelMismatch("a Mumford a must be monic of degree at most 3")
@@ -367,18 +368,22 @@ def class_from_points(model: OddModel, plus, minus) -> DivisorClass:
     return D
 
 
+def lagrange_basis(field, xs) -> list:
+    """The polys L_i of degree < len(xs) with L_i(x_j) = [i == j] at distinct xs: one inverse each."""
+    out = []
+    for i, xi in enumerate(xs):
+        num, den = Poly.one(field), field.one
+        for xj in xs[:i] + xs[i + 1 :]:
+            num = num * Poly(field, [field.neg(xj), field.one])
+            den = field.mul(den, field.sub(xi, xj))
+        out.append(num.scale(field.inv(den)))
+    return out
+
+
 def lagrange_interpolate(field, pts) -> Poly:
     """The unique poly of degree < len(pts) through distinct-x points."""
-    total = Poly.zero(field)
-    for i, (xi, yi) in enumerate(pts):
-        num = Poly.const(field, yi)
-        den = field.one
-        for j, (xj, _) in enumerate(pts):
-            if i != j:
-                num = num * Poly(field, [field.neg(xj), field.one])
-                den = field.mul(den, field.sub(xi, xj))
-        total = total + num.scale(field.inv(den))
-    return total
+    basis = lagrange_basis(field, [x for x, _ in pts])
+    return sum((L.scale(y) for L, (_, y) in zip(basis, pts)), Poly.zero(field))
 
 
 def random_class_on(model: OddModel, rng) -> DivisorClass:
@@ -386,6 +391,7 @@ def random_class_on(model: OddModel, rng) -> DivisorClass:
 
     Draws x until three of them have F(x) a nonzero square; TooFewPoints
     once every element of the field has been drawn without three such x.
+    The class keeps the three points, [(x, y)], as its drawn support.
     """
     field = model.field
     F = model.F
@@ -408,8 +414,9 @@ def random_class_on(model: OddModel, rng) -> DivisorClass:
     a = Poly.one(field)
     for x, _ in pts:
         a = a * Poly(field, [field.neg(x), field.one])
-    b = lagrange_interpolate(field, pts)
-    return DivisorClass(model, a, b)
+    D = DivisorClass(model, a, lagrange_interpolate(field, pts))
+    D.drawn = tuple(pts)
+    return D
 
 
 def random_class(H: HCurve, k: int, rng) -> DivisorClass:

@@ -12,20 +12,20 @@ functional certificate used throughout verification.
 phi lifts each point without factoring its fiber.  P = (x1, y1) makes x1 a
 root of the cubic G(t, x), so the cubic is (x - x1) times a quadratic with
 coefficients in K = F_{q^j} (j the degree of P's field), which splits over
-K2 = F_{q^(2j)} with one square root.  The lift takes every square root in
-the smallest field that holds its argument: the discriminant, and the values
-of F at the other two roots when these lie in K, are rooted in K; conjugate
-roots share one square root in K2.  The b with b(x1) = y1 are glued by CRT
-over K2 from y1 and those square roots, and the sheet test keeps the two
-with rho(b22) = b2.  fiber_points enumerates whole fibers: it counts X's
-points and is the test oracle for the lift.  It splits the fiber cubic once,
-with no squarefree step, and the x^q of that split seeds the norm of every
-factor ring.  Both glue square roots with the same code.
+K2 = F_{q^(2j)}.  Every square root is taken in K: the discriminant's, F's
+at the other two roots when these lie in K, and at conjugate roots the one
+K2 root they share, through the norm to K (sqrt_through_half).  The b with
+b(x1) = y1 are glued over one Lagrange basis of the three roots, and the
+sheet test keeps the two with rho(b22) = b2.  fiber_points enumerates whole
+fibers: it counts X's points and is the test oracle for the lift.  It
+splits the fiber cubic once, with no squarefree step, the x^q of that split
+seeds the norm of every factor ring, and CRT glues its square roots.
 
-A Frobenius orbit over the class's field is the unit of work both ways: phi
-checks and lifts one root per support factor (polyring.split_root) and maps
-that lift to the conjugates; the reverse builds one triple class per orbit of
-X-points, over the point's own field, and sums its conjugates by doubling.
+A Frobenius orbit over the class's field F_q is the unit of work both ways:
+phi checks and lifts one root per support factor (polyring.split_root; the
+drawn points of an auxiliary class need no split) and maps that lift to the
+conjugates; the reverse builds one triple class per orbit of e X-points,
+over F_{q^e}, and sums its conjugates by doubling.
 
 Classes are always re-represented as a difference of two good degree-3
 effective divisors before evaluation (support must avoid Weierstrass points,
@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 
 from .construction import CorrespondenceR, CurveXModel
-from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
+from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, lagrange_basis, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
 from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots, split_root, xgcd
@@ -106,7 +106,8 @@ def _etale_square_roots(Gt: Poly, parts, field):
 
     parts is [(h, r)] over the irreducible factors of Gt.  The sign on the
     first factor stays +, which picks one of b and -b; the other signs take
-    all combinations, glued by CRT.
+    all combinations, glued by CRT.  It serves fiber_points; phi, whose
+    three roots are known, glues with _glued_square_roots.
     """
     crt = []
     for h, _ in parts:
@@ -124,6 +125,15 @@ def _etale_square_roots(Gt: Poly, parts, field):
         b = b % Gt
         out.append((b[0], b[1], b[2]))
     return out
+
+
+def _glued_square_roots(field, pts):
+    """_etale_square_roots' b, in its order, over three known roots: pts is [(x_i, r_i)], r_i^2 = F(x_i).
+
+    Every r_1 L_1 +/- r_2 L_2 +/- r_3 L_3 over one Lagrange basis: three inverses, no xgcd.
+    """
+    u1, u2, u3 = (L.scale(r) for L, (_, r) in zip(lagrange_basis(field, [x for x, _ in pts]), pts))
+    return [(b[0], b[1], b[2]) for b in (u1 + v2 + v3 for v3 in (u3, -u3) for v2 in (u2, -u2))]
 
 
 def _fiber_point(X: CurveXModel, field, t0, b, scale):
@@ -192,11 +202,16 @@ def _support_orbits(D: DivisorClass):
     """The effective part of a reduced class as [(field, x, y, js)], one point per support factor.
 
     x is the factor's split_root, and its points are the p^j-power images of
-    (x, y), j in js, in the order of their encodings.  None if the support
+    (x, y), j in js, in the order of their encodings; a class that
+    random_class_on drew reads them off its drawn points.  None if the support
     is not usable: degree < 3, repeated x-coordinates, or points over
     extensions so large that the fiber field would overflow the degree guard.
     """
     f = D.model.field
+    if D.drawn is not None:
+        if 2 * f.k > _MAX_EXT_DEGREE:
+            return None
+        return [(f, x, y, [0]) for x, y in sorted(D.drawn, key=lambda pt: Poly(f, [f.neg(pt[0]), f.one]).sort_key())]
     if D.a.degree != 3 or not is_squarefree(D.a):
         return None
     factors, xq = _split_squarefree(D.a, _poly_rng(D.a))
@@ -262,14 +277,13 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
 
     x1 is a root of G(t0, x), so the fiber needs no factorization: the
     residual quadratic G(t0, x) / (x - x1) has its coefficients in
-    K = F_{q^j}, so it splits over K2 with one square root of its
-    discriminant.  The division and the discriminant stay in K; when the
-    quadratic splits over K, so do its roots and the values of F there, whose
-    square roots in K2 come from K (sqrt_of_half).  Otherwise the two roots
-    are conjugate over K and so are the square roots of F at them: one K2
-    square root serves both.  Gluing y1 at x1 with both signs of the square
-    roots of F at the other two roots gives every b with b(x1) = y1, so the
-    choice of each root's sign is immaterial.  For such b the sheet test
+    K = F_{q^j} and splits over K2 with the square root of its
+    discriminant.  When it splits over K, F at its roots is rooted from K
+    (sqrt_of_half); conjugate roots share one K2 square root of F, taken
+    through the norm to K (sqrt_through_half): no root runs over K2 itself.
+    Gluing y1 at x1 with both signs of the other two roots' square roots
+    (_glued_square_roots) gives every b with b(x1) = y1, so the choice of
+    each root's sign is immaterial.  For such b the sheet test
     y1 * rho = b02 + b12 x1 + b22 x1^2 reads y1 * rho = y1 * b2, so the
     points under P are the ones with rho(b22) = b2.  The points over t0
     whose b is anti-fixed by Frobenius are never among them: there F(x1) / nu
@@ -292,14 +306,13 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     else:
         half = K2.inv(K2.from_int(2))
         x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half_nonsquare(disc, K)), half)
-        rt = K2.sqrt(fib.over(K2).F.eval(x))
+        rt = K2.sqrt_through_half(fib.over(K2).F.eval(x), K)
         others = [] if rt is None else [(x, rt), (K2.frobenius_power(x, K.k), K2.frobenius_power(rt, K.k))]
     t2 = embed(t0, K, K2)
     picked = []
     if others:
         known = (embed(x1, K, K2), embed(y1, K, K2))
-        parts = [(Poly(K2, [K2.neg(x), K2.one]), Poly.const(K2, r)) for x, r in [known] + others]
-        for b in _etale_square_roots(embed_poly(Gt, K, K2), parts, K2):
+        for b in _glued_square_roots(K2, [known] + others):
             q = _fiber_point(R.X, K2, t2, b, K2.one)
             if R.rho(K2, t2, q.b[5]) == b[2]:
                 picked.append(q)
@@ -418,11 +431,12 @@ def _orbit_sum(T: DivisorClass, e: int, s: int) -> DivisorClass:
 def reverse_on_xdivisor(DX: XDivisor, R: CorrespondenceR, model: OddModel | None = None) -> DivisorClass:
     """(pi_H)_* (pi_X)^* of an X-divisor, Cantor-reduced on the source odd model.
 
-    One Frobenius orbit over the model's field at a time: its triple class
-    is built over its point's own field K, an extension of the model's,
-    summed over the orbit there (_orbit_sum), projected to the model's
-    field and added with the orbit's weight.  BadSupport unless every orbit
-    is complete with one weight, as a rational divisor's are.
+    One Frobenius orbit over the model's field F_q at a time: an orbit of e
+    points lies over F_{q^e}, where its point is projected (e = 1: F_q
+    itself), its triple class built and summed over the orbit (_orbit_sum),
+    then projected to F_q and added with the orbit's weight.  BadSupport
+    unless every orbit is complete with one weight, as a rational divisor's
+    are; ContextMismatch if a point does not project to F_{q^e}.
     """
     g = R.fib.gmap
     if model is None:
@@ -441,7 +455,11 @@ def reverse_on_xdivisor(DX: XDivisor, R: CorrespondenceR, model: OddModel | None
                 raise BadSupport("the X-divisor is not Galois-stable over the base field")
             points.pop(conj.key(), None)
             e, conj = e + 1, conj.frobenius_power(base.k)
-        K = q.field
+        K = base if e == 1 else make_extension(base.p, base.k * e)
+        c = [project(x, q.field, K) for x in (q.t, *q.b)] if q.field.k % K.k == 0 else [None]
+        if None in c:
+            raise ContextMismatch(f"an orbit of {e} points does not lie over {K!r}")
+        q = XPoint(K, c[0], tuple(c[1:]))
         T = _orbit_sum(_triple_class(R, q, model if K is base else model.base_change(K)), e, base.k)
         a_c, b_c = ([project(x, K, base) for x in P.c] for P in (T.a, T.b))
         if None in a_c + b_c:

@@ -48,8 +48,9 @@ nonresidue() of a prime field is a seeded search; an ExtField reads its
 non-residue off the base instead.  No output depends on which non-residue a
 context holds: square roots are canonical, and the anti-fixed fiber
 coordinates nu * u_i * u_j of evaluation.fiber_points do not change when nu
-changes by a square factor.  sqrt_of_half gives a square root in a quadratic
-extension of an element of the subfield from square roots in the subfield.
+changes by a square factor.  In a quadratic extension, sqrt_of_half roots an
+element of the subfield, and sqrt_through_half any element, through the norm
+N(a) = a sigma(a) and trace, from square roots in the subfield alone.
 
 embed carries an element of F_{p^k1} into F_{p^k2} (k1 | k2) through the
 least root, by encoding, of the F_{p^k1} modulus among one
@@ -407,7 +408,7 @@ class ExtField(_FieldOps):
         self._frob = {}
         self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
         # set here, not on first use: an attribute added later can cost a context CPython's shared layout
-        self._half_nonresidue_root = self._nonresidue = self._sqrt_constants = self._pair_tables = None
+        self._half_antifixed = self._nonresidue = self._sqrt_constants = self._pair_tables = None
 
     _lazy = _ACC - 1
 
@@ -520,25 +521,49 @@ class ExtField(_FieldOps):
         if 2 * half.k != self.k:
             raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
         r = half.sqrt(v)
-        if r is None:
-            return self.sqrt_of_half_nonsquare(v, half)
-        return embed(r, half, self)
+        return self.sqrt_of_half_nonsquare(v, half) if r is None else embed(r, half, self)
 
     def sqrt_of_half_nonsquare(self, v, half):
         """sqrt_of_half for a v already known to be a non-square of half.
 
-        v is nu * (v / nu) with nu = half.nonresidue(): the root of v / nu
-        comes from half, and the root of nu is taken once and kept on this
-        context.
+        d = x - sigma(x), sigma the |half|-power map, is negated by sigma, so d^2 is a
+        non-square of half and d sqrt(v / d^2) a root of v.  d and 1 / d^2 are kept here.
         """
         if 2 * half.k != self.k:
             raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
-        nu = half.nonresidue()
-        if self._half_nonresidue_root is None or self._half_nonresidue_root[0] is not half:
-            self._half_nonresidue_root = (half, self.sqrt(embed(nu, half, self)))
-        # v / nu is a nonzero square, so its root needs no Euler test first
-        r = half._sqrt_of_square(half.div(v, nu))
-        return self.mul(embed(r, half, self), self._half_nonresidue_root[1])
+        if self._half_antifixed is None or self._half_antifixed[0] is not half:
+            d = self.sub(self.x, self.frobenius_power(self.x, half.k))
+            self._half_antifixed = (half, d, half.inv(project(self.sqr(d), self, half)))
+        _, d, d2inv = self._half_antifixed
+        return self.mul(embed(half._sqrt_of_square(half.mul(v, d2inv)), half, self), d)
+
+    def sqrt_through_half(self, a, half):
+        """self.sqrt(a), canonical root or None, from square roots in half, the subfield of index 2.
+
+        sigma the |half|-power map: a root r has r sigma(r) = s, s^2 = N(a) = a sigma(a), and
+        (r + sigma(r))^2 = Tr(a) + 2s, so r = (a + s) / sqrt(Tr(a) + 2s) for the one sign of s
+        that makes Tr(a) + 2s a nonzero square.  No root of N(a): a is no square here.  No
+        such sign: Tr(r) = 0 and a is a non-square of half (sqrt_of_half_nonsquare).
+        """
+        if 2 * half.k != self.k:
+            raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
+        if a == self.zero:
+            return a
+        sa = self.frobenius_power(a, half.k)
+        n = half.sqrt(project(self.mul(a, sa), self, half))
+        if n is None:
+            return None
+        tr = project(self.add(a, sa), self, half)
+        for s in (n, half.neg(n)):
+            u = half.add(tr, half.add(s, s))
+            tau = None if u == half.zero else half.sqrt(u)
+            if tau is not None:
+                r = self.mul(self.add(a, embed(s, half, self)), embed(half.inv(tau), half, self))
+                break
+        else:
+            r = self.sqrt_of_half_nonsquare(half.div(tr, half.from_int(2)), half)
+        rn = self.neg(r)
+        return r if self.encode(r) <= self.encode(rn) else rn
 
     def _find_nonresidue(self):
         """A non-residue read off the base instead of searched for.

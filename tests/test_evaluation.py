@@ -8,18 +8,23 @@ import pytest
 from conftest import constructions, run_under
 from ex37 import EX37_DLP_MULTIPLIER, EX37_JAC_ORDER
 from trigonal.construction import build_correspondence, embed_poly
+from trigonal import evaluation
 from trigonal.curves import (
     DivisorClass,
     OddModel,
     cantor_mul,
     class_from_points,
     random_class,
+    random_class_on,
     two_torsion_from_pair,
 )
-from trigonal.errors import BadSupport, NoRationalWeierstrassPoint, RamifiedFiber
+from trigonal.errors import BadSupport, ContextMismatch, NoRationalWeierstrassPoint, RamifiedFiber
 from trigonal.evaluation import (
     XDivisor,
     _effective_points,
+    _etale_square_roots,
+    _glued_square_roots,
+    _triple_class,
     consensus_sign,
     count_X_open,
     fiber_partition_oracle,
@@ -30,7 +35,7 @@ from trigonal.evaluation import (
     _phi_point,
 )
 from trigonal.fields import embed, make_extension, prime_field
-from trigonal.polyring import Poly, factorize, is_squarefree, roots
+from trigonal.polyring import Poly, _split_squarefree, factorize, is_squarefree, roots
 from trigonal.subgroups import subgroup_elements
 
 from oracles import reverse_on_xdivisor_lcm
@@ -479,3 +484,105 @@ except ModelMismatch:
 """
     out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok1", "ok2"], out.stderr
+
+
+@pytest.mark.parametrize("bits, k", [(None, 1), (None, 2), (30, 1)])
+def test_glued_square_roots_match_etale_square_roots(ex37_fibration, bits, k):
+    # the Lagrange gluing over the three known roots of a lift's fiber gives
+    # the CRT gluing's four b, in the same order
+    fib = ex37_fibration if bits is None else _roundtrip_construction(bits)[1].fib
+    K = make_extension(fib.field.p, k)
+    K2 = make_extension(fib.field.p, 2 * k)
+    F2 = embed_poly(fib.curve.F, fib.field, K2)
+    glued = 0
+    for x1, y1, t0 in _good_points(fib, K, random.Random(60 + k), 10):
+        t2, x2, y2 = (embed(v, K, K2) for v in (t0, x1, y1))
+        Gt = Poly(K2, [embed_poly(c, fib.field, K2).eval(t2) for c in fib.G.cx])
+        others = [(x, K2.sqrt(F2.eval(x))) for x in roots(Gt) if x != x2]
+        if any(r is None for _, r in others):
+            continue
+        pts = [(x2, y2)] + others
+        parts = [(Poly(K2, [K2.neg(x), K2.one]), Poly.const(K2, r)) for x, r in pts]
+        assert _glued_square_roots(K2, pts) == _etale_square_roots(Gt, parts, K2)
+        glued += 1
+    assert glued >= 3, glued
+
+
+def test_reverse_builds_each_orbit_over_its_own_field(phi_classes, monkeypatch):
+    # an orbit of e points over F_q gets its triple class over F_{q^e}, so a
+    # rational orbit's runs over F_q itself
+    built = []
+
+    def spy(R, q, odd_big):
+        built.append((q.field.k, odd_big.field.k))
+        return _triple_class(R, q, odd_big)
+
+    monkeypatch.setattr(evaluation, "_triple_class", spy)
+    sizes = set()
+    for D, R, DX in phi_classes:
+        s = D.model.field.k
+        orbits = {}
+        for q, _ in DX.entries:
+            conj, e = q.frobenius_power(s), 1
+            while conj != q:
+                conj, e = conj.frobenius_power(s), e + 1
+            orbits[min(q.frobenius_power(s * i).key() for i in range(e))] = e
+        built.clear()
+        reverse_on_xdivisor(DX, R, D.model)
+        assert sorted(built) == sorted((s * e, s * e) for e in orbits.values())
+        sizes |= set(orbits.values())
+    assert {1, 2, 3} <= sizes, sizes
+
+
+def test_phi_draws_as_before_and_never_splits_the_drawn_class(ex37_curve, ex37_R, monkeypatch):
+    # phi still draws its auxiliary class E with random_class_on, as many
+    # times per class as when it split E's support (recorded then), and now
+    # reads E's support from the drawn points
+    drawn, split = [], []
+
+    def draw(model, rng):
+        E = random_class_on(model, rng)
+        drawn.append(E.a)
+        return E
+
+    def split_spy(poly, rng):
+        split.append(poly)
+        return _split_squarefree(poly, rng)
+
+    monkeypatch.setattr(evaluation, "random_class_on", draw)
+    monkeypatch.setattr(evaluation, "_split_squarefree", split_spy)
+    rng = random.Random(81)
+    counts = []
+    for _ in range(12):
+        D = random_class(ex37_curve, 1, rng)
+        drawn.clear()
+        phi_on_class(D, ex37_R)
+        counts.append(len(drawn))
+        assert split and not any(a == s for a in drawn for s in split)
+    assert counts == [1, 5, 5, 4, 2, 1, 4, 2, 3, 5, 2, 1]
+
+
+def test_roundtrip_at_160_bits_against_the_lcm_field_oracle():
+    # a 160-bit class whose phi reaches F_{p^4}: +/-2 and the lcm-field oracle
+    g, R = _roundtrip_construction(160)
+    D = random_class(g.source_curve, 1, random.Random(70))
+    DX = phi_on_class(D, R)
+    assert {q.field.k for q, _ in DX.entries} == {2, 4}
+    E = reverse_on_xdivisor(DX, R, D.model)
+    assert E == reverse_on_xdivisor_lcm(DX, R, D.model)
+    assert E in (cantor_mul(D, 2), cantor_mul(D, -2))
+
+
+def test_reverse_rejects_an_orbit_outside_the_point_field(ex37_curve, ex37_R):
+    # an F_37^3 point is an orbit of 3 over F_37^2, whose field F_37^6 the
+    # point's field does not contain: a typed error, not a wrong projection
+    K3 = make_extension(37, 3)
+    model = OddModel.from_curve(ex37_curve, make_extension(37, 2))
+    for t0 in K3.elements():
+        if K3.frobenius_power(t0, 1) != t0 and not ex37_R.fib.ramified_at(t0, K3):
+            pts = fiber_points(ex37_R.X, t0, K3)
+            if pts:
+                break
+    DX = XDivisor(tuple((pts[0].frobenius_power(2 * i), 1) for i in range(3)))
+    with pytest.raises(ContextMismatch):
+        reverse_on_xdivisor(DX, ex37_R, model)

@@ -373,9 +373,33 @@ def test_sqrt_of_half_squares_back():
             if not K.is_square(v):
                 r = K2.sqrt_of_half_nonsquare(v, K)
                 assert K2.mul(r, r) == embed(v, K, K2)
-    for method in (ExtField.sqrt_of_half, ExtField.sqrt_of_half_nonsquare):
+    for method in (ExtField.sqrt_of_half, ExtField.sqrt_of_half_nonsquare, ExtField.sqrt_through_half):
         with pytest.raises(ContextMismatch):
             method(make_extension(37, 6), 2, prime_field(37))
+
+
+def test_sqrt_through_half_is_the_canonical_root():
+    # the root through the norm to the index-2 subfield is K2.sqrt's: the
+    # canonical root or None, on every element of F_5^2 and F_37^2, on seeded
+    # elements at 30 bits, and on the subfield's squares, non-squares and zero
+    from trigonal.survey import deterministic_prime
+
+    for p in (5, 37):
+        K, K2 = prime_field(p), make_extension(p, 2)
+        assert all(K2.sqrt_through_half(a, K) == K2.sqrt(a) for a in K2.elements())
+    rng = random.Random(13)
+    p = deterministic_prime(30, 0)
+    for j in (1, 2, 3):
+        K, K2 = make_extension(p, j), make_extension(p, 2 * j)
+        sub = [embed(K.random(rng), K, K2) for _ in range(20)]
+        cases = [K2.random(rng) for _ in range(40)] + sub + [K2.zero]
+        seen = set()
+        for a in cases:
+            r = K2.sqrt_through_half(a, K)
+            assert r == K2.sqrt(a)
+            seen.add((a in sub, r is None))
+        assert seen == {(False, False), (False, True), (True, False)}, seen
+        assert any(not K.is_square(project(a, K2, K)) for a in sub)
 
 
 def test_project_rank_check_survives_python_O():
