@@ -21,7 +21,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import _prime_divisors, embed, embed_poly, make_extension
-from .polyring import BinaryForm, Poly, is_squarefree, roots, xgcd
+from .polyring import BinaryForm, Poly, crt_terms, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
 
@@ -368,24 +368,6 @@ def class_from_points(model: OddModel, plus, minus) -> DivisorClass:
     return D
 
 
-def lagrange_basis(field, xs) -> list:
-    """The polys L_i of degree < len(xs) with L_i(x_j) = [i == j] at distinct xs: one inverse each."""
-    out = []
-    for i, xi in enumerate(xs):
-        num, den = Poly.one(field), field.one
-        for xj in xs[:i] + xs[i + 1 :]:
-            num = num * Poly(field, [field.neg(xj), field.one])
-            den = field.mul(den, field.sub(xi, xj))
-        out.append(num.scale(field.inv(den)))
-    return out
-
-
-def lagrange_interpolate(field, pts) -> Poly:
-    """The unique poly of degree < len(pts) through distinct-x points."""
-    basis = lagrange_basis(field, [x for x, _ in pts])
-    return sum((L.scale(y) for L, (_, y) in zip(basis, pts)), Poly.zero(field))
-
-
 def random_class_on(model: OddModel, rng) -> DivisorClass:
     """A pseudo-uniform class from three random points on the given odd model.
 
@@ -411,10 +393,9 @@ def random_class_on(model: OddModel, rng) -> DivisorClass:
         if rng.getrandbits(1):
             y = field.neg(y)
         pts.append((x, y))
-    a = Poly.one(field)
-    for x, _ in pts:
-        a = a * Poly(field, [field.neg(x), field.one])
-    D = DivisorClass(model, a, lagrange_interpolate(field, pts))
+    parts = [(Poly(field, [field.neg(x), field.one]), None, y) for x, y in pts]
+    a = parts[0][0] * parts[1][0] * parts[2][0]
+    D = DivisorClass(model, a, sum(crt_terms(field, parts), Poly.zero(field)))
     D.drawn = tuple(pts)
     return D
 

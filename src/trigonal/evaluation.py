@@ -15,11 +15,13 @@ coefficients in K = F_{q^j} (j the degree of P's field), which splits over
 K2 = F_{q^(2j)}.  Every square root is taken in K: the discriminant's, F's
 at the other two roots when these lie in K, and at conjugate roots the one
 K2 root they share, through the norm to K (sqrt_through_half).  The b with
-b(x1) = y1 are glued over one Lagrange basis of the three roots, and the
+b(x1) = y1 are glued from the three roots as linear CRT parts, and the
 sheet test keeps the two with rho(b22) = b2.  fiber_points enumerates whole
 fibers: it counts X's points and is the test oracle for the lift.  It
 splits the fiber cubic once, with no squarefree step, the x^q of that split
-seeds the norm of every factor ring, and CRT glues its square roots.
+seeds the norm of every factor ring, and its square roots modulo the
+factors are glued as ring elements.  Both glue with polyring.crt_terms, one
+inverse per factor (in its ring, or in the field for a linear factor).
 
 A Frobenius orbit over the class's field F_q is the unit of work both ways:
 phi checks and lifts one root per support factor (polyring.split_root; the
@@ -41,10 +43,10 @@ import random
 from dataclasses import dataclass
 
 from .construction import CorrespondenceR, CurveXModel
-from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, lagrange_basis, random_class_on
+from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots, split_root, xgcd
+from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, crt_terms, factorize, is_squarefree, roots, split_root
 
 
 @dataclass(frozen=True)
@@ -80,60 +82,39 @@ class XDivisor:
 
 
 def _square_root_parts(F: Poly, factors, field):
-    """One square root of F modulo each irreducible factor h, as [(h, r)].
+    """One square root of F modulo each irreducible factor h, as crt_terms' parts [(h, ring, r)].
 
-    factors is [(h, field[x]/(h))], with None as the ring of a linear h.
-    None when F is a non-residue modulo some factor: then F has no square
-    root in the etale algebra at all.
+    factors is [(h, field[x]/(h))], with None as the ring of a linear h,
+    whose root is in field.  None when F is a non-residue modulo some
+    factor: then F has no square root in the etale algebra at all.
     """
     parts = []
     for h, ring in factors:
         if ring is None:
             rt = field.sqrt(F.eval(field.neg(h[0])))
-            if rt is None:
-                return None
-            parts.append((h, Poly.const(field, rt)))
         else:
             rt = ring.sqrt(ring.from_coeffs((F % h).c))
-            if rt is None:
-                return None
-            parts.append((h, Poly(field, ring.coeffs(rt))))
+        if rt is None:
+            return None
+        parts.append((h, ring, rt))
     return parts
 
 
-def _etale_square_roots(Gt: Poly, parts, field):
-    """Every b in field[x]/(Gt) with b = +/-r modulo each factor, as (b0, b1, b2).
+def _glued_square_roots(field, parts):
+    """Every b = u_1 +/- u_2 +/- ... over the crt_terms of parts, as (b0, b1, b2).
 
-    parts is [(h, r)] over the irreducible factors of Gt.  The sign on the
-    first factor stays +, which picks one of b and -b; the other signs take
-    all combinations, glued by CRT.  It serves fiber_points; phi, whose
-    three roots are known, glues with _glued_square_roots.
+    The sign on the first part stays +, which picks one of b and -b; bit
+    i - 1 of the mask negates part i.  fiber_points glues the roots modulo
+    the factors of the fiber cubic, phi its three known roots.
     """
-    crt = []
-    for h, _ in parts:
-        m_i = Gt // h
-        g, s, _ = xgcd(m_i, h)
-        if g.degree != 0:
-            raise NotSquarefree("the fiber cubic has a repeated factor")
-        crt.append((m_i * s) % Gt)
+    u = crt_terms(field, parts)
     out = []
-    for mask in range(2 ** (len(parts) - 1)):
-        b = Poly.zero(field)
-        for i, ((_, rt), u) in enumerate(zip(parts, crt)):
-            term = rt * u
-            b = b - term if i and (mask >> (i - 1)) & 1 else b + term
-        b = b % Gt
+    for mask in range(2 ** (len(u) - 1)):
+        b = u[0]
+        for i, ui in enumerate(u[1:]):
+            b = b - ui if (mask >> i) & 1 else b + ui
         out.append((b[0], b[1], b[2]))
     return out
-
-
-def _glued_square_roots(field, pts):
-    """_etale_square_roots' b, in its order, over three known roots: pts is [(x_i, r_i)], r_i^2 = F(x_i).
-
-    Every r_1 L_1 +/- r_2 L_2 +/- r_3 L_3 over one Lagrange basis: three inverses, no xgcd.
-    """
-    u1, u2, u3 = (L.scale(r) for L, (_, r) in zip(lagrange_basis(field, [x for x, _ in pts]), pts))
-    return [(b[0], b[1], b[2]) for b in (u1 + v2 + v3 for v3 in (u3, -u3) for v2 in (u2, -u2))]
 
 
 def _fiber_point(X: CurveXModel, field, t0, b, scale):
@@ -182,7 +163,7 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
         parts = _square_root_parts(FF, rings, field)
         if parts is None:
             continue
-        for b in _etale_square_roots(Gt, parts, field):
+        for b in _glued_square_roots(field, parts):
             out.append(_fiber_point(X, field, t0, b, scale))
     out.sort(key=XPoint.key)
     return out
@@ -211,7 +192,7 @@ def _support_orbits(D: DivisorClass):
     if D.drawn is not None:
         if 2 * f.k > _MAX_EXT_DEGREE:
             return None
-        return [(f, x, y, [0]) for x, y in sorted(D.drawn, key=lambda pt: Poly(f, [f.neg(pt[0]), f.one]).sort_key())]
+        return [(f, x, y, [0]) for x, y in sorted(D.drawn, key=lambda pt: f.encode(f.neg(pt[0])))]
     if D.a.degree != 3 or not is_squarefree(D.a):
         return None
     factors, xq = _split_squarefree(D.a, _poly_rng(D.a))
@@ -281,13 +262,14 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     discriminant.  When it splits over K, F at its roots is rooted from K
     (sqrt_of_half); conjugate roots share one K2 square root of F, taken
     through the norm to K (sqrt_through_half): no root runs over K2 itself.
-    Gluing y1 at x1 with both signs of the other two roots' square roots
-    (_glued_square_roots) gives every b with b(x1) = y1, so the choice of
-    each root's sign is immaterial.  For such b the sheet test
-    y1 * rho = b02 + b12 x1 + b22 x1^2 reads y1 * rho = y1 * b2, so the
-    points under P are the ones with rho(b22) = b2.  The points over t0
-    whose b is anti-fixed by Frobenius are never among them: there F(x1) / nu
-    would be a square, but it is y1^2 / nu.
+    Gluing y1 at x1 with both signs of the other two roots' square roots,
+    three linear parts of crt_terms (_glued_square_roots), gives every b
+    with b(x1) = y1, so the choice of each root's sign is immaterial.  For
+    such b the sheet test y1 * rho = b02 + b12 x1 + b22 x1^2 reads
+    y1 * rho = y1 * b2, so the points under P are the ones with
+    rho(b22) = b2.  The points over t0 whose b is anti-fixed by Frobenius
+    are never among them: there F(x1) / nu would be a square, but it is
+    y1^2 / nu.
     """
     K2 = make_extension(K.p, 2 * K.k)
     fib = R.fib
@@ -311,8 +293,8 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     t2 = embed(t0, K, K2)
     picked = []
     if others:
-        known = (embed(x1, K, K2), embed(y1, K, K2))
-        for b in _glued_square_roots(K2, [known] + others):
+        pts = [(embed(x1, K, K2), embed(y1, K, K2))] + others
+        for b in _glued_square_roots(K2, [(Poly(K2, [K2.neg(x), K2.one]), None, r) for x, r in pts]):
             q = _fiber_point(R.X, K2, t2, b, K2.one)
             if R.rho(K2, t2, q.b[5]) == b[2]:
                 picked.append(q)

@@ -38,7 +38,7 @@ import hashlib
 import random
 
 from . import fields
-from .errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
+from .errors import BadDegree, ContextMismatch, NotMonicCubic, NotSquarefree, ZeroPolynomial
 
 
 class Poly:
@@ -273,6 +273,30 @@ def xgcd(a: Poly, b: Poly):
         return r0, s0, t0
     c = f.inv(r0.lc)
     return r0.scale(c), s0.scale(c), t0.scale(c)
+
+
+def crt_terms(field, parts) -> list:
+    """The CRT terms u_i = m_i * (r_i / (m_i mod h_i)), m_i the product of the other h, over parts [(h, ring, r)].
+
+    The h are pairwise coprime monic irreducibles, ring is field[x]/(h)
+    (None for a linear h, whose r is in field) and r is an element of it.
+    u_i is r_i modulo h_i and 0 modulo the others, of degree below the sum
+    of the degrees, so sums of the u_i with any signs need no reduction.
+    One inverse per part; NotSquarefree when two of the h coincide.
+    """
+    out = []
+    for i, (h, ring, r) in enumerate(parts):
+        m = Poly.one(field)
+        for j, (g, _, _) in enumerate(parts):
+            if j != i:
+                m = m * g
+        R = field if ring is None else ring
+        d = m.eval(field.neg(h[0])) if ring is None else ring.from_coeffs((m % h).c)
+        if d == R.zero:
+            raise NotSquarefree("two CRT factors coincide")
+        c = R.div(r, d)
+        out.append(m.scale(c) if ring is None else m * Poly(field, ring.coeffs(c)))
+    return out
 
 
 def is_squarefree(poly: Poly) -> bool:

@@ -1,14 +1,15 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
-point counts by enumeration, the reverse composition in the lcm field of its points."""
+point counts by enumeration, the reverse composition in the lcm field of its points, CRT gluing
+by xgcd idempotents."""
 
 import math
 
 from trigonal.curves import DivisorClass, cantor_add, cantor_mul
-from trigonal.errors import BadSupport, TooLarge
+from trigonal.errors import BadSupport, NotSquarefree, TooLarge
 from trigonal.evaluation import XPoint, _triple_class
 from trigonal.fields import embed, embed_poly, make_extension, project
-from trigonal.polyring import BinaryForm, Poly, factorize, roots
+from trigonal.polyring import BinaryForm, Poly, factorize, roots, xgcd
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
 
 
@@ -273,3 +274,27 @@ def reverse_on_xdivisor_lcm(DX, R, model):
     if None in a_c or None in b_c:
         raise BadSupport("reverse image is not rational over the base field")
     return DivisorClass(model, Poly(base, a_c), Poly(base, b_c))
+
+
+def etale_square_roots_xgcd(Gt, parts, field):
+    """Every b in field[x]/(Gt) with b = +/-r modulo each irreducible factor h, as (b0, b1, b2), by xgcd idempotents.
+
+    parts is [(h, r)], r a Poly.  The idempotent of h is (Gt/h) * s reduced mod Gt, s from
+    xgcd(Gt/h, h); the sign on the first factor stays + and bit i - 1 of the mask negates factor i.
+    """
+    crt = []
+    for h, _ in parts:
+        m_i = Gt // h
+        g, s, _ = xgcd(m_i, h)
+        if g.degree != 0:
+            raise NotSquarefree("the fiber cubic has a repeated factor")
+        crt.append((m_i * s) % Gt)
+    out = []
+    for mask in range(2 ** (len(parts) - 1)):
+        b = Poly.zero(field)
+        for i, ((_, rt), u) in enumerate(zip(parts, crt)):
+            term = rt * u
+            b = b - term if i and (mask >> (i - 1)) & 1 else b + term
+        b = b % Gt
+        out.append((b[0], b[1], b[2]))
+    return out

@@ -22,7 +22,6 @@ from trigonal.errors import BadSupport, ContextMismatch, NoRationalWeierstrassPo
 from trigonal.evaluation import (
     XDivisor,
     _effective_points,
-    _etale_square_roots,
     _glued_square_roots,
     _triple_class,
     consensus_sign,
@@ -34,11 +33,11 @@ from trigonal.evaluation import (
     roundtrip,
     _phi_point,
 )
-from trigonal.fields import embed, make_extension, prime_field
-from trigonal.polyring import Poly, _split_squarefree, factorize, is_squarefree, roots
+from trigonal.fields import ExtField, embed, make_extension, prime_field
+from trigonal.polyring import Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots
 from trigonal.subgroups import subgroup_elements
 
-from oracles import reverse_on_xdivisor_lcm
+from oracles import etale_square_roots_xgcd, reverse_on_xdivisor_lcm
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -464,32 +463,38 @@ def test_reverse_rejects_an_incomplete_orbit(phi_classes):
 
 
 def test_typed_errors_survive_python_O():
-    # the evaluation checks raise TrigonalError subclasses, not asserts
+    # the evaluation checks raise TrigonalError subclasses, not asserts; the
+    # CRT terms refuse a repeated factor, linear or with a ring
     code = """
 from trigonal.errors import ModelMismatch, NotSquarefree
-from trigonal.evaluation import _etale_square_roots, _mumford_transform
-from trigonal.fields import prime_field
-from trigonal.polyring import Poly
+from trigonal.evaluation import _mumford_transform
+from trigonal.fields import ExtField, prime_field
+from trigonal.polyring import Poly, crt_terms, is_irreducible
 F = prime_field(37)
 h1, h2 = Poly.from_ints(F, [36, 1]), Poly.from_ints(F, [35, 1])
-one = Poly.one(F)
+q = Poly.from_ints(F, [2, 0, 1])
+R = ExtField(F, q.c)
 try:
-    _etale_square_roots(h1 * h1 * h2, [(h1, one), (h1, one), (h2, one)], F)
+    crt_terms(F, [(h1, None, 1), (h1, None, 1), (h2, None, 1)])
 except NotSquarefree:
     print("ok1")
 try:
+    crt_terms(F, [(q, R, R.one), (h2, None, 1), (q, R, R.one)])
+except NotSquarefree:
+    print("ok2" if is_irreducible(q) else "reducible")
+try:
     _mumford_transform(h1, Poly.const(F, 5), (1, 0, 0, 1), 1, F, Poly.from_ints(F, [1, 0, 0, 0, 0, 0, 0, 1]))
 except ModelMismatch:
-    print("ok2")
+    print("ok3")
 """
     out = run_under(["-O"], code)
-    assert out.stdout.split() == ["ok1", "ok2"], out.stderr
+    assert out.stdout.split() == ["ok1", "ok2", "ok3"], out.stderr
 
 
 @pytest.mark.parametrize("bits, k", [(None, 1), (None, 2), (30, 1)])
 def test_glued_square_roots_match_etale_square_roots(ex37_fibration, bits, k):
-    # the Lagrange gluing over the three known roots of a lift's fiber gives
-    # the CRT gluing's four b, in the same order
+    # phi's gluing of the three known roots of a lift's fiber, as linear CRT
+    # parts, gives the xgcd reference's four b, in the same order
     fib = ex37_fibration if bits is None else _roundtrip_construction(bits)[1].fib
     K = make_extension(fib.field.p, k)
     K2 = make_extension(fib.field.p, 2 * k)
@@ -501,11 +506,46 @@ def test_glued_square_roots_match_etale_square_roots(ex37_fibration, bits, k):
         others = [(x, K2.sqrt(F2.eval(x))) for x in roots(Gt) if x != x2]
         if any(r is None for _, r in others):
             continue
-        pts = [(x2, y2)] + others
-        parts = [(Poly(K2, [K2.neg(x), K2.one]), Poly.const(K2, r)) for x, r in pts]
-        assert _glued_square_roots(K2, pts) == _etale_square_roots(Gt, parts, K2)
+        parts = [(Poly(K2, [K2.neg(x), K2.one]), None, r) for x, r in [(x2, y2)] + others]
+        ref = [(h, Poly.const(K2, r)) for h, _, r in parts]
+        assert _glued_square_roots(K2, parts) == etale_square_roots_xgcd(Gt, ref, K2)
         glued += 1
     assert glued >= 3, glued
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fiber_gluing_matches_the_xgcd_reference(ex37_fibration, k):
+    # fiber_points' CRT terms, one inverse in each factor ring, against the
+    # xgcd idempotents, on cubics that are irreducible, a linear times an
+    # irreducible quadratic, or split.  Over F_37 the worked example roots F
+    # and a construction with lc(s) a non-square roots F/nu.  Over F_37^2
+    # every element of F_37 is a square, so no F_37 construction roots F/nu
+    # there: that branch glues the residues of F/nu themselves.
+    F37 = prime_field(37)
+    fibs = [ex37_fibration]
+    if k == 1:
+        fibs.append(next(fib for *_, fib in constructions(37, 6, random.Random(2026)) if not F37.is_square(fib.alpha)))
+    K = make_extension(37, k)
+    seen = set()
+    for fib in fibs:
+        over = fib.over(K)
+        for i in range(min(K.order, 200)):
+            t0 = K.decode(i)
+            if fib.ramified_at(t0, K):
+                continue
+            Gt = evaluation._fiber_cubic(fib, t0, K)
+            factors, xq = _split_squarefree(Gt, _poly_rng(Gt))
+            rings = [(h, ExtField(K, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
+            for branch, FF in (("F", over.F), ("F/nu", over.F_nu)):
+                parts = evaluation._square_root_parts(FF, rings, K)
+                if parts is None and k == 2 and branch == "F/nu":
+                    parts = [(h, R, FF.eval(K.neg(h[0])) if R is None else R.from_coeffs((FF % h).c)) for h, R in rings]
+                if parts is None:
+                    continue
+                ref = [(h, Poly.const(K, r) if R is None else Poly(K, R.coeffs(r))) for h, R, r in parts]
+                assert _glued_square_roots(K, parts) == etale_square_roots_xgcd(Gt, ref, K)
+                seen.add((branch, tuple(sorted(h.degree for h in factors))))
+    assert seen == {(b, pattern) for b in ("F", "F/nu") for pattern in ((3,), (1, 2), (1, 1, 1))}, seen
 
 
 def test_reverse_builds_each_orbit_over_its_own_field(phi_classes, monkeypatch):
