@@ -12,6 +12,8 @@ with weights (1, 1, 4): affine (x, y) is (x : 1 : y) and infinity is (1 : 0 : w)
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import (
     ModelMismatch,
     NoRationalWeierstrassPoint,
@@ -20,7 +22,7 @@ from .errors import (
     TooFewPoints,
     TooLarge,
 )
-from .fields import _prime_divisors, embed, embed_poly, make_extension
+from .fields import _prime_divisors, _slot_layout, embed, embed_poly, make_extension
 from .polyring import BinaryForm, Poly, crt_terms, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
@@ -423,48 +425,73 @@ def two_torsion_from_pair(model: OddModel, quad: BinaryForm) -> DivisorClass:
     return DivisorClass(model, a, Poly.zero(model.field), check=False)
 
 
-def count_points(H: HCurve, k: int) -> int:
-    """#H(F_{p^k}), including points at infinity, with F evaluated once per Frobenius orbit.
+def frobenius_line_orbits(field):
+    """(x0, size): one affine line x0 + F_p, x0 with no constant coefficient, per orbit of x -> x^p on the lines."""
+    p = field.p
+    seen = bytearray(field.order // p)  # the line of x0 at encode(x0) / p
+    for i, met in enumerate(seen):
+        if not met:
+            x0 = y = field.decode(i * p)
+            size = 0
+            while size == 0 or y != x0:
+                y = field.frobenius_power(y, 1)
+                y = field.sub(y, field.coeffs(y)[0])
+                seen[field.encode(y) // p] = 1
+                size += 1
+            yield x0, size
 
-    F has F_p coefficients, so F(x^p) = F(x)^p, which is zero or a nonzero
-    square exactly when F(x) is: every orbit of x -> x^p counts its size
-    times the points over its first element.  Squareness is the field's
-    Euler criterion (through the norm on an extension).
+
+def count_points(H: HCurve, k: int) -> int:
+    """#H(F_{p^k}), including points at infinity, along one affine F_p-line per Frobenius orbit of lines.
+
+    F has F_p coefficients, so F(x^p) = F(x)^p: the lines of an orbit of
+    frobenius_line_orbits carry as many points each.  Along x0 + F_p,
+    D_j = Delta^j F(x0 + a), j = 0, ..., d = deg F, steps from a to a + 1
+    as D_j + D_(j+1).  Delta^j F is a polynomial over F_p, so the D_j at
+    a = 0 are sum_e x0^e R_e, R_e the y^e coefficients of the Delta^j F(y);
+    these identities of polynomials hold for p <= d too, where the
+    x0 + a + j repeat.  A value's square class is Euler's criterion on its
+    norm, the product of its conjugates, the values at the same a on the
+    lines of the x0^(p^i), i < k.  The table packs D_j of line i as one
+    element in block j k + i, so a step is one SWAR add of the table and
+    the table shifted down k blocks.
     """
     p = H.field.p
     if H.field.k != 1:
         raise ModelMismatch("count_points expects a curve over a prime field")
     if p**k > _COUNT_GUARD:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
-    field = make_extension(p, k)
-    F = embed_poly(H.F, H.field, field)
-    # bit i marks the element of encoding i as a conjugate of an orbit met
-    # before: one bit per element where a set of the pending conjugates
-    # held tens of bytes each
-    seen = bytearray((field.order >> 3) + 1)
-    n = 0
-    for i in range(field.order):
-        if seen[i >> 3] >> (i & 7) & 1:
-            continue
-        x = field.decode(i)
-        size = 1
-        y = field.frobenius_power(x, 1)
-        while y != x:
-            j = field.encode(y)
-            seen[j >> 3] |= 1 << (j & 7)
-            size += 1
-            y = field.frobenius_power(y, 1)
-        fx = F.eval(x)
-        if fx == field.zero:
-            n += size
-        elif field.is_square(fx):
-            n += 2 * size
-    # points at infinity
-    if H.F.degree == 7:
-        n += 1
-    elif field.is_square(field.from_int(H.F.lc)):
-        n += 2
-    return n
+    field, d = make_extension(p, k), H.F.degree
+    top, mask, _, ones, _, half, _ = _slot_layout(p, k)
+    w = mask.bit_length()
+    B, step = k * w, k * k * w  # a block holds one element, a step is k blocks
+    emask, full = (1 << B) - 1, (1 << (d + 1) * step) - 1
+    ones, half = ones * (full // emask), half * (full // emask)
+    R, g = [0] * (d + 1), list(H.F.c)
+    for j in range(d + 1):
+        for e, c in enumerate(g):
+            R[e] |= c << j * step
+        g = [sum(comb(m, e) * g[m] for m in range(e + 1, len(g))) % p for e in range(len(g) - 1)]  # g(y + 1) - g(y)
+    per = bytearray((pow(z, (p - 1) // 2, p) + 1) % p for z in range(p))  # points by the norm: 1 + its Legendre symbol
+    mul, conj, n = field.mul, range(B, step, B), 0
+    for x0, size in frobenius_line_orbits(field):
+        c = 0
+        for i in range(k):
+            xe = [field.one, field.frobenius_power(x0, i)]
+            while len(xe) <= d:
+                xe.append(mul(xe[-1], xe[1]))
+            c += sum(a * r for a, r in zip(xe, R)) << i * B  # each slot below (d + 1) p^2 < 2^w
+        t, on_line = sum((c >> s & mask) % p << s for s in range(0, (d + 1) * step, w)), 0
+        for _ in range(p):
+            v = t & emask
+            for s in conj:
+                v = mul(v, t >> s & emask)
+            on_line += per[v]
+            t += t >> step
+            t -= p * ((t + half) >> top & ones)
+        n += size * on_line
+    # points at infinity: one on a septic, else two or none as the norm lc^k is a square or not
+    return n + (1 if d == 7 else per[pow(H.F.lc, k, p)])
 
 
 def l_polynomial(H: HCurve):
@@ -472,23 +499,16 @@ def l_polynomial(H: HCurve):
     q = H.field.p
     if q**3 > _COUNT_GUARD:
         raise TooLarge(f"{q}^3 exceeds the enumeration guard 2^30")
-    n1 = count_points(H, 1)
-    n2 = count_points(H, 2)
-    n3 = count_points(H, 3)
-    s1 = q + 1 - n1
-    s2 = q * q + 1 - n2
-    s3 = q**3 + 1 - n3
-    e1 = s1
-    num = e1 * s1 - s2
+    n1, n2, n3 = counts = [count_points(H, k) for k in (1, 2, 3)]
+    s1, s2, s3 = (q**k + 1 - n for k, n in enumerate(counts, 1))
+    num = s1 * s1 - s2
     if num % 2:
         raise ModelMismatch(f"point counts {n1}, {n2}, {n3} give a non-integral e2")
     e2 = num // 2
-    num = e2 * s1 - e1 * s2 + s3
+    num = e2 * s1 - s1 * s2 + s3
     if num % 3:
         raise ModelMismatch(f"point counts {n1}, {n2}, {n3} give a non-integral e3")
-    e3 = num // 3
-    c1, c2, c3 = -e1, e2, -e3
-    return [1, c1, c2, c3, q * c2, q * q * c1, q**3]
+    return [1, -s1, e2, -(num // 3), q * e2, -q * q * s1, q**3]
 
 
 def jacobian_order(H: HCurve) -> int:

@@ -130,11 +130,20 @@ class _FieldOps:
             n = -n
         if not n:
             return self.one
-        r = a
+        r, mul = a, self.mul
+        # x over F_p: a set bit shifts the square up a slot and folds one more high slot (each below 2 deg p^2)
+        xw = a == self.x and self.deg > 1 and self.base.k == 1 and (self.p, self._mask, self._negmod, self._shifts[1])
         for bit in bin(n)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, a)
+            if bit == "0" or not xw:
+                r = mul(r, r)
+                if bit == "1":
+                    r = mul(r, a)
+                continue
+            p, m, nm, w = xw
+            c = r * r << w
+            for hi, lo in self._xhighs:
+                c += (((c >> hi) & m) % p * nm) << lo
+            r = self._reduce(c)
         return r
 
     _nonresidue = None
@@ -320,15 +329,15 @@ def _slot_layout(p: int, k: int) -> tuple:
 
     (top bit, slot mask, slot shifts, packed ones, packed p, packed
     2^(w-1) - p, fold pairs) for w the bit length of _ACC k (p - 1)^2; a
-    fold pair is (high slot, where its fold lands), from the top slot of a
-    product down.
+    fold pair is (high slot, where its fold lands), from the slot above the
+    top slot of a product (a product times x) down.
     """
     lay = _layout_cache.get((p, k))
     if lay is None:
         w = (_ACC * k * (p - 1) ** 2).bit_length()
         mask = (1 << w) - 1
         ones = ((1 << (k * w)) - 1) // mask
-        fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 2, k - 1, -1))
+        fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 1, k - 1, -1))
         lay = _layout_cache[(p, k)] = (w - 1, mask, tuple(range(0, k * w, w)), ones, p * ones, ((1 << (w - 1)) - p) * ones, fold)
     return lay
 
@@ -378,9 +387,9 @@ class ExtField(_FieldOps):
     a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
     order: a^T = N(a) and T is odd.  N(a) is then known to be a nonzero
     square of the base, whose root runs no second Euler test
-    (_sqrt_of_square).  An even degree runs Tonelli-Shanks, whose
-    non-residue is read off the base (see _find_nonresidue) instead of
-    searched for.
+    (_sqrt_of_square).  F_{p^2} takes its roots through F_p
+    (sqrt_through_half), and another even degree runs Tonelli-Shanks, whose
+    non-residue is read off the base (see _find_nonresidue).
     """
 
     def __new__(cls, base, modulus, xq=None, j=None):
@@ -414,7 +423,8 @@ class ExtField(_FieldOps):
 
     def _init_elements(self):
         """The slot layout and the packed constants of the SWAR arithmetic."""
-        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._highs = _slot_layout(self.p, self.k)
+        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._xhighs = _slot_layout(self.p, self.k)
+        self._highs = self._xhighs[1:]
         # a coefficient is one slot; a reduction may take _span columns of
         # a linear map (_ACC k products per slot, one left for the partial sum)
         self._cshifts, self._cmask = self._shifts, self._mask
@@ -497,13 +507,13 @@ class ExtField(_FieldOps):
     def _sqrt_of_square(self, a, n=None):
         """The canonical root of a, a nonzero square with norm n (computed if None).
 
-        An even degree runs Tonelli-Shanks.  An odd degree has a^T = N(a)
-        with T = (Q^d - 1) / (Q - 1) odd, so a^((T + 1) / 2) squares to
-        a N(a) and no 2-Sylow generator is needed; N(a) is a nonzero square
-        of the base, whose root runs no Euler test either.
+        F_{p^2} roots through F_p, another even degree by Tonelli-Shanks.
+        An odd degree has a^T = N(a), T = (Q^d - 1) / (Q - 1) odd, so
+        a^((T + 1) / 2) squares to a N(a), no 2-Sylow generator needed; N(a)
+        is a nonzero square of the base, whose root runs no Euler test.
         """
         if self.deg % 2 == 0:
-            return self._tonelli_shanks(a)
+            return self.sqrt_through_half(a, self.base) if self.k == 2 else self._tonelli_shanks(a)
         B = self.base
         if n is None:
             n = self.norm(a)

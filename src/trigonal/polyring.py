@@ -251,11 +251,11 @@ def _convolve(f, a, b) -> list:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd; each remainder is made monic as it is produced, so divmod divides by it with no inverse."""
     while not b.is_zero:
+        b = b.monic()[0]
         a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()[0]
+    return a if a.is_zero else a.monic()[0]
 
 
 def xgcd(a: Poly, b: Poly):

@@ -14,6 +14,7 @@ from trigonal.curves import (
     cantor_mul,
     class_from_points,
     count_points,
+    frobenius_line_orbits,
     jacobian_order,
     l_polynomial,
     point_class,
@@ -22,7 +23,7 @@ from trigonal.curves import (
     two_torsion_from_pair,
 )
 from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, TooFewPoints, TooLarge
-from trigonal.fields import embed_poly, make_extension, prime_field
+from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
 from trigonal.polyring import BinaryForm, Poly, is_irreducible
 from trigonal.subgroups import splitting_degree
 from trigonal.survey import random_curve
@@ -354,6 +355,97 @@ def test_count_points_matches_enumeration(p):
         for k in (1, 2):
             assert count_points(H, k) == count_points_by_enumeration(H, k), (H, k)
     assert 8 in degrees
+
+
+# --- one F_p-line per Frobenius orbit of lines ------------------------------
+
+
+def _septic(p, rng):
+    """A random squarefree curve with F of degree 7 (a rational point at infinity, no eighth root)."""
+    while True:
+        try:
+            return HCurve.from_coeffs(prime_field(p), [rng.randrange(p) for _ in range(7)] + [1 + rng.randrange(p - 1), 0])
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_count_points_matches_enumeration_over_a_quartic_extension(p):
+    # the lines x0 + F_p with x0 in F_{p^2} make Frobenius orbits of size 2 inside F_{p^4}
+    rng = random.Random(180 + p)
+    assert {size for _, size in frobenius_line_orbits(make_extension(p, 4))} == {1, 2, 4}
+    for H in (random_curve(p, rng), random_curve(p, rng), _septic(p, rng)):
+        assert count_points(H, 4) == count_points_by_enumeration(H, 4), H
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_count_points_matches_enumeration_on_twists_and_septics(p):
+    rng = random.Random(190 + p)
+    nu = prime_field(p).nonresidue()
+    for _ in range(3):
+        for H in (random_curve(p, rng).twist(nu), _septic(p, rng), _septic(p, rng).twist(nu)):
+            assert H.F.degree == 7 or H.F.lc != 0
+            for k in (1, 2, 3):
+                assert count_points(H, k) == count_points_by_enumeration(H, k), (H, k)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (5, 4), (5, 5), (5, 6), (7, 3), (7, 4), (11, 3), (37, 3)])
+def test_frobenius_line_orbits_cover_every_line_once(p, k):
+    # over F_{5^5} the lines with x0^5 - x0 in F_5^* are fixed too (Artin-Schreier), not only F_5 itself
+    field = make_extension(p, k)
+    orbits = list(frobenius_line_orbits(field))
+    assert sum(size for _, size in orbits) == p ** (k - 1)
+    assert all(field.coeffs(x0)[0] == 0 and k % size == 0 for x0, size in orbits)
+    lines = set()
+    for x0, size in orbits:
+        y = x0
+        for _ in range(size):
+            lines.add(field.encode(y) // p)
+            y = field.frobenius_power(y, 1)
+            y = field.sub(y, field.coeffs(y)[0])
+        assert y == x0
+    assert len(lines) == p ** (k - 1)
+
+
+def test_count_points_takes_one_norm_per_value_on_one_line_per_orbit(monkeypatch, ex37_curve):
+    # no wall clock: over F_37^3 the values are those of 1 + (37^2 - 1) / 3 lines of 37
+    # elements, each norm k - 1 products, and each orbit's tables k d products more
+    p, k, d = 37, 3, ex37_curve.F.degree
+    calls = {"norm": 0, "mul": 0}
+
+    def counting(name):
+        real = getattr(ExtField, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ExtField, name, counting(name))
+    c1, c2, c3 = EX37_L[1:4]
+    assert count_points(ex37_curve, k) == p**k + 1 - (-(c1**3) + 3 * c1 * c2 - 3 * c3)  # the power sum s3
+    values = p**k // k + p
+    assert calls["norm"] <= values
+    assert calls["mul"] + (k - 1) * calls["norm"] <= (k - 1) * values + k * d * (p ** (k - 1) // k + p)
+
+
+# L(T) of six random_curve draws from random.Random(2026), recorded from the
+# count that evaluated F once per Frobenius orbit of elements
+FROZEN_L = [
+    (41, [1, -2, 95, -92, 3895, -3362, 68921]),
+    (43, [1, 6, 29, 244, 1247, 11094, 79507]),
+    (47, [1, 8, 34, -12, 1598, 17672, 103823]),
+    (53, [1, 9, 105, 657, 5565, 25281, 148877]),
+    (41, [1, -2, 43, -211, 1763, -3362, 68921]),
+    (53, [1, 13, 122, 962, 6466, 36517, 148877]),
+]
+
+
+def test_l_polynomial_frozen_on_random_curves():
+    rng = random.Random(2026)
+    assert [(p, l_polynomial(random_curve(p, rng))) for p, _ in FROZEN_L] == FROZEN_L
 
 
 # --- typed errors where asserts stood (also under python -O) ----------------
