@@ -8,9 +8,11 @@ canonical encoding, so results are bit-stable across runs and call orders,
 and the returned factor list is canonically sorted on top of that.
 
 Both splitting steps take one x^q per polynomial (q the field order) and
-reach x^(q^d) and h^((q^d - 1)/2) through the q-power Frobenius matrix
-instead of powers with q^d-sized exponents (von zur Gathen and Shoup,
-"Computing Frobenius maps and factoring polynomials", 1992).
+reach x^(q^d) through the q-power Frobenius matrix instead of powers with
+q^d-sized exponents.  h^((q^d - 1)/2) is N(h)^((q - 1)/2), N(h) the
+product of the d conjugates of h, and that power is taken in F_p[N(h)],
+of F_p-dimension at most 1/d of the quotient ring's (von zur Gathen and
+Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
 
 Every product modulo a fixed modulus (pow_mod, x^q, the Frobenius matrix
 and its maps, the conjugate products of the splitting loops) runs in a
@@ -34,6 +36,7 @@ conjugates.  roots() is kept for every root of an arbitrary polynomial.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -286,10 +289,8 @@ def crt_terms(field, parts) -> list:
     """
     out = []
     for i, (h, ring, r) in enumerate(parts):
-        m = Poly.one(field)
-        for j, (g, _, _) in enumerate(parts):
-            if j != i:
-                m = m * g
+        others = [g for j, (g, _, _) in enumerate(parts) if j != i]
+        m = functools.reduce(Poly.__mul__, others) if others else Poly.one(field)
         R = field if ring is None else ring
         d = m.eval(field.neg(h[0])) if ring is None else ring.from_coeffs((m % h).c)
         if d == R.zero:
@@ -372,16 +373,34 @@ def _unpacked(R, a) -> Poly:
 def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
     """h^(e * (1 + q + ... + q^(n-1))) in the quotient ring R, q = p^j (j = R.base.k by default).
 
-    u -> u^q is R.frobenius_power(., j).  For e = (q - 1) / 2 that is
-    h^((q^n - 1) / 2): one power with a q-sized exponent and n - 1
-    Frobenius maps instead of a power with a q^n-sized one.
+    u -> u^q is R.frobenius_power(., j), so for n > 1 that is N^e with
+    N = h h^q ... h^(q^(n-1)): n - 1 Frobenius maps and products.  N^e is
+    taken in F_p[N] = F_p[t]/(mu), mu the minimal polynomial of N over F_p:
+    the powers 1, N, N^2, ... up to the first F_p-linear dependency of
+    their F_p coordinates (fields._rref), one power t^e modulo mu, and the
+    sum of its coefficients times those powers.  When R is a product of
+    fields F_{q^n}, N lies in the F_q-subalgebra, and deg mu is at most
+    dim_{F_p} R / n.  For e = (q - 1) / 2 that is h^((q^n - 1) / 2) from
+    a power with a q-sized exponent in a ring n times smaller.
     """
+    if n == 1:
+        return R.pow(h, e)
     j = R.base.k if j is None else j
-    b = acc = R.pow(h, e)
+    b = N = h
     for _ in range(n - 1):
         b = R.frobenius_power(b, j)
-        acc = R.mul(acc, b)
-    return acc
+        N = R.mul(N, b)
+    F = fields.prime_field(R.p)
+    pows = [R.one, N]
+    while True:
+        cols = [[c for v in R.coeffs(u) for c in R.base.coeffs(v)] for u in pows]
+        rows, pivots = fields._rref(zip(*cols), F)
+        if len(pivots) < len(pows):
+            break
+        pows.append(R.mul(pows[-1], N))
+    # N^d = sum rows[i][d] N^i for i < d: mu = t^d - that sum
+    Q = fields.ExtField(F, [F.neg(row[-1]) for row in rows] + [F.one])
+    return functools.reduce(R.add, map(R.scalar_mul, pows, Q.coeffs(Q.pow(Q.x, e))))
 
 
 def _distinct_degree(poly: Poly):
@@ -418,8 +437,10 @@ def _distinct_degree(poly: Poly):
 def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles.
 
-    h^((q^d - 1) / 2) is the product of the d Frobenius conjugates of
-    h^((q - 1) / 2), taken in one quotient ring per poly.  xq, x^q modulo
+    h^((q^d - 1) / 2) is N(h)^((q - 1) / 2), N(h) the product of the d
+    Frobenius conjugates of h, in one quotient ring per poly; the power
+    runs in F_p[N(h)], of F_p-dimension at most 1/d of the quotient
+    ring's (_conjugate_product).  xq, x^q modulo
     poly or a multiple of it, saves the power that builds the Frobenius
     matrix for d > 1 when the caller has it.
     """
@@ -501,8 +522,10 @@ def split_root(poly: Poly, xq: Poly | None, field, ring=None):
     xq.  As poly has F_q coefficients, x^q mod poly is the same over the
     field, and it seeds the q-power map u -> u^q of the packed ring
     field[x]/(poly), whose matrix applies the field's q-power Frobenius to
-    every coefficient.  So h^((|field| - 1) / 2) is the product of the
-    [field : F_q] conjugates of h^((q - 1) / 2).  No distinct-degree step
+    every coefficient.  So h^((|field| - 1) / 2) is N(h)^((q - 1) / 2),
+    N(h) the product of the n = [field : F_q] conjugates of h, and the
+    power runs in F_p[N(h)], of F_p-dimension at most 1/n of the ring's
+    (_conjugate_product).  No distinct-degree step
     runs (poly is known to split), and splitting stops at the first linear
     factor.  A quadratic over F_p in a degree-2 field has a closed form
     with one F_p square root instead.  The other roots are the q-power

@@ -17,8 +17,10 @@ first orbit's algebra K, ordered as the least root by encoding followed by
 its Frobenius conjugates, so finding any one root fixes the whole chain.  That
 root comes from polyring.split_root: for m = 2 its closed form with one F_p
 square root; for m = 3, 4 it skips the x^(p^m) step (o2 is known to split in
-K) and builds h^((p^m - 1)/2) from the m Frobenius conjugates of
-h^((p - 1)/2), splitting only until one linear factor appears.
+K) and takes h^((p^m - 1)/2) as N(h)^((p - 1)/2), N(h) the product of
+the m Frobenius conjugates of h, powered in F_p[N(h)] of degree at most m
+instead of the m^2-dimensional ring, splitting only until one linear
+factor appears.
 """
 
 from __future__ import annotations

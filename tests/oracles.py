@@ -1,7 +1,8 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
-point counts by enumeration, the reverse composition in the lcm field of its points, CRT gluing
-by xgcd idempotents."""
+the conjugate product of a quotient ring taken as one power in that ring, point counts by
+enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
+idempotents."""
 
 import math
 
@@ -234,6 +235,16 @@ def schoolbook_frobenius(u, modulus, p):
             out[j] = (out[j] + c * t) % p
         xpi = schoolbook_rem(_schoolbook_mul(xpi, xp, p), modulus, p)
     return schoolbook_rem(out, modulus, p)
+
+
+def conjugate_product_direct(R, h, e, n, j=None):
+    """h^(e * (1 + q + ... + q^(n-1))) in the quotient ring R, q = p^j: h^e, one power in R itself, times its n - 1 q-power conjugates."""
+    j = R.base.k if j is None else j
+    b = acc = R.pow(h, e)
+    for _ in range(n - 1):
+        b = R.frobenius_power(b, j)
+        acc = R.mul(acc, b)
+    return acc
 
 
 def count_points_by_enumeration(H, k):

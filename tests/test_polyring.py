@@ -1,5 +1,6 @@
 """Polynomial arithmetic, factorization, exact square roots, bivariate reduction."""
 
+import functools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_irreducible
 from trigonal.errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
-from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
+from trigonal.fields import ExtField, embed, embed_poly, make_extension, prime_field
 from trigonal.polyring import (
     BinaryForm,
     BiPoly,
@@ -31,7 +32,7 @@ from trigonal.polyring import (
 )
 from trigonal.survey import deterministic_prime
 from ex37 import EX37_F
-from oracles import factor_form, schoolbook_frobenius, schoolbook_pow_mod, schoolbook_rem
+from oracles import conjugate_product_direct, factor_form, schoolbook_frobenius, schoolbook_pow_mod, schoolbook_rem
 
 
 def test_factorize_x2_minus_1():
@@ -544,3 +545,95 @@ def test_substituted_over_a_packed_field_matches_evaluation():
             for _ in range(4):
                 u, v = K.random(rng), K.random(rng)
                 assert sub.eval(u, v) == form.eval(K.add(K.mul(a, u), K.mul(b, v)), K.add(K.mul(c, u), K.mul(e, v)))
+
+
+# --- the conjugate product of the splitting loops, norm first ---------------
+
+_P160 = deterministic_prime(160, 0)
+
+
+def _distinct_irreducibles(field, d, r, rng):
+    """r distinct monic irreducibles of degree d over field."""
+    out = {}
+    while len(out) < r:
+        g = random_irreducible(field, d, rng)
+        out[g.encode()] = g
+    return list(out.values())
+
+
+@pytest.mark.parametrize("field", [prime_field(5), prime_field(37), prime_field(P30), prime_field(_P160), make_extension(37, 2)], ids=repr)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_conjugate_product_matches_the_direct_power_on_products_of_irreducibles(field, d):
+    # _equal_degree's ring: F_q[x] modulo r distinct degree-d irreducibles,
+    # n = d; N = h h^q ... h^(q^(d-1)) lies in the r-fold product of F_q
+    rng = random.Random(80 + d + field.order % 1000)
+    e = (field.order - 1) // 2
+    for r in (1, 2, 3, 4):
+        R = _quotient(functools.reduce(Poly.__mul__, _distinct_irreducibles(field, d, r, rng)))
+        for a in (R.random(rng), R.random(rng), R.x):
+            assert _conjugate_product(R, a, e, d) == conjugate_product_direct(R, a, e, d), (r, a)
+
+
+@pytest.mark.parametrize("p, s, m", [(_P160, 1, 3), (_P160, 1, 4), (37, 2, 4), (37, 1, 4)], ids=lambda v: str(v)[:6])
+def test_conjugate_product_matches_the_direct_power_in_split_root_rings(p, s, m):
+    # split_root's ring: F_{p^m}[x]/(poly), poly an irreducible of degree
+    # m / s over F_{p^s}, seeded with x^(p^s) taken over F_{p^s}; n = m / s
+    F, K = make_extension(p, s), make_extension(p, m)
+    rng = random.Random(81 + p % 1000 + 10 * s + m)
+    e, n = (F.order - 1) // 2, m // s
+    for _ in range(3):
+        poly = random_irreducible(F, n, rng)
+        Fq = _quotient(poly)
+        R = ExtField(K, embed_poly(poly, F, K).c, [embed(c, F, K) for c in Fq.coeffs(Fq.xq())], s)
+        for a in (R.random(rng), R.random(rng), R.from_coeffs([K.random(rng)])):
+            assert _conjugate_product(R, a, e, n, s) == conjugate_product_direct(R, a, e, n, s)
+
+
+@pytest.mark.parametrize("field", [prime_field(5), prime_field(37), prime_field(_P160), make_extension(37, 2)], ids=repr)
+def test_conjugate_product_with_a_degenerate_norm(field):
+    # h in F_q (mu linear over F_p when q = p), h = 0 and 1, h sharing a
+    # factor with the modulus (a zero component), and moduli with repeated
+    # factors, where the ring is no product of fields and h may be nilpotent
+    rng = random.Random(82 + field.order % 1000)
+    e = (field.order - 1) // 2
+    for d in (2, 3):
+        g1, g2, g3 = _distinct_irreducibles(field, d, 3, rng)
+        for mod in (g1 * g2 * g3, g1 * g1 * g2, g1 * g1 * g1, g1 * g1 * g2 * g2):
+            R = _quotient(mod)
+            hs = [R.zero, R.one, R.from_coeffs([field.random(rng)]), R.from_coeffs([field.neg(field.one)])]
+            hs += [R.from_coeffs((g1 * _random_poly(field, d - 1, rng) % mod).c), R.from_coeffs((g1 * g2 % mod).c)]
+            for a in hs + [R.random(rng)]:
+                assert _conjugate_product(R, a, e, d) == conjugate_product_direct(R, a, e, d), (mod, a)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_split_root_takes_at_most_2m_tower_products_per_attempt(m, monkeypatch):
+    # op count, no wall clock: a Cantor-Zassenhaus attempt takes N(h) in
+    # m - 1 products and the powers of N up to its minimal polynomial in at
+    # most m - 1 more (the first attempt of a call also builds the q-power
+    # matrix, m - 1); taking h^((p - 1) / 2) in the m^2-dimensional ring
+    # instead costs about 240 products at 160 bits
+    from trigonal import fields, polyring
+
+    F, K = prime_field(_P160), make_extension(_P160, m)
+    rng = random.Random(83 + m)
+    polys = [random_irreducible(F, m, rng) for _ in range(6)]
+    xqs = [Poly.x(F).pow_mod(_P160, g) for g in polys]
+    count = {"products": 0, "attempts": 0}
+    mul, conjugate_product = fields._TowerField.mul, polyring._conjugate_product
+
+    def counting_mul(self, a, b):
+        count["products"] += 1
+        return mul(self, a, b)
+
+    def counting_conjugate_product(*args):
+        count["attempts"] += 1
+        return conjugate_product(*args)
+
+    monkeypatch.setattr(fields._TowerField, "mul", counting_mul)
+    monkeypatch.setattr(polyring, "_conjugate_product", counting_conjugate_product)
+    found = [split_root(g, xq, K) for g, xq in zip(polys, xqs)]
+    monkeypatch.undo()
+    assert all(embed_poly(g, F, K).eval(r) == K.zero for g, r in zip(polys, found))
+    assert count["attempts"] >= len(polys)
+    assert count["products"] <= 2 * m * count["attempts"], count
