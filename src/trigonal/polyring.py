@@ -23,10 +23,12 @@ product one int multiply, a fold of the high slots and one slot reduction
 multipoint Kronecker substitution", 2009).  Over F_{p^m} the packing has
 two levels, a block of slots per coefficient, and a product is still one
 int multiply.  Values stay packed through each loop and are unpacked into
-a Poly for the gcd.  Poly products, divmod and eval over every context add
-up raw int products and reduce them with the field's _fold once per output
-coefficient, and after every _lazy products where the slots hold fewer (one
-product over a tower).
+a Poly for the gcd.  Poly products, divmod, gcd and eval over every context
+add up raw int products and reduce them with the field's _fold once per
+output coefficient, and after every _lazy products where the slots hold
+fewer (one product over a tower).  gcd runs Euclid on coefficient lists,
+makes each remainder monic with one inverse and builds a Poly only for the
+result; divmod shares its remainder loop (_divide).
 
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
@@ -162,32 +164,15 @@ class Poly:
         return Poly(self.field, (self.field.zero,) * n + self.c, trim=False)
 
     def divmod(self, other):
-        """(quotient, remainder).
-
-        Each step adds raw products of the negated quotient coefficient to
-        the remainder's coefficients and folds only the one it divides by,
-        and all of them after every f._lazy steps.
-        """
+        """(quotient, remainder), by the remainder loop of _divide."""
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        fold, lazy = f._fold, f._lazy
         b = other.c
         binv = None if b[-1] == f.one else f.inv(b[-1])
-        b = b[:-1]
-        r = list(self.c)
-        n = len(b)
-        q = [0] * max(0, len(r) - n)
-        for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
-            if t and t % lazy == 0:
-                r[: d + n] = map(fold, r[: d + n])
-            c = fold(r[d + n])
-            if c:
-                qc = q[d] = c if binv is None else f.mul(c, binv)
-                qc = f.neg(qc)
-                for i, x in enumerate(b, d):
-                    r[i] += qc * x
-        return Poly(f, q), Poly(f, list(map(fold, r[:n])))
+        q = [0] * max(0, len(self.c) - len(b) + 1)
+        r = _divide(f, list(self.c), b[:-1], binv, q)
+        return Poly(f, q), Poly(f, r, trim=False)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -253,26 +238,68 @@ def _convolve(f, a, b) -> list:
     return _lincomb(f, zip(a, [b] * len(a), range(len(a))), len(a) + len(b) - 1)
 
 
+def _divide(f, r: list, b, binv, q: list | None) -> list:
+    """The trimmed remainder of the coefficient list r modulo a divisor with low coefficients b.
+
+    The divisor has degree len(b); binv is the inverse of its leading
+    coefficient, None when that is one.  q, when given, receives the
+    quotient coefficients.  Each step adds raw products of the negated
+    quotient coefficient to r's coefficients and folds only the one it
+    divides by, and all of them after every f._lazy steps.  r is
+    overwritten.
+    """
+    fold, lazy, neg = f._fold, f._lazy, f.neg
+    n = len(b)
+    for t, d in enumerate(range(len(r) - n - 1, -1, -1)):
+        if t and t % lazy == 0:
+            r[: d + n] = map(fold, r[: d + n])
+        c = fold(r[d + n])
+        if c:
+            if binv is not None:
+                c = f.mul(c, binv)
+            if q is not None:
+                q[d] = c
+            c = neg(c)
+            for i, x in enumerate(b, d):
+                r[i] += c * x
+    r = list(map(fold, r[:n]))
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """The monic gcd; each remainder is made monic as it is produced, so divmod divides by it with no inverse."""
-    while not b.is_zero:
-        b = b.monic()[0]
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()[0]
+    """The monic gcd, by Euclid on coefficient lists: each remainder is made monic with one inverse as it is produced."""
+    f = a.field
+    one, fold = f.one, f._fold
+    a, b = (b.c, a.c) if b.is_zero else (a.c, b.c)
+    while b:
+        if b[-1] != one:
+            c = f.inv(b[-1])
+            b = [fold(x * c) for x in b]
+        a, b = b, _divide(f, list(a), b[:-1], None, None)
+    return Poly(f, a, trim=False)
 
 
 def xgcd(a: Poly, b: Poly):
-    """(g, s, t) with g monic, s*a + t*b = g."""
+    """(g, s, t) with g monic, s*a + t*b = g.
+
+    Each remainder is made monic as it is produced, with s and t scaled
+    alike, so divmod divides by it with no inverse.
+    """
     f = a.field
     r0, r1 = a, b
     s0, s1 = Poly.one(f), Poly.zero(f)
     t0, t1 = Poly.zero(f), Poly.one(f)
     while not r1.is_zero:
+        if r1.lc != f.one:
+            c = f.inv(r1.lc)
+            r1, s1, t1 = r1.scale(c), s1.scale(c), t1.scale(c)
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
+    if r0.is_zero or r0.lc == f.one:
         return r0, s0, t0
     c = f.inv(r0.lc)
     return r0.scale(c), s0.scale(c), t0.scale(c)

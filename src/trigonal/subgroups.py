@@ -63,9 +63,11 @@ def count_for_pattern(pattern) -> int:
 
 
 def normalize_quadratic(form: BinaryForm) -> BinaryForm:
-    """Scale a binary quadratic canonically: monic in u, else unit uv coefficient."""
+    """Scale a binary quadratic canonically: monic in u, else unit uv coefficient; a monic form is returned as it is."""
     f = form.field
     c0, c1, c2 = form.c
+    if c2 == f.one:
+        return form
     if c2 != f.zero:
         return form.scale(f.inv(c2))
     if c1 != f.zero:

@@ -14,6 +14,7 @@ map can be taken rational (it is a square exactly when one exists).
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 
 from .curves import HCurve, Mobius
@@ -63,20 +64,43 @@ def build_M(S: TractableSubgroup, H: HCurve):
 
     Rows attached to conjugate quadratics live in extensions, but the row
     space is Frobenius-stable; expanding each row on the F_p power basis of
-    its field and row-reducing over F_p recovers the rational form.
+    its field and row-reducing over F_p recovers the rational form.  The
+    expanded rows of a row r span every row of its Frobenius conjugates,
+    so the quadratics join an echelon basis one at a time: r is first
+    reduced over its own field against the basis rows, and only a nonzero
+    remainder, in the free columns, is expanded and reduced with the basis.
+    A conjugate of an expanded quadratic leaves none, so once the rank is 4
+    nothing more is expanded, and the remainder checks each later
+    quadratic exactly: a nonzero one makes the rank above 4.  The reduced
+    row echelon form of a row space is unique, so M is the one that
+    reducing every expanded row at once gives, and DegenerateConfiguration
+    is raised exactly when that rank is not 4.
     """
     base = H.field
     if base.k != 1:
         raise ContextMismatch(f"the chord matrix is built over a prime field, not {base!r}")
-    vectors = []
+    rows, pivots, free, negs = [], [], range(6), []
     for q in S.quads:
+        K = q.field
         row = hyperplane_row(q)
-        if q.field.k == 1:
-            vectors.append(list(row))
-        else:
-            cols = [q.field.coeffs(x) for x in row]
-            vectors.extend([c[i] for c in cols] for i in range(q.field.k))
-    rows, _ = _rref(vectors, base)
+        left = [row[c] for c in free]
+        if rows:
+            # raw products with the negated F_p entries of the basis, one fold per free column
+            at = [row[c] for c in pivots]
+            left = [K._fold(x + sum(map(operator.mul, at, col))) for x, col in zip(left, negs)]
+        if not any(left):
+            continue
+        expanded = []
+        for xs in zip(*map(K.coeffs, left)):
+            v = [base.zero] * 6
+            for c, x in zip(free, xs):
+                v[c] = x
+            expanded.append(v)
+        rows, pivots = _rref(rows + expanded, base)
+        if len(rows) > 4:
+            raise DegenerateConfiguration(f"chord matrix has rank at least {len(rows)}, expected 4")
+        free = [c for c in range(6) if c not in pivots]
+        negs = [[base.neg(r[c]) for r in rows] for c in free]
     if len(rows) != 4:
         raise DegenerateConfiguration(f"chord matrix has rank {len(rows)}, expected 4")
     return [tuple(r) for r in rows]

@@ -2,16 +2,17 @@
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
 the conjugate product of a quotient ring taken as one power in that ring, point counts by
 enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
-idempotents."""
+idempotents, Euclid on Poly objects, the chord matrix from every expanded row."""
 
 import math
 
 from trigonal.curves import DivisorClass, cantor_add, cantor_mul
 from trigonal.errors import BadSupport, NotSquarefree, TooLarge
 from trigonal.evaluation import XPoint, _triple_class
-from trigonal.fields import embed, embed_poly, make_extension, project
+from trigonal.fields import _rref, embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots, xgcd
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
+from trigonal.trigmaps import hyperplane_row
 
 
 def _pairings(items):
@@ -309,3 +310,40 @@ def etale_square_roots_xgcd(Gt, parts, field):
         b = b % Gt
         out.append((b[0], b[1], b[2]))
     return out
+
+
+def gcd_by_polys(a, b):
+    """The monic gcd by Euclid on Poly objects: each remainder made monic by Poly.monic, then Poly.__mod__."""
+    while not b.is_zero:
+        b = b.monic()[0]
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()[0]
+
+
+def xgcd_by_polys(a, b):
+    """(g, s, t) with g monic, s*a + t*b = g, dividing by each remainder as it comes and scaling once at the end."""
+    f = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(f), Poly.zero(f)
+    t0, t1 = Poly.zero(f), Poly.one(f)
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero:
+        return r0, s0, t0
+    c = f.inv(r0.lc)
+    return r0.scale(c), s0.scale(c), t0.scale(c)
+
+
+def chord_rows_full_expansion(S, H):
+    """The reduced row echelon form over F_p of every quadratic's hyperplane row, each expanded on the
+    F_p power basis of its field, whatever its rank: the chord matrix when that rank is 4."""
+    vectors = []
+    for q in S.quads:
+        row = hyperplane_row(q)
+        cols = [q.field.coeffs(x) for x in row]
+        vectors.extend([c[i] for c in cols] for i in range(q.field.k))
+    rows, _ = _rref(vectors, H.field)
+    return [tuple(r) for r in rows]

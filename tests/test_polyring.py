@@ -32,7 +32,15 @@ from trigonal.polyring import (
 )
 from trigonal.survey import deterministic_prime
 from ex37 import EX37_F
-from oracles import conjugate_product_direct, factor_form, schoolbook_frobenius, schoolbook_pow_mod, schoolbook_rem
+from oracles import (
+    conjugate_product_direct,
+    factor_form,
+    gcd_by_polys,
+    schoolbook_frobenius,
+    schoolbook_pow_mod,
+    schoolbook_rem,
+    xgcd_by_polys,
+)
 
 
 def test_factorize_x2_minus_1():
@@ -637,3 +645,53 @@ def test_split_root_takes_at_most_2m_tower_products_per_attempt(m, monkeypatch):
     assert all(embed_poly(g, F, K).eval(r) == K.zero for g, r in zip(polys, found))
     assert count["attempts"] >= len(polys)
     assert count["products"] <= 2 * m * count["attempts"], count
+
+
+# --- Euclid on coefficient lists --------------------------------------------
+
+
+def _gcd_fields():
+    """(field, degree of its test irreducibles): F_p at 30 and 160 bits, F_37^2, and a tower, a cubic
+    extension of F_37^2, over which nothing is factored (its irreducibles are linear)."""
+    K = make_extension(37, 2)
+    T = ExtField(K, random_irreducible(K, 3, random.Random(101)).c)
+    fields = [(prime_field(P30), 2), (prime_field(_P160), 2), (K, 2), (T, 1)]
+    return [pytest.param(f, d, id=repr(f)) for f, d in fields]
+
+
+def _gcd_inputs(f, d, rng):
+    """Pairs (a, b) over f: zero, constants, equal, coprime, with a common factor, and random."""
+
+    def rand(n):
+        return Poly(f, [f.random(rng) for _ in range(n + 1)])
+
+    zero, one, two = Poly.zero(f), Poly.one(f), Poly.const(f, f.from_int(2))
+    g1, g2, g3 = _distinct_irreducibles(f, d, 3, rng)
+    pairs = [(zero, zero), (rand(3), zero), (zero, rand(4)), (one, rand(5)), (rand(5), two), (two, zero)]
+    for _ in range(4):
+        a, c = rand(rng.randrange(0, 6)), rand(rng.randrange(0, 3))
+        pairs += [(a, a), (a.scale(f.from_int(3)), a), (a * c, c), (c, a * c), (a * c, a * rand(2))]
+    pairs += [(g1 * g2, g2 * g3), (g1 * g1 * g2, g1 * g3), (g1, g2), (g1 * g2 * g3, (g1 * g2).derivative())]
+    pairs += [(rand(rng.randrange(0, 8)), rand(rng.randrange(0, 8))) for _ in range(12)]
+    return pairs
+
+
+@pytest.mark.parametrize("field, d", _gcd_fields())
+def test_gcd_on_coefficient_lists_matches_the_poly_oracle(field, d):
+    rng = random.Random(field.order % 1009)
+    for a, b in _gcd_inputs(field, d, rng):
+        got = gcd(a, b)
+        want = gcd_by_polys(a, b)
+        assert got == want, (a, b)
+        assert got.is_zero or got.lc == field.one
+        assert gcd(b, a) == want
+
+
+@pytest.mark.parametrize("field, d", _gcd_fields())
+def test_xgcd_with_monic_remainders_matches_the_poly_oracle(field, d):
+    rng = random.Random(field.order % 1013)
+    for a, b in _gcd_inputs(field, d, rng):
+        got = xgcd(a, b)
+        assert got == xgcd_by_polys(a, b), (a, b)
+        g, s, t = got
+        assert s * a + t * b == g

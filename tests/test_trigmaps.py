@@ -6,8 +6,9 @@ import pytest
 
 from conftest import constructions, run_under
 from ex37 import EX37_D, EX37_N
+from oracles import chord_rows_full_expansion
 from trigonal.curves import Mobius
-from trigonal.errors import DegeneratePair, NotRational
+from trigonal.errors import DegenerateConfiguration, DegeneratePair, NotRational
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import BinaryForm
 from trigonal.subgroups import TractableSubgroup, enumerate_tractable
@@ -203,3 +204,130 @@ except ContextMismatch:
 """
     out = run_under(["-O"], code)
     assert out.stdout.split() == ["ok"], out.stderr
+
+
+# --- the chord matrix against the full expansion ------------------------------
+
+# the first trial of survey30's pass (master seed 20080514 at the 30-bit
+# prime, trials 0..999) for each field-degree shape the pass meets: these
+# nine are all of them
+_SURVEY30_SHAPES = {
+    (8, 8, 8, 8): 0,
+    (1, 6, 6, 6): 1,
+    (1, 1, 4, 4): 12,
+    (2, 2, 4, 4): 20,
+    (1, 3, 3, 3): 35,
+    (1, 1, 1, 1): 51,
+    (1, 1, 2, 2): 51,
+    (2, 2, 2, 2): 58,
+    (4, 4, 4, 4): 146,
+}
+
+
+def _survey30_subgroups():
+    """[(S, H)] over the trials of _SURVEY30_SHAPES, in the orbit algebras as the survey builds them."""
+    from trigonal.survey import deterministic_prime, random_curve, trial_rng
+
+    p = deterministic_prime(30, 0)
+    out = []
+    for i in sorted(set(_SURVEY30_SHAPES.values())):
+        H = random_curve(p, trial_rng(20080514, i))
+        out += [(S, H) for S in enumerate_tractable(H, fast=True)]
+    return out
+
+
+def _chord_outcome(S, H):
+    """build_M's matrix, or None when it raises DegenerateConfiguration."""
+    try:
+        return build_M(S, H)
+    except DegenerateConfiguration:
+        return None
+
+
+def test_build_M_matches_the_full_expansion_on_every_survey30_shape():
+    pairs = _survey30_subgroups()
+    assert {S.field_degrees() for S, _ in pairs} == set(_SURVEY30_SHAPES)
+    for S, H in pairs:
+        for T in (S, S.canonical()):
+            want = chord_rows_full_expansion(T, H)
+            assert len(want) == 4
+            assert _chord_outcome(T, H) == want, T
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_build_M_raises_exactly_when_the_full_expansion_has_another_rank(p):
+    # small primes make rank-3 configurations (shapes (4,4,4,4), (1,1,2,2),
+    # (1,3,3,3) and (1,6,6,6) among these curves)
+    from trigonal.survey import random_curve
+
+    rng = random.Random(p)
+    degenerate = 0
+    for _ in range(60):
+        H = random_curve(p, rng)
+        for S in enumerate_tractable(H, fast=True) + enumerate_tractable(H):
+            want = chord_rows_full_expansion(S, H)
+            got = _chord_outcome(S, H)
+            if len(want) == 4:
+                assert got == want, S
+            else:
+                assert got is None, S
+                degenerate += 1
+    assert degenerate > 0
+
+
+def _random_quad(K, rng):
+    """A monic quadratic over K with two distinct roots."""
+    while True:
+        b, c = K.random(rng), K.random(rng)
+        if K.sub(K.sqr(b), K.mul(K.from_int(4), c)) != K.zero:
+            return BinaryForm(K, 2, (c, b, K.one))
+
+
+def test_build_M_rejects_a_subgroup_that_is_not_galois_stable():
+    # hand-made quadratics whose expanded rows have rank above 4: the rank
+    # passes 4 inside one quadratic's rows, or a quadratic after rank 4 leaves
+    # a remainder, or one quadratic of a real subgroup is swapped for another
+    # in its algebra
+    from trigonal.survey import random_curve
+
+    rng = random.Random(91)
+    F = prime_field(101)
+    H = random_curve(101, rng)
+    K2, K4 = make_extension(101, 2), make_extension(101, 4)
+    made = [
+        TractableSubgroup.from_quads([_random_quad(K2, rng) for _ in range(4)]),
+        TractableSubgroup.from_quads([_random_quad(F, rng) for _ in range(3)] + [_random_quad(K4, rng)]),
+        TractableSubgroup.from_quads([_random_quad(F, rng), _random_quad(F, rng), _random_quad(K2, rng), _random_quad(K2, rng)]),
+    ]
+    cases = [(S, H) for S in made]
+    for S, H30 in _survey30_subgroups():
+        if S.field_degrees() in ((8, 8, 8, 8), (4, 4, 4, 4), (1, 6, 6, 6)):
+            quads = list(S.quads)
+            quads[-1] = _random_quad(quads[-1].field, rng)
+            cases.append((TractableSubgroup.from_quads(quads), H30))
+    for S, H in cases:
+        assert len(chord_rows_full_expansion(S, H)) > 4, S
+        with pytest.raises(DegenerateConfiguration):
+            build_M(S, H)
+
+
+def test_build_M_reduces_at_most_4_plus_the_largest_degree_rows_at_once(monkeypatch):
+    # op count, no wall clock: a quadratic's rows are expanded only while the
+    # rank is below 4, and each _rref call then holds the basis (at most 3
+    # rows) and one quadratic's expansion; expanding every quadratic instead
+    # hands _rref 32 rows for an (8, 8, 8, 8) subgroup
+    from trigonal import trigmaps
+
+    calls = []
+    rref = trigmaps._rref
+
+    def counting_rref(rows, field):
+        rows = list(rows)
+        calls.append(len(rows))
+        return rref(rows, field)
+
+    monkeypatch.setattr(trigmaps, "_rref", counting_rref)
+    for S, H in _survey30_subgroups():
+        del calls[:]
+        build_M(S, H)
+        assert calls and max(calls) <= 4 + max(S.field_degrees()), (S.field_degrees(), calls)
