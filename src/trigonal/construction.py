@@ -33,15 +33,10 @@ from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
 from .subgroups import TractableSubgroup
 from .trigmaps import TrigonalMap, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
-# the six rank-1 relations among the b_ij = b_i b_j
-X_QUADRICS = (
-    (("b01", "b01"), ("b00", "b11")),
-    (("b01", "b02"), ("b00", "b12")),
-    (("b02", "b02"), ("b00", "b22")),
-    (("b02", "b11"), ("b01", "b12")),
-    (("b02", "b12"), ("b01", "b22")),
-    (("b12", "b12"), ("b11", "b22")),
-)
+B_VARS = ("b00", "b01", "b02", "b11", "b12", "b22")  # the order of an X-point's b
+# the six rank-1 relations among the b_ij = b_i b_j, as index pairs into B_VARS: b01^2 = b00 b11,
+# b01 b02 = b00 b12, b02^2 = b00 b22, b02 b11 = b01 b12, b02 b12 = b01 b22, b12^2 = b11 b22
+X_QUADRICS = (((1, 1), (0, 3)), ((1, 2), (0, 4)), ((2, 2), (0, 5)), ((2, 3), (1, 4)), ((2, 4), (1, 5)), ((4, 4), (3, 5)))
 
 
 def _embedding_cache():
@@ -258,34 +253,33 @@ class CurveXModel:
         c2 = ({"b22": g2 * g2 - g1, "b12": -(two * g2), "b02": two, "b11": one}, -fib.f2)
         return (c0, c1, c2)
 
-    def linear_values(self, field, t0, b):
-        """The residuals of c0, c1, c2 at a candidate point."""
+    def at(self, field, t0) -> tuple:
+        """The three equations at t0 over field, ((constant, ((index into b, coefficient), ...)), ...).
+
+        Each t-polynomial is evaluated once, for every candidate point over t0 (holds).
+        """
         rows = self._embed_cache.get(field)
         if rows is None:
-            base = self.fib.field
-            rows = self._embed_cache[field] = []
-            for coeffs, const in self.rows:
-                terms = [(var, embed_poly(pol, base, field)) for var, pol in coeffs.items()]
-                rows.append((terms, embed_poly(const, base, field)))
-        out = []
-        for coeffs, const in rows:
-            acc = const.eval(t0)
-            for var, pol in coeffs:
-                acc = field.add(acc, field.mul(pol.eval(t0), b[var]))
-            out.append(acc)
-        return out
+            e = lambda pol: embed_poly(pol, self.fib.field, field)
+            rows = self._embed_cache[field] = [
+                (e(const), [(B_VARS.index(var), e(pol)) for var, pol in coeffs.items()]) for coeffs, const in self.rows
+            ]
+        return tuple((const.eval(t0), tuple((i, pol.eval(t0)) for i, pol in coeffs)) for const, coeffs in rows)
 
-    def quadric_values(self, field, b):
-        out = []
-        for (m1, m2), (m3, m4) in X_QUADRICS:
-            out.append(field.sub(field.mul(b[m1], b[m2]), field.mul(b[m3], b[m4])))
-        return out
+    @staticmethod
+    def holds(field, eqs, b) -> bool:
+        """Whether b = (b00, b01, b02, b11, b12, b22) satisfies the equations eqs = at(field, t0) and the six quadrics."""
+        z, add, mul = field.zero, field.add, field.mul
+        for const, coeffs in eqs:
+            acc = const
+            for i, c in coeffs:
+                acc = add(acc, mul(c, b[i]))
+            if acc != z:
+                return False
+        return all(mul(b[i], b[j]) == mul(b[k], b[m]) for (i, j), (k, m) in X_QUADRICS)
 
     def contains(self, field, t0, b) -> bool:
-        z = field.zero
-        return all(v == z for v in self.linear_values(field, t0, b)) and all(
-            v == z for v in self.quadric_values(field, b)
-        )
+        return self.holds(field, self.at(field, t0), tuple(b[v] for v in B_VARS))
 
 
 def build_X(fib: TrigonalFibration) -> CurveXModel:
@@ -347,8 +341,8 @@ class CorrespondenceR:
     sign: int  # +1 for R, -1 for R'
     _embed_cache: dict = _embedding_cache()
 
-    def rho(self, field, t0, b22):
-        """The square root of b22 on X|_U at a point with fiber coordinate t0."""
+    def rho_at(self, field, t0) -> tuple:
+        """(d4, d2, d0, +/-1/d1) at t0, so that rho_of gives rho at every b22 over t0 with no evaluation or inverse."""
         deltas = self._embed_cache.get(field)
         if deltas is None:
             f0 = self.fib.field
@@ -360,9 +354,17 @@ class CorrespondenceR:
                 embed_poly(pl.delta1, pl.delta1_field, field),
             )
         d4, d2, d0, d1 = (d.eval(t0) for d in deltas)
-        num = field.add(field.add(field.mul(d4, field.sqr(b22)), field.mul(d2, b22)), d0)
-        val = field.div(num, d1)
-        return val if self.sign > 0 else field.neg(val)
+        c = field.inv(d1)
+        return d4, d2, d0, c if self.sign > 0 else field.neg(c)
+
+    @staticmethod
+    def rho_of(field, at, b22):
+        """The square root of b22 on X|_U, (d4 b22^2 + d2 b22 + d0) / d1 with the sign of the sheet, from at = rho_at(field, t0)."""
+        d4, d2, d0, c = at
+        return field.mul(field.add(field.mul(field.add(field.mul(d4, b22), d2), b22), d0), c)
+
+    def rho(self, field, t0, b22):
+        return self.rho_of(field, self.rho_at(field, t0), b22)
 
 
 def build_correspondence(fib: TrigonalFibration, sign: int = +1) -> CorrespondenceR:

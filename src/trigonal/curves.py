@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import _prime_divisors, _slot_layout, embed, embed_poly, make_extension
-from .polyring import BinaryForm, Poly, crt_terms, is_squarefree, roots, xgcd
+from .polyring import BinaryForm, Poly, _convolve, _divide, _sum_of, crt_terms, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
 
@@ -287,49 +287,59 @@ class DivisorClass:
         return o
 
 
-def _reduce_mumford(F: Poly, a: Poly, b: Poly):
-    while a.degree > 3:
-        a2, rem = (F - b * b).divmod(a)
-        if not rem.is_zero:
+def _reduce_mumford(f, F, a, b):
+    """Cantor's reduction of a semi-reduced pair of monic a and reduced b, on coefficient lists."""
+    one, fold, neg = f.one, f._fold, f.neg
+    while len(a) > 4:
+        r = _sum_of(f, [(one, F, 0)] + [(neg(c), b, i) for i, c in enumerate(b)])
+        q = [0] * max(0, len(r) - len(a) + 1)
+        if _divide(f, r, a[:-1], None, q):
             raise ModelMismatch("b^2 != F mod a in the Cantor reduction: not a Mumford pair")
-        a2, _ = a2.monic()
-        b = (-b) % a2
-        a = a2
-    a, _ = a.monic()
-    b = b % a if a.degree > 0 else Poly.zero(F.field)
-    return a, b
+        c = f.inv(q[-1])
+        a = [fold(x * c) for x in q]
+        b = _divide(f, [neg(x) for x in b], a[:-1], None, None)
+    return a, b if len(a) > 1 else []
 
 
 def cantor_add(D1: DivisorClass, D2: DivisorClass) -> DivisorClass:
-    """Group law on Pic^0 via Cantor composition and reduction."""
+    """Group law on Pic^0 via Cantor composition and reduction, on coefficient lists.
+
+    One Euclid gives d1 = gcd(a1, a2) and e2 = a2^-1 modulo a1 / d1.  When
+    d1 = 1 (disjoint supports) the composition is a = a1 a2 and
+    b = b2 + a2 (e2 (b1 - b2) mod a1), already of degree below a's; it
+    is b1 modulo a1 and b2 modulo a2, and a semi-reduced pair is unique.
+    Otherwise (doubling, or two points over one fiber in the reverse) a
+    second Euclid gives d = gcd(d1, b1 + b2) = c1 d1 + s3 (b1 + b2), c1 by
+    exact division.  With e1 a1 = d1 - e2 a2, Cantor's numerator
+    s1 a1 b2 + s2 a2 b1 + s3 (b1 b2 + F) (s1 = c1 e1, s2 = c1 e2, s3) is
+    d b2 + c1 e2 a2 (b1 - b2) + s3 (F - b2^2), and d divides a2.
+    """
     if D1.model != D2.model:
         raise ModelMismatch("divisor classes live on different models")
-    F = D1.model.F
-    a1, b1 = D1.a, D1.b
-    a2, b2 = D2.a, D2.b
-    if a1.degree == 0:
+    f, F = D1.model.field, D1.model.F.c
+    a1, b1, a2, b2 = D1.a.c, D1.b.c, D2.a.c, D2.b.c
+    if len(a1) == 1:
         return D2
-    if a2.degree == 0:
+    if len(a2) == 1:
         return D1
-    d1, e1, e2 = xgcd(a1, a2)
-    bsum = b1 + b2
-    if d1.degree == 0 and bsum.is_zero:
-        d = d1
-        s1, s2 = e1, e2
-        s3 = Poly.zero(F.field)
+    one = f.one
+    d1, e2 = xgcd(f, a2, a1)
+    if len(d1) == 1:
+        a = _convolve(f, a1, a2)
+        diff = _sum_of(f, [(one, b1, 0), (f.neg(one), b2, 0)])
+        u = _divide(f, _convolve(f, e2, diff), a1[:-1], None, None) if diff else []
+        b = _sum_of(f, [(one, b2, 0)] + [(c, a2, i) for i, c in enumerate(u)])
     else:
-        d, c1, c2 = xgcd(d1, bsum)
-        s1 = c1 * e1
-        s2 = c1 * e2
-        s3 = c2
-    a = (a1 * a2) // (d * d)
-    num = s1 * a1 * b2 + s2 * a2 * b1 + s3 * (b1 * b2 + F)
-    q, rem = num.divmod(d)
-    if not rem.is_zero:
-        raise ModelMismatch("the Cantor composition does not divide: not a Mumford pair")
-    b = q % a
-    a, b = _reduce_mumford(F, a, b)
-    return DivisorClass(D1.model, a, b, check=False)
+        A2, B1, B2 = D2.a, D1.b, D2.b
+        d, s3 = (Poly(f, c, trim=False) for c in xgcd(f, (B1 + B2).c, d1))
+        c1 = (d - s3 * (B1 + B2)) // Poly(f, d1, trim=False)
+        w, rem = (D1.model.F - B2 * B2).divmod(d)
+        if not rem.is_zero:
+            raise ModelMismatch("the Cantor composition does not divide: not a Mumford pair")
+        A = (D1.a * A2) // (d * d)
+        a, b = A.c, (((A2 // d) * c1 * Poly(f, e2, trim=False) * (B1 - B2) + s3 * w + B2) % A).c
+    a, b = _reduce_mumford(f, F, a, b)
+    return DivisorClass(D1.model, Poly(f, a, trim=False), Poly(f, b, trim=False), check=False)
 
 
 def cantor_mul(D: DivisorClass, n: int) -> DivisorClass:

@@ -42,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .construction import CorrespondenceR, CurveXModel
+from .construction import B_VARS, CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
@@ -58,7 +58,7 @@ class XPoint:
     b: tuple  # (b00, b01, b02, b11, b12, b22)
 
     def bmap(self):
-        return dict(zip(("b00", "b01", "b02", "b11", "b12", "b22"), self.b))
+        return dict(zip(B_VARS, self.b))
 
     def key(self):
         f = self.field
@@ -117,16 +117,15 @@ def _glued_square_roots(field, parts):
     return out
 
 
-def _fiber_point(X: CurveXModel, field, t0, b, scale):
-    """The X-point with coordinates b_ij = scale * b_i * b_j, checked against the model."""
+def _fiber_point(X: CurveXModel, field, t0, eqs, b, scale):
+    """The X-point with coordinates b_ij = scale * b_i * b_j, checked against the model's equations eqs = X.at(field, t0)."""
     coords = tuple(
         field.mul(scale, field.mul(u, v))
         for u, v in ((b[0], b[0]), (b[0], b[1]), (b[0], b[2]), (b[1], b[1]), (b[1], b[2]), (b[2], b[2]))
     )
-    pt = XPoint(field, t0, coords)
-    if not X.contains(field, t0, pt.bmap()):
+    if not X.holds(field, eqs, coords):
         raise ModelMismatch("fiber point misses the model of X")
-    return pt
+    return XPoint(field, t0, coords)
 
 
 def _fiber_cubic(fib, t0, field) -> Poly:
@@ -158,13 +157,14 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     factors.sort(key=Poly.sort_key)
     # one ring per factor serves both branches, Tonelli-Shanks constants included
     rings = [(h, ExtField(field, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
+    eqs = X.at(field, t0)
     out = []
     for scale, FF in ((field.one, over.F), (field.nonresidue(), over.F_nu)):
         parts = _square_root_parts(FF, rings, field)
         if parts is None:
             continue
         for b in _glued_square_roots(field, parts):
-            out.append(_fiber_point(X, field, t0, b, scale))
+            out.append(_fiber_point(X, field, t0, eqs, b, scale))
     out.sort(key=XPoint.key)
     return out
 
@@ -293,10 +293,11 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     t2 = embed(t0, K, K2)
     picked = []
     if others:
+        eqs, at = R.X.at(K2, t2), R.rho_at(K2, t2)
         pts = [(embed(x1, K, K2), embed(y1, K, K2))] + others
         for b in _glued_square_roots(K2, [(Poly(K2, [K2.neg(x), K2.one]), None, r) for x, r in pts]):
-            q = _fiber_point(R.X, K2, t2, b, K2.one)
-            if R.rho(K2, t2, q.b[5]) == b[2]:
+            q = _fiber_point(R.X, K2, t2, eqs, b, K2.one)
+            if R.rho_of(K2, at, q.b[5]) == b[2]:
                 picked.append(q)
     if len(picked) != 2:
         raise BadSupport(f"expected 2 matching fiber points, found {len(picked)}")
@@ -370,10 +371,10 @@ def _mumford_transform(a: Poly, b: Poly, matrix, w_scale, field, target_F: Poly)
 def _triple_class(R: CorrespondenceR, q: XPoint, odd_big: OddModel):
     """The class [(pi_H preimage triple of q) - 3 inf] on an odd model over q's field."""
     fib = R.fib
-    big, t0, b = odd_big.field, q.t, q.bmap()
+    big, t0, b = odd_big.field, q.t, q.b
     aq = Poly(big, [c.eval(t0) for c in fib.over(big).G])
-    rho = R.rho(big, t0, b["b22"])
-    bq = Poly(big, [b["b02"], b["b12"], b["b22"]]).scale(big.inv(rho))
+    rho = R.rho_of(big, R.rho_at(big, t0), b[5])
+    bq = Poly(big, [b[2], b[4], b[5]]).scale(big.inv(rho))
     bq = bq % aq
     g = fib.gmap
     # carry the triple from the construction curve back to the source curve

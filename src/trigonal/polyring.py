@@ -28,7 +28,9 @@ add up raw int products and reduce them with the field's _fold once per
 output coefficient, and after every _lazy products where the slots hold
 fewer (one product over a tower).  gcd runs Euclid on coefficient lists,
 makes each remainder monic with one inverse and builds a Poly only for the
-result; divmod shares its remainder loop (_divide).
+result; divmod shares its remainder loop (_divide).  xgcd is the same
+Euclid tracking one cofactor, on coefficient lists in and out, for Cantor's
+composition (curves.cantor_add).
 
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
@@ -238,6 +240,14 @@ def _convolve(f, a, b) -> list:
     return _lincomb(f, zip(a, [b] * len(a), range(len(a))), len(a) + len(b) - 1)
 
 
+def _sum_of(f, terms) -> list:
+    """The trimmed coefficients of the sum of c * x^off * row over the list terms [(c, row, off)]: _lincomb, sized to fit."""
+    r = _lincomb(f, terms, max((len(row) + off for _, row, off in terms), default=0))
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def _divide(f, r: list, b, binv, q: list | None) -> list:
     """The trimmed remainder of the coefficient list r modulo a divisor with low coefficients b.
 
@@ -281,28 +291,26 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return Poly(f, a, trim=False)
 
 
-def xgcd(a: Poly, b: Poly):
-    """(g, s, t) with g monic, s*a + t*b = g.
+def xgcd(f, a, b):
+    """(g, s): g the monic gcd of the coefficient lists a and b over f, s * a = g modulo b.
 
-    Each remainder is made monic as it is produced, with s and t scaled
-    alike, so divmod divides by it with no inverse.
+    Euclid tracking the one cofactor: each remainder is made monic as it is
+    produced, with its cofactor scaled alike, so _divide divides by it with
+    no inverse.  The other cofactor is (g - s * a) / b, an exact division.
     """
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        if r1.lc != f.one:
-            c = f.inv(r1.lc)
-            r1, s1, t1 = r1.scale(c), s1.scale(c), t1.scale(c)
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero or r0.lc == f.one:
-        return r0, s0, t0
-    c = f.inv(r0.lc)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    one, fold, neg = f.one, f._fold, f.neg
+    r0, r1, s0, s1 = a, b, [one], []
+    while r1:
+        if r1[-1] != one:
+            c = f.inv(r1[-1])
+            r1, s1 = [fold(x * c) for x in r1], [fold(x * c) for x in s1]
+        q = [0] * max(0, len(r0) - len(r1) + 1)
+        r0, r1 = r1, _divide(f, list(r0), r1[:-1], None, q)
+        s0, s1 = s1, _sum_of(f, [(one, s0, 0)] + [(neg(c), s1, i) for i, c in enumerate(q)])
+    if r0 and r0[-1] != one:
+        c = f.inv(r0[-1])
+        r0, s0 = [fold(x * c) for x in r0], [fold(x * c) for x in s0]
+    return r0, s0
 
 
 def crt_terms(field, parts) -> list:

@@ -28,21 +28,16 @@ def plucker_of_pair(quad: BinaryForm):
     """Plucker coordinates of the chord through the two roots of a quadratic.
 
     For a*u^2 + b*uv + c*v^2 the chord of the twisted cubic through the
-    embedded roots is (c^2 : -cb : b^2 - ac : a^2 : ab : ac).
+    embedded roots is (c^2 : -cb : b^2 - ac : a^2 : ab : ac).  Six products:
+    the discriminant b^2 - 4ac is formed from b^2 and ac by additions.
     """
     f = quad.field
     c, b, a = quad.c
-    disc = f.sub(f.sqr(b), f.mul(f.from_int(4), f.mul(a, c)))
-    if disc == f.zero:
+    ac = f.mul(a, c)
+    mid = f.sub(f.sqr(b), ac)  # b^2 - ac; the discriminant is mid - 3ac
+    if f.sub(mid, f.add(ac, f.add(ac, ac))) == f.zero:
         raise DegeneratePair("quadratic has a double root")
-    return (
-        f.sqr(c),
-        f.neg(f.mul(c, b)),
-        f.sub(f.sqr(b), f.mul(a, c)),
-        f.sqr(a),
-        f.mul(a, b),
-        f.mul(a, c),
-    )
+    return (f.sqr(c), f.neg(f.mul(c, b)), mid, f.sqr(a), f.mul(a, b), ac)
 
 
 def hyperplane_row(quad: BinaryForm):

@@ -2,15 +2,16 @@
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
 the conjugate product of a quotient ring taken as one power in that ring, point counts by
 enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
-idempotents, Euclid on Poly objects, the chord matrix from every expanded row."""
+idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
+every expanded row."""
 
 import math
 
 from trigonal.curves import DivisorClass, cantor_add, cantor_mul
-from trigonal.errors import BadSupport, NotSquarefree, TooLarge
+from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge
 from trigonal.evaluation import XPoint, _triple_class
 from trigonal.fields import _rref, embed, embed_poly, make_extension, project
-from trigonal.polyring import BinaryForm, Poly, factorize, roots, xgcd
+from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
 from trigonal.trigmaps import hyperplane_row
 
@@ -38,7 +39,8 @@ def brute_force_tractable(H):
     if H.form.v_multiplicity:
         pts.append(None)
     pts.extend(roots(embed_poly(H.F, H.field, E)))
-    assert len(pts) == 8, "curve must have 8 distinct Weierstrass points"
+    if len(pts) != 8:
+        raise NotSquarefree("curve must have 8 distinct Weierstrass points")
 
     def frob_pt(r):
         return None if r is None else E.frobenius_power(r, 1)
@@ -297,7 +299,7 @@ def etale_square_roots_xgcd(Gt, parts, field):
     crt = []
     for h, _ in parts:
         m_i = Gt // h
-        g, s, _ = xgcd(m_i, h)
+        g, s, _ = xgcd_by_polys(m_i, h)
         if g.degree != 0:
             raise NotSquarefree("the fiber cubic has a repeated factor")
         crt.append((m_i * s) % Gt)
@@ -347,3 +349,49 @@ def chord_rows_full_expansion(S, H):
         vectors.extend([c[i] for c in cols] for i in range(q.field.k))
     rows, _ = _rref(vectors, H.field)
     return [tuple(r) for r in rows]
+
+
+def _reduce_mumford_by_polys(F, a, b):
+    """Cantor's reduction on Poly objects."""
+    while a.degree > 3:
+        a2, rem = (F - b * b).divmod(a)
+        if not rem.is_zero:
+            raise ModelMismatch("b^2 != F mod a in the Cantor reduction: not a Mumford pair")
+        a2, _ = a2.monic()
+        b = (-b) % a2
+        a = a2
+    a, _ = a.monic()
+    b = b % a if a.degree > 0 else Poly.zero(F.field)
+    return a, b
+
+
+def cantor_add_by_polys(D1, D2):
+    """Cantor composition and reduction on Poly objects: two extended gcds, whatever d1 = gcd(a1, a2) is."""
+    if D1.model != D2.model:
+        raise ModelMismatch("divisor classes live on different models")
+    F = D1.model.F
+    a1, b1 = D1.a, D1.b
+    a2, b2 = D2.a, D2.b
+    if a1.degree == 0:
+        return D2
+    if a2.degree == 0:
+        return D1
+    d1, e1, e2 = xgcd_by_polys(a1, a2)
+    bsum = b1 + b2
+    if d1.degree == 0 and bsum.is_zero:
+        d = d1
+        s1, s2 = e1, e2
+        s3 = Poly.zero(F.field)
+    else:
+        d, c1, c2 = xgcd_by_polys(d1, bsum)
+        s1 = c1 * e1
+        s2 = c1 * e2
+        s3 = c2
+    a = (a1 * a2) // (d * d)
+    num = s1 * a1 * b2 + s2 * a2 * b1 + s3 * (b1 * b2 + F)
+    q, rem = num.divmod(d)
+    if not rem.is_zero:
+        raise ModelMismatch("the Cantor composition does not divide: not a Mumford pair")
+    b = q % a
+    a, b = _reduce_mumford_by_polys(F, a, b)
+    return DivisorClass(D1.model, a, b, check=False)

@@ -24,10 +24,10 @@ from trigonal.curves import (
 )
 from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, TooFewPoints, TooLarge
 from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
-from trigonal.polyring import BinaryForm, Poly, is_irreducible
-from trigonal.subgroups import splitting_degree
-from trigonal.survey import random_curve
-from oracles import count_points_by_enumeration
+from trigonal.polyring import BinaryForm, Poly, gcd, is_irreducible
+from trigonal.subgroups import splitting_degree, subgroup_elements
+from trigonal.survey import deterministic_prime, random_curve
+from oracles import cantor_add_by_polys, count_points_by_enumeration
 
 
 def test_odd_model_identity_for_degree_7(ex37_curve):
@@ -483,3 +483,66 @@ def test_cantor_add_rejects_pairs_that_are_not_mumford(ex37_model):
     # b1 + b2 = x - 1 shares a factor with a, and the composition does not divide
     with pytest.raises(ModelMismatch, match="composition"):
         cantor_add(cls([0]), cls([-1, 1]))
+
+
+def _cantor_model(where, ex37_model):
+    """The worked example's odd model over F_37^k, or a seeded septic's over the 30- or 160-bit prime."""
+    if where.startswith("37"):
+        k = int(where[3:] or 1)
+        return ex37_model if k == 1 else ex37_model.base_change(make_extension(37, k))
+    F = prime_field(deterministic_prime(int(where), 0))
+    rng = random.Random(where)
+    while True:
+        try:
+            H = HCurve.from_coeffs(F, [F.random(rng) for _ in range(7)] + [1, 0])
+        except ValueError:
+            continue
+        return OddModel.from_curve(H)
+
+
+def _cantor_pairs(model, rng):
+    """Seeded pairs for the group law, the inputs built by the Poly-level oracle: random classes, D + D,
+    D + (-D), the identity, classes of degree 1 and 2, and supports that share a point (d1 != 1),
+    with equal or opposite y there."""
+    f, F = model.field, model.F
+
+    def point():
+        while True:
+            x = f.random(rng)
+            y = f.sqrt(F.eval(x))
+            if y is not None and y != f.zero:
+                return point_class(model, (x, f.one, y))
+
+    P, Q, S, T = (point() for _ in range(4))
+    PQ, PS, mPS = cantor_add_by_polys(P, Q), cantor_add_by_polys(P, S), cantor_add_by_polys(-P, S)
+    PQS, PQT, PQmS = (cantor_add_by_polys(PQ, U) for U in (S, T, -S))
+    O = DivisorClass.identity(model)
+    pairs = [(PQ, PS), (PQ, mPS), (PQS, PQT), (PQS, PQmS), (PQS, -PQS), (PQS, PQS), (PQS, P), (PQ, -P)]
+    pairs += [(P, Q), (P, P), (P, -P), (PQ, PQ), (PQ, S), (O, O), (O, PQS), (PQS, O), (P, PQT)]
+    for _ in range(6):
+        D, E = random_class_on(model, rng), random_class_on(model, rng)
+        pairs += [(D, E), (D, D), (D, -D), (D, cantor_add_by_polys(D, E)), (D, P), (E, PQ)]
+    return pairs
+
+
+@pytest.mark.parametrize("where", ["37", "37^2", "37^3", "30", "160"])
+def test_cantor_add_on_lists_matches_the_poly_oracle(where, ex37_model):
+    # one Euclid on coefficient lists gives the same reduced (a, b) as Cantor's two xgcds on Polys
+    model = _cantor_model(where, ex37_model)
+    rng = random.Random(f"cantor {where}")
+    seen_shared = 0
+    for A, B in _cantor_pairs(model, rng):
+        got, want = cantor_add(A, B), cantor_add_by_polys(A, B)
+        assert (got.a.c, got.b.c) == (want.a.c, want.b.c), (A, B)
+        assert got.model is A.model and got.a.lc == model.field.one
+        seen_shared += A.a.degree > 0 and B.a.degree > 0 and gcd(A.a, B.a).degree > 0
+    assert seen_shared >= 10
+
+
+def test_cantor_add_on_lists_matches_the_poly_oracle_on_two_torsion(ex37_subgroup, ex37_curve):
+    # the 8 classes of the worked example's subgroup, over its splitting field: every sum of two
+    els = subgroup_elements(ex37_subgroup, ex37_curve)
+    for A in els:
+        for B in els:
+            got, want = cantor_add(A, B), cantor_add_by_polys(A, B)
+            assert (got.a.c, got.b.c) == (want.a.c, want.b.c)

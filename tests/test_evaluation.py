@@ -7,7 +7,7 @@ import pytest
 
 from conftest import constructions, run_under
 from ex37 import EX37_DLP_MULTIPLIER, EX37_JAC_ORDER
-from trigonal.construction import build_correspondence, embed_poly
+from trigonal.construction import B_VARS, build_correspondence, embed_poly
 from trigonal import evaluation
 from trigonal.curves import (
     DivisorClass,
@@ -611,6 +611,35 @@ def test_roundtrip_at_160_bits_against_the_lcm_field_oracle():
     E = reverse_on_xdivisor(DX, R, D.model)
     assert E == reverse_on_xdivisor_lcm(DX, R, D.model)
     assert E in (cantor_mul(D, 2), cantor_mul(D, -2))
+
+
+@pytest.mark.parametrize("where", ["37", "37^2", "160"])
+def test_per_t0_model_check_and_sheet_values_match_contains_and_rho(where, ex37_R):
+    # X.at and R.rho_at evaluate each t-polynomial once per t0; holds and rho_of agree with
+    # contains and rho at every fiber point, reject a perturbed b_ij, and R' still gives -rho
+    if where == "160":
+        R = _roundtrip_construction(160)[1]
+        K = R.fib.field
+    else:
+        R, K = ex37_R, make_extension(37, 2) if where == "37^2" else ex37_R.fib.field
+    Rm = build_correspondence(R.fib, -R.sign)
+    rng = random.Random(f"per-t0 {where}")
+    seen = 0
+    while seen < 8:
+        t0 = K.random(rng)
+        if R.fib.ramified_at(t0, K):
+            continue
+        eqs, at, at_m = R.X.at(K, t0), R.rho_at(K, t0), Rm.rho_at(K, t0)
+        for q in fiber_points(R.X, t0, K):
+            assert R.X.holds(K, eqs, q.b) and R.X.contains(K, t0, q.bmap())
+            for i in range(6):
+                bad = q.b[:i] + (K.add(q.b[i], K.one),) + q.b[i + 1 :]
+                assert not R.X.holds(K, eqs, bad)
+                assert not R.X.contains(K, t0, dict(zip(B_VARS, bad)))
+            rho = R.rho_of(K, at, q.b[5])
+            assert rho == R.rho(K, t0, q.b[5]) and K.sqr(rho) == q.b[5]
+            assert Rm.rho_of(K, at_m, q.b[5]) == K.neg(rho) == Rm.rho(K, t0, q.b[5])
+            seen += 1
 
 
 def test_reverse_rejects_an_orbit_outside_the_point_field(ex37_curve, ex37_R):

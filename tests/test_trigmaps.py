@@ -20,6 +20,7 @@ from trigonal.trigmaps import (
     plucker_form,
     plucker_of_pair,
     rationality_discriminant,
+    hyperplane_row,
     trigonal_map_for,
     verify_trigonal,
     _pencil_roots,
@@ -52,6 +53,25 @@ def test_plucker_degenerate_pair_rejected():
     F37 = prime_field(37)
     with pytest.raises(DegeneratePair):
         plucker_of_pair(BinaryForm.from_ints(F37, 2, [1, 2, 1]))  # (u + v)^2
+
+
+@pytest.mark.parametrize("p, k", [(37, 1), (37, 2), (37, 3), (1000003, 1), (101, 4)])
+def test_hyperplane_rows_of_seeded_quadratics_unchanged(p, k):
+    # the row from six shared products against (a^2, ab, ac, c^2, -cb, b^2 - ac) with its
+    # discriminant b^2 - 4ac taken apart; a double root still raises DegeneratePair
+    E = make_extension(p, k)
+    rng = random.Random(p * k)
+    for i in range(60):
+        a, b, c = (E.random(rng) for _ in range(3))
+        if i % 10 == 0 and E.is_square(E.mul(a, c)):
+            b = E.mul(E.from_int(2), E.sqrt(E.mul(a, c)))  # b^2 = 4ac
+        quad = BinaryForm(E, 2, (c, b, a))
+        if E.sub(E.sqr(b), E.mul(E.from_int(4), E.mul(a, c))) == E.zero:
+            with pytest.raises(DegeneratePair):
+                hyperplane_row(quad)
+            continue
+        want = (E.sqr(a), E.mul(a, b), E.mul(a, c), E.sqr(c), E.neg(E.mul(c, b)), E.sub(E.sqr(b), E.mul(a, c)))
+        assert hyperplane_row(quad) == want
 
 
 def test_build_M_worked_example(ex37_curve, ex37_subgroup, F37):
