@@ -16,14 +16,7 @@ from fractions import Fraction
 
 from . import serialize
 from .construction import assess, build_correspondence
-from .curves import (
-    DivisorClass,
-    OddModel,
-    cantor_add,
-    l_polynomial,
-    point_class,
-    random_class,
-)
+from .curves import OddModel, class_from_points, l_polynomial, random_class
 from .errors import NotRational, TooLarge, TrigonalError
 from .evaluation import consensus_sign, fiber_partition_oracle, fiber_points, phi_on_class
 from .fields import make_extension
@@ -113,17 +106,13 @@ def cmd_map(args):
     model = OddModel.from_curve(H)
     f = H.field
 
-    def on_curve_pt(x, y):
+    def odd_point(x, y):
         pt = (f.from_int(x), f.one, f.from_int(y))
         if not H.on_curve(pt):
             raise ValueError(f"({x}, {y}) does not lie on the curve")
-        return pt
+        return model.to_odd(pt)
 
-    D = DivisorClass.identity(model)
-    for x, y in plus:
-        D = cantor_add(D, point_class(model, model.to_odd(on_curve_pt(x, y))))
-    for x, y in minus:
-        D = cantor_add(D, -point_class(model, model.to_odd(on_curve_pt(x, y))))
+    D = class_from_points(model, [odd_point(x, y) for x, y in plus], [odd_point(x, y) for x, y in minus])
     rng = random.Random(args.seed)
     DX = phi_on_class(D, R, rng)
     print(json.dumps(serialize.xdivisor_to_json(DX), indent=2))

@@ -14,7 +14,7 @@ root of the cubic G(t, x), so the cubic is (x - x1) times a quadratic with
 coefficients in K = F_{q^j} (j the degree of P's field), which splits over
 K2 = F_{q^(2j)}.  Every square root is taken in K: the discriminant's, F's
 at the other two roots when these lie in K, and at conjugate roots the one
-K2 root they share, through the norm to K (sqrt_through_half).  The b with
+K2 root they share, through the norm to K (K2.sqrt).  The b with
 b(x1) = y1 are glued from the three roots as linear CRT parts, and the
 sheet test keeps the two with rho(b22) = b2.  fiber_points enumerates whole
 fibers: it counts X's points and is the test oracle for the lift.  It
@@ -155,7 +155,7 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     over = fib.over(field)
     factors, xq = _split_squarefree(Gt, _poly_rng(Gt))
     factors.sort(key=Poly.sort_key)
-    # one ring per factor serves both branches, Tonelli-Shanks constants included
+    # one ring per factor serves both branches
     rings = [(h, ExtField(field, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
     eqs = X.at(field, t0)
     out = []
@@ -261,7 +261,9 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     K = F_{q^j} and splits over K2 with the square root of its
     discriminant.  When it splits over K, F at its roots is rooted from K
     (sqrt_of_half); conjugate roots share one K2 square root of F, taken
-    through the norm to K (sqrt_through_half): no root runs over K2 itself.
+    through the norm to K (K2.sqrt): no root runs over K2 itself.  t0 is
+    known to be unramified (_good_curve_points tested it), so G(t0, x) is
+    built without _fiber_cubic's test.
     Gluing y1 at x1 with both signs of the other two roots' square roots,
     three linear parts of crt_terms (_glued_square_roots), gives every b
     with b(x1) = y1, so the choice of each root's sign is immaterial.  For
@@ -273,7 +275,7 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     """
     K2 = make_extension(K.p, 2 * K.k)
     fib = R.fib
-    Gt = _fiber_cubic(fib, t0, K)
+    Gt = Poly(K, [c.eval(t0) for c in fib.over(K).G])
     quad, rem = Gt.divmod(Poly(K, [K.neg(x1), K.one]))
     if not rem.is_zero:
         raise ModelMismatch("x(P) is not a root of G(t(P), x)")
@@ -288,7 +290,7 @@ def _phi_point(R: CorrespondenceR, K, x1, y1, t0):
     else:
         half = K2.inv(K2.from_int(2))
         x = K2.mul(K2.sub(K2.neg(embed(c1, K, K2)), K2.sqrt_of_half_nonsquare(disc, K)), half)
-        rt = K2.sqrt_through_half(fib.over(K2).F.eval(x), K)
+        rt = K2.sqrt(fib.over(K2).F.eval(x))
         others = [] if rt is None else [(x, rt), (K2.frobenius_power(x, K.k), K2.frobenius_power(rt, K.k))]
     t2 = embed(t0, K, K2)
     picked = []

@@ -37,26 +37,26 @@ polynomial code in polyring.py works over any of them.  Contexts are
 immutable after creation, apart from lazily filled caches of derived
 constants, and safe to share across threads/processes.
 
-Square roots are Tonelli-Shanks with its constants (the 2-adic split of
-order - 1 and a generator of the 2-Sylow subgroup) computed once per context.
-On an extension, Euler's criterion runs on the norm N(a) in the base, the
-product of the conjugates of a over the base on every context, so a
-non-square never reaches Tonelli-Shanks, and an odd-degree extension takes
-its roots from the norm instead (see ExtField).  An inverse is N(a)^-1
-times the product of the other conjugates.
-nonresidue() of a prime field is a seeded search; an ExtField reads its
-non-residue off the base instead.  No output depends on which non-residue a
-context holds: square roots are canonical, and the anti-fixed fiber
+Square roots take one route.  Tonelli-Shanks runs over F_p alone, its
+constants (the 2-adic split of p - 1 and a generator of the 2-Sylow
+subgroup) computed once per prime.  An extension of odd degree takes its
+root through its norm N(a) in the base, the product of the conjugates of a
+over the base; one of even degree through the norm and trace to its
+subfield of index 2 (see ExtField.sqrt).  Roots are canonical, the smaller
+encoding of +/- r.  An inverse is N(a)^-1 times the product of the other
+conjugates.  nonresidue() is a seeded search on every context.  No output
+depends on which non-residue a context holds: the anti-fixed fiber
 coordinates nu * u_i * u_j of evaluation.fiber_points do not change when nu
-changes by a square factor.  In a quadratic extension, sqrt_of_half roots an
-element of the subfield, and sqrt_through_half any element, through the norm
-N(a) = a sigma(a) and trace, from square roots in the subfield alone.
+changes by a square factor.  In a quadratic extension, sqrt_of_half roots
+an element of the subfield.
 
 embed carries an element of F_{p^k1} into F_{p^k2} (k1 | k2) through the
 least root, by encoding, of the F_{p^k1} modulus among one
 polyring.split_root and its conjugates; embed_poly does that coefficient by
 coefficient for a Poly or BinaryForm.  project inverts embed by one _rref
-over F_p, the elimination the chord matrix of trigmaps uses too.
+over F_p, the elimination the chord matrix of trigmaps uses too.  F_p is
+slot 0 of every extension and a tower's base block 0 of the tower, so both
+embed and project as they are.
 """
 
 from __future__ import annotations
@@ -147,74 +147,19 @@ class _FieldOps:
         return r
 
     _nonresidue = None
-    _sqrt_constants = None
 
     def nonresidue(self):
-        """A fixed quadratic non-residue (deterministic per context)."""
+        """A fixed quadratic non-residue: the first nonzero seeded random draw that is not a square."""
         if self._nonresidue is None:
-            self._nonresidue = self._find_nonresidue()
+            rng = random.Random(_seed_int("nonresidue", self.p, self.k, self.order))
+            c = self.zero
+            while c == self.zero or self.is_square(c):
+                c = self.random(rng)
+            self._nonresidue = c
         return self._nonresidue
 
-    def _find_nonresidue(self):
-        """The first nonzero seeded random draw that is not a square."""
-        rng = random.Random(_seed_int("nonresidue", self.p, self.k, self.order))
-        while True:
-            c = self.random(rng)
-            if c != self.zero and not self.is_square(c):
-                return c
-
-    def _two_sylow_generator(self, m: int):
-        """nonresidue^m for the odd part m of order - 1: it has order 2^e."""
-        return self.pow(self.nonresidue(), m)
-
-    def sqrt(self, a):
-        """Canonical square root (smaller encoding), or None for a non-residue."""
-        if a == self.zero:
-            return self.zero
-        return self._tonelli_shanks(a)
-
-    def _sqrt_of_square(self, a, n=None):
-        """The canonical root of a, known to be a nonzero square (n, its norm, is unused here)."""
-        return self._tonelli_shanks(a)
-
-    def _tonelli_shanks(self, a):
-        """Tonelli-Shanks for nonzero a, canonical root or None.
-
-        Works over any context here since the order is an odd prime power.
-        The split order - 1 = m 2^e and the generator c of the 2-Sylow
-        subgroup are computed once per context.
-        """
-        if self._sqrt_constants is None:
-            m, e = self.order - 1, 0
-            while m % 2 == 0:
-                m //= 2
-                e += 1
-            self._sqrt_constants = (m, e, self._two_sylow_generator(m) if e > 1 else None)
-        m, e, c = self._sqrt_constants
-        if e == 1:
-            r = self.pow(a, (self.order + 1) // 4)
-        else:
-            # r = a^((m + 1) / 2) and t = a^m = r^2 / a without an inverse
-            w = self.pow(a, (m - 1) // 2)
-            r = self.mul(w, a)
-            t = self.mul(w, r)
-            while t != self.one:
-                i = 0
-                t2 = t
-                while t2 != self.one:
-                    t2 = self.sqr(t2)
-                    i += 1
-                if i >= e:
-                    return None
-                b = c
-                for _ in range(e - i - 1):
-                    b = self.sqr(b)
-                r = self.mul(r, b)
-                c = self.sqr(b)
-                t = self.mul(t, c)
-                e = i
-        if self.sqr(r) != a:
-            return None
+    def _canonical(self, r):
+        """The canonical square root of r^2: the one of r and -r with the smaller encoding."""
         rn = self.neg(r)
         return r if self.encode(r) <= self.encode(rn) else rn
 
@@ -292,6 +237,45 @@ class PrimeField(_FieldOps):
         if a == 0:
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
+
+    _sqrt_constants = None
+
+    def sqrt(self, a):
+        """Canonical square root (smaller encoding), or None for a non-residue: Tonelli-Shanks.
+
+        The split p - 1 = m 2^e and c = nu^m, nu the non-residue, a
+        generator of the 2-Sylow subgroup, are computed once per prime.
+        """
+        if a == 0:
+            return 0
+        p = self.p
+        if self._sqrt_constants is None:
+            m, e = p - 1, 0
+            while m % 2 == 0:
+                m //= 2
+                e += 1
+            self._sqrt_constants = (m, e, pow(self.nonresidue(), m, p) if e > 1 else None)
+        m, e, c = self._sqrt_constants
+        if e == 1:
+            r = pow(a, (p + 1) // 4, p)
+        else:
+            # r = a^((m + 1) / 2) and t = a^m = r^2 / a without an inverse
+            w = pow(a, (m - 1) // 2, p)
+            r = w * a % p
+            t = w * r % p
+            while t != 1:
+                i, t2 = 0, t
+                while t2 != 1:
+                    t2 = t2 * t2 % p
+                    i += 1
+                if i >= e:
+                    return None
+                b = pow(c, 1 << (e - i - 1), p)
+                r = r * b % p
+                c = b * b % p
+                t = t * c % p
+                e = i
+        return self._canonical(r) if r * r % p == a else None
 
     def frobenius_power(self, a, j):
         return a
@@ -381,15 +365,14 @@ class ExtField(_FieldOps):
 
     N(a) is a times the product of its other conjugates a^(q^j), 0 < j < deg,
     q the base order: deg - 1 Frobenius maps.  inv divides that product by
-    N(a), an element of the base, on every context.  Square roots
-    test Euler's criterion on the norm first, so a non-square costs one
-    norm.  An odd degree d takes the root as
-    a^((T + 1) / 2) / sqrt(N(a)) with T = (Q^d - 1) / (Q - 1), Q the base
-    order: a^T = N(a) and T is odd.  N(a) is then known to be a nonzero
-    square of the base, whose root runs no second Euler test
-    (_sqrt_of_square).  F_{p^2} takes its roots through F_p
-    (sqrt_through_half), and another even degree runs Tonelli-Shanks, whose
-    non-residue is read off the base (see _find_nonresidue).
+    N(a), an element of the base, on every context.  is_square is Euler's
+    criterion on the norm.  sqrt takes an odd degree's root through the
+    norm, a^((T + 1) / 2) / sqrt(N(a)), and an even degree's through the
+    subfield of index 2, from the square roots of the norm and trace to it
+    (see sqrt), so every root comes down to Tonelli-Shanks over F_p.  A
+    tower of even degree above 2 takes no root: its index-2 subfield
+    embeds only through a ring over the tower, which is never built, so
+    its sqrt raises ContextMismatch while is_square still answers.
     """
 
     def __new__(cls, base, modulus, xq=None, j=None):
@@ -417,7 +400,7 @@ class ExtField(_FieldOps):
         self._frob = {}
         self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
         # set here, not on first use: an attribute added later can cost a context CPython's shared layout
-        self._half_antifixed = self._nonresidue = self._sqrt_constants = self._pair_tables = None
+        self._half_antifixed = self._nonresidue = self._pair_tables = None
 
     _lazy = _ACC - 1
 
@@ -496,31 +479,39 @@ class ExtField(_FieldOps):
         return a == self.zero or self.base.is_square(self.norm(a))
 
     def sqrt(self, a):
-        """Canonical square root, or None; the norm turns a non-square away first."""
-        if a == self.zero:
-            return self.zero
-        n = self.norm(a)
-        if not self.base.is_square(n):
-            return None
-        return self._sqrt_of_square(a, n)
+        """Canonical square root, or None: through the norm at odd degree, the index-2 subfield at even.
 
-    def _sqrt_of_square(self, a, n=None):
-        """The canonical root of a, a nonzero square with norm n (computed if None).
-
-        F_{p^2} roots through F_p, another even degree by Tonelli-Shanks.
-        An odd degree has a^T = N(a), T = (Q^d - 1) / (Q - 1) odd, so
-        a^((T + 1) / 2) squares to a N(a), no 2-Sylow generator needed; N(a)
-        is a nonzero square of the base, whose root runs no Euler test.
+        Odd degree d: a^T = N(a) with T = (Q^d - 1) / (Q - 1) odd, Q the
+        base order, so a^((T + 1) / 2) squares to a N(a); a is a square iff
+        N(a) is one in the base.  Even degree, half the base at degree 2 and
+        make_extension(p, k / 2) above it, sigma the |half|-power map: a root
+        r has r sigma(r) = s, s^2 = N(a) = a sigma(a), and (r + sigma(r))^2 =
+        Tr(a) + 2s, so r = (a + s) / sqrt(Tr(a) + 2s) for the one sign of s
+        that makes Tr(a) + 2s a nonzero square.  No root of N(a): a is no
+        square here.  No such sign: Tr(r) = 0 and a is a non-square of half
+        (sqrt_of_half_nonsquare).
         """
-        if self.deg % 2 == 0:
-            return self.sqrt_through_half(a, self.base) if self.k == 2 else self._tonelli_shanks(a)
+        if a == self.zero:
+            return a
         B = self.base
+        if self.deg % 2:
+            n = B.sqrt(self.norm(a))
+            if n is None:
+                return None
+            t = (self.order - 1) // (B.order - 1)
+            return self._canonical(self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(n)))
+        half = B if self.deg == 2 else make_extension(self.p, self.k // 2)
+        sa = self.frobenius_power(a, half.k)
+        n = half.sqrt(project(self.mul(a, sa), self, half))
         if n is None:
-            n = self.norm(a)
-        t = (self.order - 1) // (B.order - 1)
-        r = self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(B._sqrt_of_square(n)))
-        rn = self.neg(r)
-        return r if self.encode(r) <= self.encode(rn) else rn
+            return None
+        tr = project(self.add(a, sa), self, half)
+        for s in (n, half.neg(n)):
+            u = half.add(tr, half.add(s, s))
+            tau = None if u == half.zero else half.sqrt(u)
+            if tau is not None:
+                return self._canonical(self.mul(self.add(a, embed(s, half, self)), embed(half.inv(tau), half, self)))
+        return self._canonical(self.sqrt_of_half_nonsquare(half.div(tr, half.from_int(2)), half))
 
     def sqrt_of_half(self, v, half):
         """A square root here of v in half, the subfield of index 2 (not the canonical root).
@@ -545,61 +536,7 @@ class ExtField(_FieldOps):
             d = self.sub(self.x, self.frobenius_power(self.x, half.k))
             self._half_antifixed = (half, d, half.inv(project(self.sqr(d), self, half)))
         _, d, d2inv = self._half_antifixed
-        return self.mul(embed(half._sqrt_of_square(half.mul(v, d2inv)), half, self), d)
-
-    def sqrt_through_half(self, a, half):
-        """self.sqrt(a), canonical root or None, from square roots in half, the subfield of index 2.
-
-        sigma the |half|-power map: a root r has r sigma(r) = s, s^2 = N(a) = a sigma(a), and
-        (r + sigma(r))^2 = Tr(a) + 2s, so r = (a + s) / sqrt(Tr(a) + 2s) for the one sign of s
-        that makes Tr(a) + 2s a nonzero square.  No root of N(a): a is no square here.  No
-        such sign: Tr(r) = 0 and a is a non-square of half (sqrt_of_half_nonsquare).
-        """
-        if 2 * half.k != self.k:
-            raise ContextMismatch(f"{half!r} is not of index 2 in {self!r}")
-        if a == self.zero:
-            return a
-        sa = self.frobenius_power(a, half.k)
-        n = half.sqrt(project(self.mul(a, sa), self, half))
-        if n is None:
-            return None
-        tr = project(self.add(a, sa), self, half)
-        for s in (n, half.neg(n)):
-            u = half.add(tr, half.add(s, s))
-            tau = None if u == half.zero else half.sqrt(u)
-            if tau is not None:
-                r = self.mul(self.add(a, embed(s, half, self)), embed(half.inv(tau), half, self))
-                break
-        else:
-            r = self.sqrt_of_half_nonsquare(half.div(tr, half.from_int(2)), half)
-        rn = self.neg(r)
-        return r if self.encode(r) <= self.encode(rn) else rn
-
-    def _find_nonresidue(self):
-        """A non-residue read off the base instead of searched for.
-
-        For odd degree a non-residue of the base stays one (its norm is its
-        deg-th power).  For even degree the norm of x + c is modulus(-c), so
-        the first c = 0, 1, ... that makes it a non-residue of the base gives
-        one; the seeded search is the fallback if no such c is in F_p.
-        """
-        B = self.base
-        if self.deg % 2:
-            return self.from_coeffs((B.nonresidue(),))
-        h = polyring.Poly(B, self.modulus)
-        for c in range(self.p):
-            cb = B.from_int(c)
-            if not B.is_square(h.eval(B.neg(cb))):
-                return self.from_coeffs((cb, B.one))
-        return _FieldOps._find_nonresidue(self)
-
-    def _two_sylow_generator(self, m: int):
-        B = self.base
-        nr = self.coeffs(self.nonresidue())
-        if all(c == B.zero for c in nr[1:]):
-            # a base element has order dividing |B*|: power it in the base
-            return self.from_coeffs((B.pow(nr[0], m % (B.order - 1)),))
-        return self.pow(self.from_coeffs(nr), m)
+        return self.mul(embed(half.sqrt(half.mul(v, d2inv)), half, self), d)
 
     # -- packed arithmetic ----------------------------------------------------
 
@@ -992,9 +929,10 @@ def _root_powers(src: ExtField, dst: ExtField):
 def embed(a, src, dst):
     """Carry a from the (p, k1) context into the (p, k2) context, k1 | k2.
 
-    An F_p value is its own image (it sits in slot 0); otherwise the
-    coefficients weight the packed powers of the canonical root and one
-    slot reduction follows.
+    An F_p value is its own image (it sits in slot 0), and so is an element
+    of a tower's own base (it sits in block 0); otherwise the coefficients
+    weight the packed powers of the canonical root and one slot reduction
+    follows.
     """
     if src is dst:
         return a
@@ -1004,6 +942,8 @@ def embed(a, src, dst):
         return a
     if dst.k % src.k != 0:
         raise ContextMismatch(f"{src!r} does not embed in {dst!r}")
+    if dst.base is src:
+        return a
     acc = 0
     for c, w in zip(src.coeffs(a), _root_powers(src, dst)):
         if c:
@@ -1059,15 +999,18 @@ _project_cache: dict[tuple, tuple] = {}
 def project(a, big, small):
     """The small-field preimage of a under embed(., small, big), or None.
 
-    Solves the linear system over F_p expressing a on the embedded power
-    basis of the small field: _rref of the basis columns beside an identity
-    block leaves a left inverse in the first rows (cached, see _pair_cache).
+    The prime subfield is slot 0 alone, and a tower's base block 0 alone.
+    Otherwise solves the linear system over F_p expressing a on the embedded
+    power basis of the small field: _rref of the basis columns beside an
+    identity block leaves a left inverse in the first rows (cached, see
+    _pair_cache).
     """
     if big is small:
         return a
     if small.k == 1:
-        # the prime subfield is slot 0 alone
         return a if a < big.p else None
+    if big.base is small:
+        return a if a <= big._cmask else None
     key = (small.p, small.modulus, big.k, big.modulus)
     solver = _project_cache.get(key)
     if solver is None:

@@ -338,6 +338,27 @@ def test_phi_point_reaches_every_square_root_case(ex37_fibration):
     assert set(cases) == {("split", True), ("split", False), ("conjugate", True), ("conjugate", False)}, cases
 
 
+def test_phi_point_does_not_retest_ramification(ex37_fibration, monkeypatch):
+    # _good_curve_points has found t0 unramified before it lifts a point, so
+    # the lift builds G(t0, x) without testing the fiber again
+    from trigonal.construction import TrigonalFibration
+
+    R = build_correspondence(ex37_fibration, +1)
+    rng = random.Random(59)
+    points = []
+    for k in (1, 2):
+        K = make_extension(37, k)
+        points += [(K, x1, y1, t0) for x1, y1, t0 in _good_points(ex37_fibration, K, rng, 6)]
+    want = [_lift_outcome(_phi_point, R, *pt) for pt in points]
+
+    def ramified_at(self, t0, field=None):
+        raise AssertionError("ramified_at ran inside _phi_point")
+
+    monkeypatch.setattr(TrigonalFibration, "ramified_at", ramified_at)
+    assert [_lift_outcome(_phi_point, R, *pt) for pt in points] == want
+    assert len(points) == 12 and "bad_support" not in want
+
+
 def _reference_effective_points(D):
     """The support split with roots() over each factor's field."""
     f = D.model.field

@@ -299,12 +299,23 @@ def _tower(p, k, degree, seed):
     return ExtField(K, _irreducible_over(K, degree, random.Random(seed)))
 
 
+def _algebra(p, degree, seed):
+    """F_p[x]/(h) for a seeded irreducible h, as the orbit algebras of the subgroup enumeration are built."""
+    F = prime_field(p)
+    return ExtField(F, _irreducible_over(F, degree, random.Random(seed)))
+
+
 def _sqrt_contexts():
     yield from (prime_field(p) for p in (37, 53, 43, 59, 103))  # p = 1 and p = 3 mod 4
     yield from (make_extension(37, k) for k in range(2, 7))
     yield from (make_extension(43, k) for k in (2, 3))
     for p in (37, 53):
         yield from (_tower(p, 2, degree, 7 * p + degree) for degree in (2, 3))
+    # an odd-degree base, a large base, and algebras that are not make_extension contexts
+    yield pytest.param(_tower(37, 3, 2, 16), id="GF(37^6)/tower over GF(37^3)")
+    yield pytest.param(_tower(10**6 + 3, 2, 2, 17), id="GF(1000003^4)/tower")
+    yield pytest.param(_algebra(37, 4, 18), id="GF(37^4)/algebra")
+    yield pytest.param(_algebra(101, 6, 19), id="GF(101^6)/algebra")
 
 
 def _context_id(K):
@@ -326,19 +337,13 @@ def test_sqrt_and_is_square_match_the_reference(K):
 @pytest.mark.parametrize(
     "p, k, degree", [(37, 1, 2), (37, 1, 3), (37, 1, 4), (37, 2, 2), (37, 2, 3), (53, 2, 2), (53, 2, 3)]
 )
-def test_etale_contexts_take_their_nonresidue_from_the_base(p, k, degree):
+def test_etale_contexts_hold_a_nonresidue(p, k, degree):
     K = make_extension(p, k)
     rng = random.Random(p * k + degree)
     for _ in range(4):
         A = ExtField(K, _irreducible_over(K, degree, rng))
         nu = A.nonresidue()
         assert A.pow(nu, (A.order - 1) // 2) != A.one  # a non-residue by Euler's criterion
-        nu_c = A.coeffs(nu)
-        zeros = A.coeffs(A.zero)
-        if degree % 2:
-            assert nu_c == (K.nonresidue(),) + zeros[1:]
-        else:
-            assert nu_c[1] == K.one and nu_c[2:] == zeros[2:]  # x + c with c in F_p
 
 
 def _seeded_tower(p, k, degree, seed):
@@ -373,33 +378,77 @@ def test_sqrt_of_half_squares_back():
             if not K.is_square(v):
                 r = K2.sqrt_of_half_nonsquare(v, K)
                 assert K2.mul(r, r) == embed(v, K, K2)
-    for method in (ExtField.sqrt_of_half, ExtField.sqrt_of_half_nonsquare, ExtField.sqrt_through_half):
+    for method in (ExtField.sqrt_of_half, ExtField.sqrt_of_half_nonsquare):
         with pytest.raises(ContextMismatch):
             method(make_extension(37, 6), 2, prime_field(37))
 
 
+def _euler_nonresidue(K):
+    """A non-residue of K by Euler's criterion on seeded draws, for _reference_sqrt."""
+    rng = random.Random(K.order % 1009)
+    while True:
+        z = K.random(rng)
+        if z != K.zero and K.pow(z, (K.order - 1) // 2) != K.one:
+            return z
+
+
 def test_sqrt_through_half_is_the_canonical_root():
-    # the root through the norm to the index-2 subfield is K2.sqrt's: the
-    # canonical root or None, on every element of F_5^2 and F_37^2, on seeded
-    # elements at 30 bits, and on the subfield's squares, non-squares and zero
+    # the root through the norm to the index-2 subfield is the reference's:
+    # the canonical root or None, on every element of F_5^2 and F_37^2, on
+    # seeded elements at 30 bits, and on the subfield's squares, non-squares
+    # and zero
     from trigonal.survey import deterministic_prime
 
     for p in (5, 37):
-        K, K2 = prime_field(p), make_extension(p, 2)
-        assert all(K2.sqrt_through_half(a, K) == K2.sqrt(a) for a in K2.elements())
+        K2 = make_extension(p, 2)
+        z = _euler_nonresidue(K2)
+        assert all(K2.sqrt(a) == _reference_sqrt(K2, a, z) for a in K2.elements())
     rng = random.Random(13)
     p = deterministic_prime(30, 0)
     for j in (1, 2, 3):
         K, K2 = make_extension(p, j), make_extension(p, 2 * j)
+        z = _euler_nonresidue(K2)
         sub = [embed(K.random(rng), K, K2) for _ in range(20)]
         cases = [K2.random(rng) for _ in range(40)] + sub + [K2.zero]
         seen = set()
         for a in cases:
-            r = K2.sqrt_through_half(a, K)
-            assert r == K2.sqrt(a)
+            r = K2.sqrt(a)
+            assert r == _reference_sqrt(K2, a, z)
             seen.add((a in sub, r is None))
         assert seen == {(False, False), (False, True), (True, False)}, seen
         assert any(not K.is_square(project(a, K2, K)) for a in sub)
+
+
+@pytest.mark.parametrize("k, degree", [(2, 3), (3, 2)])
+def test_a_towers_base_embeds_and_projects_as_block_0(k, degree):
+    # block 0 is the image embed's rule gives, the least root by encoding of
+    # the base's modulus; project reads it back, is None off block 0, and
+    # None into F_p off slot 0
+    T = _tower(37, k, degree, 30 + k)
+    B, F = T.base, prime_field(37)
+    xb = embed(B.x, B, T)
+    assert Poly(T, list(B.modulus)).eval(xb) == T.zero
+    assert min((T.frobenius_power(xb, i) for i in range(B.k)), key=T.encode) == xb
+    rng = random.Random(31)
+    for b in [B.zero, B.one, B.x] + [B.random(rng) for _ in range(20)]:
+        t = embed(b, B, T)
+        assert t == b and T.coeffs(t) == (b,) + (B.zero,) * (T.deg - 1)
+        assert project(t, T, B) == b
+        assert T.mul(t, embed(B.x, B, T)) == embed(B.mul(b, B.x), B, T)
+    assert project(T.x, T, B) is None
+    assert all(project(T.add(embed(b, B, T), T.x), T, B) is None for b in (B.zero, B.x))
+    assert project(embed(B.x, B, T), T, F) is None
+    assert project(embed(5, F, T), T, F) == 5
+
+
+def test_a_tower_of_even_degree_above_2_takes_no_root():
+    T = _tower(37, 2, 4, 32)
+    rng = random.Random(33)
+    elements = [T.random(rng) for _ in range(6)]
+    for a in elements + [T.mul(a, a) for a in elements]:
+        assert T.is_square(a) == (T.pow(a, (T.order - 1) // 2) == T.one)
+        with pytest.raises(ContextMismatch):
+            T.sqrt(a)
 
 
 def test_project_rank_check_survives_python_O():
