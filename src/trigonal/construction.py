@@ -111,23 +111,19 @@ def _discriminant_cubic(g0: Poly, g1: Poly, g2: Poly) -> Poly:
     )
 
 
-def _s_terms(f0, f1, f2, g0, g1, g2, two, three):
-    """The norm of f0 + f1 x + f2 x^2 down x^3 + g2 x^2 + g1 x + g0: over Polys in t, or F_p ints at one t."""
-    return (
-        f0 * f0 * f0
-        - f0 * f0 * f1 * g2
-        - two * f0 * f0 * f2 * g1
-        + f0 * f0 * f2 * g2 * g2
-        + f0 * f1 * f1 * g1
-        + three * f0 * f1 * f2 * g0
-        - f0 * f1 * f2 * g1 * g2
-        - two * f0 * f2 * f2 * g0 * g2
-        + f0 * f2 * f2 * g1 * g1
-        - f1 * f1 * f1 * g0
-        + f1 * f1 * f2 * g0 * g2
-        - f1 * f2 * f2 * g0 * g1
-        + f2 * f2 * f2 * g0 * g0
-    )
+def _s_terms(f0, f1, f2, g0, g1, g2):
+    """The norm of f0 + f1 x + f2 x^2 down x^3 + g2 x^2 + g1 x + g0: over Polys in t, or F_p ints at one t.
+
+    Horner in f0, ((f0 + a) f0 + b) f0 + c, fourteen products: with
+    u = f2 g2 - f1 and w = f2^2 g1 - f1 u, a = g2 u - 2 f2 g1,
+    b = g1 w + f2 g0 (f1 - 2u) and c = g0 (f2^2 f2 g0 - f1 w).
+    """
+    u = f2 * g2 - f1
+    f2g1, f2g0, f2sq = f2 * g1, f2 * g0, f2 * f2
+    w = f2sq * g1 - f1 * u
+    a = g2 * u - f2g1 - f2g1
+    b = g1 * w + f2g0 * (f1 - u - u)
+    return ((f0 + a) * f0 + b) * f0 + g0 * (f2sq * f2g0 - f1 * w)
 
 
 def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
@@ -147,7 +143,7 @@ def build_fibration(g: TrigonalMap, H: HCurve) -> TrigonalFibration:
     G = BiPoly(f, (g0, g1, g2, one))
     f0, f1, f2 = reduce_mod_cubic(H.F, G)
     c = lambda n: Poly.const(f, f.from_int(n))
-    s = _s_terms(f0, f1, f2, g0, g1, g2, c(2), c(3))
+    s = _s_terms(f0, f1, f2, g0, g1, g2)
     if s.is_zero:
         raise SquareRootObstruction("s(t) vanishes identically")
     root = exact_square_root(s)
@@ -177,7 +173,7 @@ def _isog_from_value(g: TrigonalMap) -> bool | None:
     for t0 in range(min(f.p, 9)):
         G = (fold(g.n0 - t0 * g.d0), fold(g.n1 - t0 * g.d1), fold(-t0))
         r = g.curve.F % Poly(f, G + (f.one,))
-        s0 = fold(_s_terms(r[0], r[1], r[2], *G, 2, 3))
+        s0 = fold(_s_terms(r[0], r[1], r[2], *G))
         if s0:
             return f.is_square(s0)
     return None

@@ -472,7 +472,7 @@ def count_points(H: HCurve, k: int) -> int:
     if p**k > _COUNT_GUARD:
         raise TooLarge(f"{p}^{k} exceeds the enumeration guard 2^30")
     field, d = make_extension(p, k), H.F.degree
-    top, mask, _, ones, _, half, _ = _slot_layout(p, k)
+    top, mask, _, ones, _, half = _slot_layout(p, k)
     w = mask.bit_length()
     B, step = k * w, k * k * w  # a block holds one element, a step is k blocks
     emask, full = (1 << B) - 1, (1 << (d + 1) * step) - 1

@@ -207,14 +207,6 @@ def _support_orbits(D: DivisorClass):
     return out
 
 
-def _effective_points(D: DivisorClass):
-    """The points of the effective part, [(field, x, y)] sorted per factor by encoding; see _support_orbits."""
-    orbits = _support_orbits(D)
-    if orbits is None:
-        return None
-    return [(K, K.frobenius_power(x, j), K.frobenius_power(y, j)) for K, x, y, js in orbits for j in js]
-
-
 def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
     """The factors' points carried onto the construction's curve, as [(K, x1, y1, t0, js)].
 

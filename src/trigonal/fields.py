@@ -22,7 +22,7 @@ enumeration, and the etale factors over F_{q^j} in which phi takes square
 roots.  Its ring operations take any monic modulus, so it is also the ring
 F_q[x]/(f) in which polyring takes powers and Frobenius maps modulo a fixed
 f, over F_p and over F_{p^m} alike.  A product is one int multiply and one
-reduction of the slots, on either level.
+reduction: its high slots fold back by rows x^(k + j) built once per context.
 
 The F_{p^k} contexts are built by make_extension(p, k) with a modulus chosen
 deterministically from (p, k): the lexicographically least monic irreducible
@@ -132,18 +132,19 @@ class _FieldOps:
             return self.one
         r, mul = a, self.mul
         # x over F_p: a set bit shifts the square up a slot and folds one more high slot (each below 2 deg p^2)
-        xw = a == self.x and self.deg > 1 and self.base.k == 1 and (self.p, self._mask, self._negmod, self._shifts[1])
+        xw = a == self.x and self.deg > 1 and self.base.k == 1 and (self.p, self._mask, self._low, self._shifts[1])
         for bit in bin(n)[3:]:
             if bit == "0" or not xw:
                 r = mul(r, r)
                 if bit == "1":
                     r = mul(r, a)
                 continue
-            p, m, nm, w = xw
+            p, m, low, w = xw
             c = r * r << w
-            for hi, lo in self._xhighs:
-                c += (((c >> hi) & m) % p * nm) << lo
-            r = self._reduce(c)
+            lo = c & low
+            for hs, row in self._xrows:
+                lo += ((c >> hs) & m) % p * row
+            r = self._reduce(lo)
         return r
 
     _nonresidue = None
@@ -312,17 +313,14 @@ def _slot_layout(p: int, k: int) -> tuple:
     """The k-slot packing over F_p, computed once and shared by every context of that size.
 
     (top bit, slot mask, slot shifts, packed ones, packed p, packed
-    2^(w-1) - p, fold pairs) for w the bit length of _ACC k (p - 1)^2; a
-    fold pair is (high slot, where its fold lands), from the slot above the
-    top slot of a product (a product times x) down.
+    2^(w-1) - p) for w the bit length of _ACC k (p - 1)^2.
     """
     lay = _layout_cache.get((p, k))
     if lay is None:
         w = (_ACC * k * (p - 1) ** 2).bit_length()
         mask = (1 << w) - 1
         ones = ((1 << (k * w)) - 1) // mask
-        fold = tuple((j * w, (j - k) * w) for j in range(2 * k - 1, k - 1, -1))
-        lay = _layout_cache[(p, k)] = (w - 1, mask, tuple(range(0, k * w, w)), ones, p * ones, ((1 << (w - 1)) - p) * ones, fold)
+        lay = _layout_cache[(p, k)] = (w - 1, mask, tuple(range(0, k * w, w)), ones, p * ones, ((1 << (w - 1)) - p) * ones)
     return lay
 
 
@@ -342,12 +340,12 @@ class ExtField(_FieldOps):
     of _ACC k (p - 1)^2 and every slot in [0, p) (Kronecker substitution).
     add, sub and neg are SWAR operations on all slots at once: add
     2^(w-1) - p to every slot, read each slot's top bit, subtract p where
-    it is set.  mul is one int product; each high slot c_j is folded back
-    as (c_j mod p) * packed(-modulus mod p) << w (j - k), and one pass
-    reduces every slot mod p.  The slot width keeps every slot of a product
-    below 2k p^2, and of a sum of up to _ACC - 1 products and its fold below
-    2^w, so no slot carries into the next: polyring adds raw products of
-    coefficients and folds once per output coefficient (_lazy, _fold).
+    it is set.  mul is one int product; each high slot c_(k+j) adds
+    (c_(k+j) mod p) times its row, x^(k+j) mod modulus packed and built
+    once, to the low slots, and one pass reduces every slot mod p.  The slot
+    width keeps every slot of a product below 2k p^2, and of a sum of up to
+    _ACC - 1 products and its rows below 2^w, so no slot carries into the
+    next: polyring adds raw products and folds once per output (_lazy, _fold).
     frobenius_power, scalar_mul, embed and project work on packed ints too.
 
     Over an extension base the context is a _TowerField, packed on two
@@ -395,8 +393,16 @@ class ExtField(_FieldOps):
         self.zero = 0
         self.one = 1
         self._init_elements()
-        self._negmod = self.from_coeffs([base.neg(c) for c in self.modulus[:-1]])
-        self.x = 1 << self._cshifts[1] if self.deg > 1 else self._negmod
+        negmod = self.from_coeffs([base.neg(c) for c in self.modulus[:-1]])
+        self.x = 1 << self._cshifts[1] if self.deg > 1 else negmod
+        # the fold rows x^(deg + j) mod modulus, j < deg, by shift-and-fold: x times the row before
+        rows, cs, w = [negmod], self._cshifts, self._cmask.bit_length()
+        for _ in range(1, self.deg):
+            r = rows[-1]
+            rows.append(self.add((r & (1 << cs[-1]) - 1) << w, self.scalar_mul(negmod, r >> cs[-1])))
+        # (where high coefficient deg + j of a product sits, row j); a product times x has one more
+        self._xrows = tuple(((self.deg + j) * w, r) for j, r in enumerate(rows))
+        self._rows, self._low = self._xrows[:-1], (1 << self.deg * w) - 1
         self._frob = {}
         self._xfrob = {} if xq is None else {j or base.k: self.from_coeffs(xq)}
         # set here, not on first use: an attribute added later can cost a context CPython's shared layout
@@ -406,8 +412,7 @@ class ExtField(_FieldOps):
 
     def _init_elements(self):
         """The slot layout and the packed constants of the SWAR arithmetic."""
-        self._top, self._mask, self._shifts, self._ones, self._pp, self._half, self._xhighs = _slot_layout(self.p, self.k)
-        self._highs = self._xhighs[1:]
+        self._top, self._mask, self._shifts, self._ones, self._pp, self._half = _slot_layout(self.p, self.k)
         # a coefficient is one slot; a reduction may take _span columns of
         # a linear map (_ACC k products per slot, one left for the partial sum)
         self._cshifts, self._cmask = self._shifts, self._mask
@@ -498,8 +503,13 @@ class ExtField(_FieldOps):
             n = B.sqrt(self.norm(a))
             if n is None:
                 return None
-            t = (self.order - 1) // (B.order - 1)
-            return self._canonical(self.scalar_mul(self.pow(a, (t + 1) // 2), B.inv(n)))
+            # a^((T + 1) / 2) = a (c c^(Q^2) ... c^(Q^(d - 3)))^Q with c = a^((Q + 1) / 2)
+            c = prod = self.pow(a, (B.order + 1) // 2) if self.deg > 1 else self.one
+            for _ in range(self.deg // 2 - 1):
+                c = self.frobenius_power(c, 2 * B.k)
+                prod = self.mul(prod, c)
+            r = self.mul(a, self.frobenius_power(prod, B.k))
+            return self._canonical(self.scalar_mul(r, B.inv(n)))
         half = B if self.deg == 2 else make_extension(self.p, self.k // 2)
         sa = self.frobenius_power(a, half.k)
         n = half.sqrt(project(self.mul(a, sa), self, half))
@@ -562,23 +572,25 @@ class ExtField(_FieldOps):
 
     def mul(self, a, b):
         c = a * b
-        p, m, nm = self.p, self._mask, self._negmod
+        p, m = self.p, self._mask
         # _fold, inlined on the hottest path
-        for hi, lo in self._highs:
-            c += (((c >> hi) & m) % p * nm) << lo
+        lo = c & self._low
+        for hs, row in self._rows:
+            lo += ((c >> hs) & m) % p * row
         r = 0
         for s in self._shifts:
-            r |= ((c >> s) & m) % p << s
+            r |= ((lo >> s) & m) % p << s
         return r
 
     def _fold(self, c):
         """The element of c, a sum of raw products (at most _lazy of them, plus an element)."""
-        p, m, nm = self.p, self._mask, self._negmod
-        for hi, lo in self._highs:
-            c += (((c >> hi) & m) % p * nm) << lo
+        p, m = self.p, self._mask
+        lo = c & self._low
+        for hs, row in self._rows:
+            lo += ((c >> hs) & m) % p * row
         r = 0
         for s in self._shifts:
-            r |= ((c >> s) & m) % p << s
+            r |= ((lo >> s) & m) % p << s
         return r
 
     def scalar_mul(self, a, c):
@@ -680,9 +692,9 @@ class _TowerField(ExtField):
     Coefficient i, a packed B element, sits in block i, and the blocks are
     2m - 1 base slots apart, so the product of two coefficients stays
     inside its block and a product of two elements is one int multiply.
-    _fold reduces it: from the top block down, each high block is reduced
-    as a B product (B's fold, then every slot mod p) and folded back
-    against packed -modulus, and the low blocks are reduced last.  The
+    _fold reduces it: each high block j is reduced as a B product (B's
+    rows, then every slot mod p) and added times row j to the low blocks,
+    which are reduced last as B products too.  The
     slots have B's width: a slot of a product takes at most 2 deg m
     products of two coefficients, within the accumulation bound _ACC m
     while 2 deg <= _ACC, and that leaves room for one element added to
@@ -710,7 +722,6 @@ class _TowerField(ExtField):
         self._shifts = tuple(i + t for i in self._cshifts for t in B._shifts)
         self._ones = sum(B._ones << s for s in self._cshifts)
         self._pp, self._half = self.p * self._ones, B._half // B._ones * self._ones
-        self._highs = tuple((j * stride, (j - d) * stride) for j in range(2 * d - 2, d - 1, -1))
         self._span = _ACC * B.k - 1
 
     def from_coeffs(self, seq):
@@ -728,24 +739,26 @@ class _TowerField(ExtField):
     def _fold(self, c):
         """The element of c, one raw product of two elements plus an element."""
         B = self.base
-        p, m, blk, nm, bnm = self.p, self._mask, self._cmask, self._negmod, B._negmod
-        bhighs, bshifts = B._highs, B._shifts
-        for hi, lo in self._highs:
-            v = (c >> hi) & blk
-            for h, l in bhighs:
-                v += (((v >> h) & m) % p * bnm) << l
+        p, m, blk, blow, brows, bshifts = self.p, self._mask, self._cmask, B._low, B._rows, B._shifts
+        lo = c & self._low
+        for hs, row in self._rows:
+            v = (c >> hs) & blk
+            u = v & blow
+            for h, brow in brows:
+                u += ((v >> h) & m) % p * brow
             e = 0
             for s in bshifts:
-                e |= ((v >> s) & m) % p << s
+                e |= ((u >> s) & m) % p << s
             if e:
-                c += (e * nm) << lo
+                lo += e * row
         r = 0
         for cs in self._cshifts:
-            v = (c >> cs) & blk
-            for h, l in bhighs:
-                v += (((v >> h) & m) % p * bnm) << l
+            v = (lo >> cs) & blk
+            u = v & blow
+            for h, brow in brows:
+                u += ((v >> h) & m) % p * brow
             for s in bshifts:
-                r |= ((v >> s) & m) % p << (cs + s)
+                r |= ((u >> s) & m) % p << (cs + s)
         return r
 
     def scalar_mul(self, a, c):
@@ -1009,6 +1022,8 @@ def project(a, big, small):
         return a
     if small.k == 1:
         return a if a < big.p else None
+    if small.p != big.p or big.k % small.k:
+        raise ContextMismatch(f"{small!r} does not embed in {big!r}")
     if big.base is small:
         return a if a <= big._cmask else None
     key = (small.p, small.modulus, big.k, big.modulus)

@@ -12,7 +12,7 @@ import json
 
 from .curves import HCurve
 from .errors import ContextMismatch
-from .fields import make_extension, prime_field
+from .fields import make_extension
 from .polyring import BinaryForm, Poly
 from .subgroups import TractableSubgroup
 
@@ -48,20 +48,28 @@ def poly_from_json(obj, field) -> Poly:
 
 
 def curve_to_json(H: HCurve) -> dict:
-    return {"p": str(H.field.p), "f": [str(c) for c in H.form.c]}
+    """{"p", "f"} over F_p; over F_{p^k} also "k", and each coefficient as its F_p coefficient list."""
+    f = H.field
+    if f.k == 1:
+        return {"p": str(f.p), "f": [str(c) for c in H.form.c]}
+    if make_extension(f.p, f.k) is not f:
+        raise ContextMismatch(f"a curve file names its field by (p, k), and {f!r} is not make_extension({f.p}, {f.k})")
+    return {"p": str(f.p), "k": f.k, "f": [[str(x) for x in f.coeffs(c)] for c in H.form.c]}
 
 
 def parse_curve(obj) -> HCurve:
+    """The curve of a curve file; a file without "k" is over F_p."""
     if not isinstance(obj, dict) or "p" not in obj or "f" not in obj:
         raise ValueError('curve file must be {"p": "<decimal>", "f": ["a0", ..., "a8"]}')
-    p = int(obj["p"])
-    coeffs = [int(c) for c in obj["f"]]
+    field = make_extension(int(obj["p"]), int(obj.get("k", 1)))
+    if field.k > 1 and not all(isinstance(c, list) for c in obj["f"]):
+        raise ValueError("over F_{p^k} each of f's coefficients is a list of its F_p coefficients")
+    coeffs = [field.from_coeffs([int(x) for x in c]) if field.k > 1 else field.from_int(int(c)) for c in obj["f"]]
     if len(coeffs) == 8:
-        coeffs.append(0)
+        coeffs.append(field.zero)
     if len(coeffs) != 9:
         raise ValueError("f must list the 9 coefficients a0..a8 (a8 may be 0)")
-    field = prime_field(p)
-    return HCurve.from_coeffs(field, coeffs)
+    return HCurve(field, BinaryForm(field, 8, coeffs))
 
 
 def load_curve(path: str) -> HCurve:

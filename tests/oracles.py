@@ -3,13 +3,14 @@ tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Fro
 the conjugate product of a quotient ring taken as one power in that ring, point counts by
 enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
 idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
-every expanded row."""
+every expanded row, the points of a class's support one by one, the cascade fold of a packed
+product, the norm s(t) as its thirteen expanded terms."""
 
 import math
 
 from trigonal.curves import DivisorClass, cantor_add, cantor_mul
 from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge
-from trigonal.evaluation import XPoint, _triple_class
+from trigonal.evaluation import XPoint, _support_orbits, _triple_class
 from trigonal.fields import _rref, embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
@@ -395,3 +396,56 @@ def cantor_add_by_polys(D1, D2):
     b = q % a
     a, b = _reduce_mumford_by_polys(F, a, b)
     return DivisorClass(D1.model, a, b, check=False)
+
+
+def effective_points(D):
+    """The points of the effective part, [(field, x, y)] sorted per factor by encoding: each orbit of
+    evaluation._support_orbits spelled out by Frobenius maps."""
+    orbits = _support_orbits(D)
+    if orbits is None:
+        return None
+    return [(K, K.frobenius_power(x, j), K.frobenius_power(y, j)) for K, x, y, js in orbits for j in js]
+
+
+def cascade_fold(K, c):
+    """The element of c, a sum of raw products in a packed ring over F_p, by the cascade fold.
+
+    From the top slot of c down to slot deg, each slot j is folded back as
+    (c_j mod p) * packed(-modulus mod p) << w (j - deg), so a fold lands in
+    the slots below it that are still to be folded; then every low slot is
+    reduced mod p.
+    """
+    p, m, w, d = K.p, K._mask, K._top + 1, K.deg
+    negmod = K.from_coeffs([-c % p for c in K.modulus[:-1]])
+    for j in range(-(-c.bit_length() // w) - 1, d - 1, -1):
+        c += (((c >> j * w) & m) % p * negmod) << (j - d) * w
+    return sum(((c >> i * w) & m) % p << i * w for i in range(d))
+
+
+def cascade_pow(K, a, n):
+    """a^n for n > 0, left to right, every product reduced by cascade_fold."""
+    r = a
+    for bit in bin(n)[3:]:
+        r = cascade_fold(K, r * r)
+        if bit == "1":
+            r = cascade_fold(K, r * a)
+    return r
+
+
+def s_terms_expanded(f0, f1, f2, g0, g1, g2, two, three):
+    """The norm of f0 + f1 x + f2 x^2 down x^3 + g2 x^2 + g1 x + g0, as its thirteen expanded terms."""
+    return (
+        f0 * f0 * f0
+        - f0 * f0 * f1 * g2
+        - two * f0 * f0 * f2 * g1
+        + f0 * f0 * f2 * g2 * g2
+        + f0 * f1 * f1 * g1
+        + three * f0 * f1 * f2 * g0
+        - f0 * f1 * f2 * g1 * g2
+        - two * f0 * f2 * f2 * g0 * g2
+        + f0 * f2 * f2 * g1 * g1
+        - f1 * f1 * f1 * g0
+        + f1 * f1 * f2 * g0 * g2
+        - f1 * f2 * f2 * g0 * g1
+        + f2 * f2 * f2 * g0 * g0
+    )

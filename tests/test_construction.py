@@ -18,6 +18,7 @@ from ex37 import (
     EX37_X_ROWS,
 )
 from trigonal.construction import (
+    _s_terms,
     assess,
     build_correspondence,
     build_fibration,
@@ -393,3 +394,20 @@ def test_verdict_builds_its_fibration_on_first_read(monkeypatch, ex37_curve, ex3
     assert calls == [v.map]
     assert v.fibration is fib and len(calls) == 1
     assert fib.s == ex37_fibration.s and isogeny_is_rational(fib) == v.isog
+
+
+@pytest.mark.parametrize("p", [5, 7, 37, deterministic_prime(160, 0)])
+def test_horner_s_matches_the_thirteen_terms(p):
+    from oracles import s_terms_expanded
+
+    f, rng = prime_field(p), random.Random(p % 1013)
+    c = lambda n: Poly.const(f, f.from_int(n))
+    g2 = Poly(f, [f.zero, f.neg(f.one)])
+    for _ in range(20):
+        # the degrees of a fibration's f_i and g_i, and zero and constant ones
+        f0, f1, f2 = (Poly(f, [f.random(rng) for _ in range(rng.randrange(0, 5))]) for _ in range(3))
+        g0, g1 = (Poly(f, [f.random(rng) for _ in range(rng.randrange(0, 3))]) for _ in range(2))
+        assert _s_terms(f0, f1, f2, g0, g1, g2) == s_terms_expanded(f0, f1, f2, g0, g1, g2, c(2), c(3))
+        # on ints the two are one polynomial over Z
+        vals = [rng.randrange(-p, p) for _ in range(6)]
+        assert _s_terms(*vals) == s_terms_expanded(*vals, 2, 3)

@@ -21,7 +21,6 @@ from trigonal.curves import (
 from trigonal.errors import BadSupport, ContextMismatch, NoRationalWeierstrassPoint, RamifiedFiber
 from trigonal.evaluation import (
     XDivisor,
-    _effective_points,
     _glued_square_roots,
     _triple_class,
     consensus_sign,
@@ -37,7 +36,7 @@ from trigonal.fields import ExtField, embed, make_extension, prime_field
 from trigonal.polyring import Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots
 from trigonal.subgroups import subgroup_elements
 
-from oracles import etale_square_roots_xgcd, reverse_on_xdivisor_lcm
+from oracles import effective_points, etale_square_roots_xgcd, reverse_on_xdivisor_lcm
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -399,7 +398,7 @@ def test_effective_points_match_the_roots_reference(ex37_curve, bits, k):
         D = random_class(H, k, rng) + random_class(H, k, rng)
         if D.a.degree == 3:
             degrees |= {h.degree for h, _ in factorize(D.a)[1]}
-        assert _effective_points(D) == _reference_effective_points(D)
+        assert effective_points(D) == _reference_effective_points(D)
     assert degrees == {1, 2, 3}, degrees
 
 

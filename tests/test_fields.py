@@ -609,6 +609,66 @@ def test_encodings_and_coefficients_round_trip(K):
         K.from_coeffs((B.one,) * (K.deg + 1))
 
 
+def _fold_contexts():
+    """Rings over F_p with a seeded dense monic modulus, and make_extension's, at k = 1, 2, 3, 8."""
+    for p in (37, _P30, _P160):
+        rng = random.Random(p % 1009)
+        for k in (1, 2, 3, 8):
+            yield pytest.param(ExtField(prime_field(p), [rng.randrange(p) for _ in range(k)] + [1]), id=f"dense-{p}-{k}")
+            if k > 1:
+                yield pytest.param(make_extension(p, k), id=f"ext-{p}-{k}")
+
+
+@pytest.mark.parametrize("K", list(_fold_contexts()))
+def test_fold_rows_match_the_cascade_fold(K):
+    # each high slot folded by its precomputed row x^(deg + j), against the
+    # cascade that folds the slots one below the other from the top down
+    from oracles import cascade_fold, cascade_pow
+
+    rng = random.Random(K.order % 10039)
+    xs = _operands(K, rng)
+    for a in xs:
+        for b in xs:
+            assert K.mul(a, b) == cascade_fold(K, a * b)
+    # the largest raw sums polyring folds at once: _lazy raw products plus an element
+    top = xs[2]
+    sums = [top + K._lazy * top * top]
+    sums += [rng.choice(xs) + sum(a * b for a, b in zip(rng.choices(xs, k=K._lazy), rng.choices(xs, k=K._lazy))) for _ in range(4)]
+    for c in sums:
+        assert K._fold(c) == cascade_fold(K, c)
+    for n in (1, 2, 3, K.p - 1, K.p, K.p**K.deg, rng.randrange(1, K.order)):
+        assert K.pow(K.x, n) == cascade_pow(K, K.x, n)
+
+
+def _odd_sqrt_contexts():
+    for p in (37, _P30, _P160):
+        yield from (make_extension(p, k) for k in (3, 5))
+    yield from (_tower(37, 2, degree, 40 + degree) for degree in (3, 5))
+
+
+@pytest.mark.parametrize("K", list(_odd_sqrt_contexts()), ids=_context_id)
+def test_odd_degree_sqrt_matches_the_single_power(K):
+    # a^((T + 1) / 2), T = (Q^d - 1) / (Q - 1), through Frobenius maps
+    # against the one power of (d - 1) log Q bits it replaces
+    B, rng = K.base, random.Random(K.order % 10061)
+    t = (K.order - 1) // (B.order - 1)
+    draws = [K.random(rng) for _ in range(6)]
+    for a in [K.one, K.nonresidue()] + draws + [K.mul(b, b) for b in draws]:
+        n = B.sqrt(K.norm(a))
+        want = None if n is None else K._canonical(K.scalar_mul(K.pow(a, (t + 1) // 2), B.inv(n)))
+        assert K.sqrt(a) == want
+
+
+def test_project_into_a_field_that_does_not_embed_is_a_context_mismatch():
+    # as embed raises for the same pair
+    E2, E3 = make_extension(37, 2), make_extension(37, 3)
+    for a, big, small in [(5, prime_field(37), E2), (E3.one, E3, E2), (E2.one, E2, make_extension(41, 2))]:
+        with pytest.raises(ContextMismatch):
+            embed(small.one, small, big)
+        with pytest.raises(ContextMismatch):
+            project(a, big, small)
+
+
 @pytest.mark.parametrize(
     "p, k1, k2", [(37, 1, 2), (37, 1, 3), (37, 2, 6), (5, 12, 24), (_P30, 4, 8), (_P160, 4, 8)], ids=lambda v: str(v)[:6]
 )

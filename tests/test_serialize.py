@@ -1,14 +1,15 @@
 """Isogeny reports: the Mobius pre-transform survives a parse and re-serialization."""
 
+import json
 import random
 
 import pytest
 
 from trigonal import serialize
-from trigonal.curves import Mobius
+from trigonal.curves import HCurve, Mobius
 from trigonal.errors import ContextMismatch
-from trigonal.fields import make_extension
-from trigonal.polyring import BinaryForm, Poly
+from trigonal.fields import ExtField, make_extension, prime_field
+from trigonal.polyring import BinaryForm, Poly, is_irreducible
 from trigonal.subgroups import enumerate_tractable
 from trigonal.survey import random_curve
 from trigonal.trigmaps import TrigonalMap
@@ -76,3 +77,28 @@ def test_a_fast_subgroup_survives_serialization():
         docs = [serialize.subgroup_to_json(S) for S in enumerate_tractable(H, fast=True)]
         parsed = sorted((serialize.subgroup_from_json(d) for d in docs), key=lambda s: s.key())
         assert parsed == enumerate_tractable(H)
+
+
+def test_a_curve_over_an_extension_survives_its_file(ex37_curve):
+    K = make_extension(37, 2)
+    H = ex37_curve.base_change(K)
+    twisted = H.twist(K.from_coeffs((3, 1)))  # coefficients off F_37
+    for C in (H, twisted):
+        doc = json.loads(json.dumps(serialize.curve_to_json(C)))
+        assert doc["k"] == 2 and all(len(c) == 2 for c in doc["f"])
+        assert serialize.parse_curve(doc) == C
+    # a file over F_p has no "k", and reads as before
+    doc = serialize.curve_to_json(ex37_curve)
+    assert doc == {"p": "37", "f": [str(c) for c in ex37_curve.form.c]}
+    assert serialize.parse_curve(doc) == ex37_curve
+
+
+def test_a_curve_file_names_only_the_canonical_extension(ex37_curve):
+    F = prime_field(37)
+    modulus = next(m for m in ([c, 1, 1] for c in range(37)) if is_irreducible(Poly(F, m)))
+    assert tuple(modulus) != make_extension(37, 2).modulus
+    A = ExtField(F, modulus)
+    with pytest.raises(ContextMismatch):
+        serialize.curve_to_json(HCurve(A, BinaryForm(A, 8, ex37_curve.form.c)))
+    with pytest.raises(ValueError):
+        serialize.parse_curve({"p": "37", "k": 2, "f": ["1"] * 9})
