@@ -46,7 +46,7 @@ from .construction import B_VARS, CorrespondenceR, CurveXModel
 from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
 from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _poly_rng, _split_squarefree, crt_terms, factorize, is_squarefree, roots, split_root
+from .polyring import BinaryForm, Poly, _LazyRng, _split_squarefree, _unpacked, crt_terms, factorize, is_squarefree, roots, split_root
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,22 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     argument shows this branch is empty whenever the construction is
     isogeny-rational (lc(s) a square), but it does populate fibers on the
     non-rational side.  G(t0, x) is split once for both branches, with no
-    squarefree step: an unramified fiber's cubic is squarefree.  Its x^q,
-    which the split computes anyway, seeds the Frobenius of every factor
-    ring, so a norm there takes no power for it.
+    squarefree step: an unramified fiber's cubic is squarefree.  The split's
+    ring F_q[x]/(G) is an irreducible G's factor ring, and its x^q seeds the
+    Frobenius of a quadratic factor's, so a norm there takes no power for it.
+    A split that never draws (a cubic with at most one root) seeds no rng.
     """
     fib = X.fib
     Gt = _fiber_cubic(fib, t0, field)
     over = fib.over(field)
-    factors, xq = _split_squarefree(Gt, _poly_rng(Gt))
+    factors, R = _split_squarefree(Gt, _LazyRng(Gt), ring=True)
     factors.sort(key=Poly.sort_key)
-    # one ring per factor serves both branches
-    rings = [(h, ExtField(field, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
+    # one ring per factor serves both branches: an irreducible Gt's is the split's own, and
+    # the split's x^q modulo a quadratic factor seeds that factor's
+    rings = [
+        (h, R if h.degree == 3 else None if h.degree == 1 else ExtField(field, h.c, (_unpacked(R, R.xq()) % h).c))
+        for h in factors
+    ]
     eqs = X.at(field, t0)
     out = []
     for scale, FF in ((field.one, over.F), (field.nonresidue(), over.F_nu)):
@@ -195,7 +200,7 @@ def _support_orbits(D: DivisorClass):
         return [(f, x, y, [0]) for x, y in sorted(D.drawn, key=lambda pt: f.encode(f.neg(pt[0])))]
     if D.a.degree != 3 or not is_squarefree(D.a):
         return None
-    factors, xq = _split_squarefree(D.a, _poly_rng(D.a))
+    factors, xq = _split_squarefree(D.a, _LazyRng(D.a))
     out = []
     for h in sorted(factors, key=Poly.sort_key):
         if 2 * f.k * h.degree > _MAX_EXT_DEGREE:

@@ -62,10 +62,11 @@ embed and project as they are.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 from . import polyring
-from .errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall
+from .errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall, TooLarge
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
@@ -124,28 +125,38 @@ class _FieldOps:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
-        """a^n, left to right: every multiplication is by a, which costs little when a is small (x, say)."""
+        """a^n, left to right: every multiplication is by a, which costs little when a is small.
+
+        x costs only the squarings in a ring with a _fold: a set bit takes
+        _xsquare, x r^2, in place of a square and a product.  A
+        _LongTowerField, whose _fold raises, takes the generic path.
+        """
         if n < 0:
             a = self.inv(a)
             n = -n
         if not n:
             return self.one
         r, mul = a, self.mul
-        # x over F_p: a set bit shifts the square up a slot and folds one more high slot (each below 2 deg p^2)
-        xw = a == self.x and self.deg > 1 and self.base.k == 1 and (self.p, self._mask, self._low, self._shifts[1])
+        xsq = self._xpath and self.deg > 1 and a == self.x
         for bit in bin(n)[3:]:
-            if bit == "0" or not xw:
+            if bit == "0":
                 r = mul(r, r)
-                if bit == "1":
-                    r = mul(r, a)
-                continue
-            p, m, low, w = xw
-            c = r * r << w
-            lo = c & low
-            for hs, row in self._xrows:
-                lo += ((c >> hs) & m) % p * row
-            r = self._reduce(lo)
+            elif xsq:
+                r = self._xsquare(r)
+            else:
+                r = mul(mul(r, r), a)
         return r
+
+    def _xsquare(self, r):
+        """x r^2 in one fold: the raw square shifted up one coefficient (a slot over F_p, a block over F_{p^m}).
+
+        Its top coefficient is reduced in the base and added times its row
+        x^(2 deg - 1), and _fold takes the rest.  A slot then sums at most
+        2 deg - 1 products, as in a product of two elements.
+        """
+        hs, row = self._xrows[-1]
+        c = r * r << self._cshifts[1]
+        return self._fold((c & (1 << hs) - 1) + self.base._fold(c >> hs) * row)
 
     _nonresidue = None
 
@@ -356,8 +367,9 @@ class ExtField(_FieldOps):
     the base-order digit value of those coefficients, so encodings do not
     depend on the packing.
 
-    x is the class of x; xq() is x^q, q the base order, computed once or
-    seeded by the constructor's xq (an ascending coefficient sequence), and
+    x is the class of x, whose powers take squarings alone (pow); xq() is
+    x^q, q the base order, computed once or seeded by the constructor's xq
+    (an ascending coefficient sequence), and
     x^(p^j) for another j when the constructor names that j.  The
     Frobenius matrices of a -> a^(p^j) are built from it.
 
@@ -409,6 +421,7 @@ class ExtField(_FieldOps):
         self._half_antifixed = self._nonresidue = self._pair_tables = None
 
     _lazy = _ACC - 1
+    _xpath = True  # pow folds x's squarings by _xrows
 
     def _init_elements(self):
         """The slot layout and the packed constants of the SWAR arithmetic."""
@@ -737,7 +750,7 @@ class _TowerField(ExtField):
         return self._fold(a * b)
 
     def _fold(self, c):
-        """The element of c, one raw product of two elements plus an element."""
+        """The element of c, one raw product of two elements plus an element (or plus a row times a base element)."""
         B = self.base
         p, m, blk, blow, brows, bshifts = self.p, self._mask, self._cmask, B._low, B._rows, B._shifts
         lo = c & self._low
@@ -775,8 +788,11 @@ class _LongTowerField(_TowerField):
 
     The high blocks of a raw product would overflow a slot as they fold
     back, so mul multiplies as Polys over B, and there is no _fold: Poly
-    arithmetic over such a tower raises ContextMismatch.
+    arithmetic over such a tower raises ContextMismatch, and pow takes x
+    by the generic path.
     """
+
+    _xpath = False
 
     def mul(self, a, b):
         P, B = polyring.Poly, self.base
@@ -840,35 +856,47 @@ def _binomial_filter(p: int, k: int, c: int) -> bool:
     return True
 
 
+# Candidates _lex_min_irreducible tries before it gives up with TooLarge.
+# About one monic polynomial of degree k in k is irreducible, and the most
+# any p < 10^4 needs at any k <= 24 is 4430 (p = 67, k = 24, where no
+# trinomial x^24 + a x + b is irreducible); the tests need at most 142
+# (p = 5, k = 24) and the workloads 7.  Only a fault under the
+# irreducibility test gets past the cap, which then ends the search in a
+# fraction of a second even where each candidate takes a 160-bit power test.
+_SEARCH_CAP = 8192
+
+
+def _candidates(p: int, k: int):
+    """Monic degree-k polynomials over F_p by the base-p digit value of their low coefficients.
+
+    The binomial block (the first p) yields None for a binomial its power
+    test rules out, and nothing when provably empty, so the search stays
+    fast at cryptographic-size p.
+    """
+    if _binomial_block_nonempty(p, k):
+        for c in range(1, p):
+            yield [c] + [0] * (k - 1) + [1] if _binomial_filter(p, k, c) else None
+    for enc in range(p, p**k):
+        coeffs, n = [], enc
+        for _ in range(k):
+            n, r = divmod(n, p)
+            coeffs.append(r)
+        yield coeffs + [1]
+
+
 def _lex_min_irreducible(p: int, k: int):
     """Lexicographically least monic irreducible of degree k over F_p.
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are ordered by the integer
-    sum(c_i p^i); the first irreducible wins.  The binomial block (the first
-    p candidates) is power-test filtered and skipped entirely when provably
-    empty, so the search stays fast at cryptographic-size p.
+    sum(c_i p^i); the first irreducible wins.  TooLarge past _SEARCH_CAP
+    candidates.
     """
     if k == 1:
         return (0, 1)
-    if _binomial_block_nonempty(p, k):
-        for c in range(1, p):
-            if _binomial_filter(p, k, c):
-                f = [c] + [0] * (k - 1) + [1]
-                if _irreducible_mod_p(f, p):
-                    return tuple(f)
-    enc = p
-    while True:
-        coeffs = []
-        n = enc
-        for _ in range(k):
-            n, r = divmod(n, p)
-            coeffs.append(r)
-        if n:
-            raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
-        f = coeffs + [1]
-        if _irreducible_mod_p(f, p):
+    for f in itertools.islice(_candidates(p, k), _SEARCH_CAP):
+        if f is not None and _irreducible_mod_p(f, p):
             return tuple(f)
-        enc += 1
+    raise TooLarge(f"no irreducible of degree {k} over GF({p}) among the first {_SEARCH_CAP} candidates")
 
 
 def make_extension(p: int, k: int):

@@ -5,11 +5,16 @@ context (any context from fields.py, duck-typed).  Factorization follows the
 classic squarefree / distinct-degree / equal-degree pipeline; the randomized
 equal-degree splitting draws from an rng seeded by the SHA-256 of the input's
 canonical encoding, so results are bit-stable across runs and call orders,
-and the returned factor list is canonically sorted on top of that.
+and the returned factor list is canonically sorted on top of that.  The rng
+is seeded on its first draw (_LazyRng), so a split that never draws hashes
+nothing, and two linear factors are split by the quadratic formula, one
+square root in the field, with no draw.
 
 Both splitting steps take one x^q per polynomial (q the field order) and
 reach x^(q^d) through the q-power Frobenius matrix instead of powers with
-q^d-sized exponents.  h^((q^d - 1)/2) is N(h)^((q - 1)/2), N(h) the
+q^d-sized exponents.  x^q costs only its squarings (fields' pow on x), and
+a polynomial that is one distinct-degree part is split in the ring the
+distinct-degree step built.  h^((q^d - 1)/2) is N(h)^((q - 1)/2), N(h) the
 product of the d conjugates of h, and that power is taken in F_p[N(h)],
 of F_p-dimension at most 1/d of the quotient ring's (von zur Gathen and
 Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
@@ -384,6 +389,19 @@ def _poly_rng(poly: Poly) -> random.Random:
     return random.Random(int.from_bytes(h, "big"))
 
 
+class _LazyRng:
+    """_poly_rng(poly), seeded on the first draw: a split that never draws hashes nothing, and the draws are the same."""
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: the rng's methods, and _rng before the first draw
+        if "_rng" not in self.__dict__:
+            self._rng = _poly_rng(self._poly)
+        return getattr(self._rng, name)
+
+
 def _random_poly(field, degree, rng):
     return Poly(field, [field.random(rng) for _ in range(degree)] + [field.one], trim=False)
 
@@ -438,7 +456,7 @@ def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
     return functools.reduce(R.add, map(R.scalar_mul, pows, Q.coeffs(Q.pow(Q.x, e))))
 
 
-def _distinct_degree(poly: Poly):
+def _distinct_degree(poly: Poly, ring: bool = False):
     """([(product of irreducibles of degree d, d)], x^q mod poly or None) for monic squarefree input.
 
     x^q mod poly (q the field order) is one power in the quotient ring;
@@ -446,7 +464,8 @@ def _distinct_degree(poly: Poly):
     applied to the last one.  The matrix is built only when a second degree
     is needed, so quadratics and cubics never build it.  h stays reduced
     modulo the input while the cofactor shrinks: the gcd with the cofactor
-    is unchanged.
+    is unchanged.  With ring, the second value is that quotient ring
+    instead, None when none was built; its xq() is x^q.
     """
     x = Poly.x(poly.field)
     out = []
@@ -466,23 +485,27 @@ def _distinct_degree(poly: Poly):
             rest = rest // g
     if rest.degree > 0:
         out.append((rest, rest.degree))
-    return out, None if R is None else _unpacked(R, R.xq())
+    return out, R if ring or R is None else _unpacked(R, R.xq())
 
 
-def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
+def _equal_degree(poly: Poly, d: int, rng, xq=None, ring=None) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles.
 
     h^((q^d - 1) / 2) is N(h)^((q - 1) / 2), N(h) the product of the d
     Frobenius conjugates of h, in one quotient ring per poly; the power
     runs in F_p[N(h)], of F_p-dimension at most 1/d of the quotient
-    ring's (_conjugate_product).  xq, x^q modulo
-    poly or a multiple of it, saves the power that builds the Frobenius
-    matrix for d > 1 when the caller has it.
+    ring's (_conjugate_product).  ring, the quotient ring modulo poly
+    when the caller holds it, is that ring; otherwise xq, x^q modulo poly
+    or a multiple of it, saves the power that builds the Frobenius matrix
+    for d > 1.  A product of two linear factors is split by the quadratic
+    formula (_linear_pair) and draws nothing.
     """
     f = poly.field
     if poly.degree == d:
         return [poly]
-    R = _quotient(poly, xq % poly if d > 1 and xq is not None else None)
+    if poly.degree == 2:
+        return _linear_pair(poly)
+    R = ring if ring is not None else _quotient(poly, xq % poly if d > 1 and xq is not None else None)
     e = (f.order - 1) // 2
     while True:
         h = _random_poly(f, rng.randrange(1, poly.degree), rng)
@@ -496,14 +519,37 @@ def _equal_degree(poly: Poly, d: int, rng, xq=None) -> list:
     return _equal_degree(g, d, rng, xq) + _equal_degree(poly // g, d, rng, xq)
 
 
-def _split_squarefree(poly: Poly, rng):
+def _linear_pair(poly: Poly) -> list:
+    """The linear factors x - (-b +/- sqrt(b^2 - 4c)) / 2 of a monic x^2 + b x + c with two roots in its field.
+
+    A zero discriminant raises NotSquarefree, and one with no square root
+    ContextMismatch: the roots are not in the field.
+    """
+    f = poly.field
+    c, b = poly[0], poly[1]
+    disc = f.sub(f.sqr(b), f.mul(f.from_int(4), c))
+    if disc == f.zero:
+        raise NotSquarefree(f"{poly!r} has a double root")
+    r = f.sqrt(disc)
+    if r is None:
+        raise ContextMismatch(f"{poly!r} has no root in {f!r}")
+    half = f.from_int((f.p + 1) // 2)
+    return [Poly(f, (f.mul(f.add(b, s), half), f.one), trim=False) for s in (r, f.neg(r))]
+
+
+def _split_squarefree(poly: Poly, rng, ring: bool = False):
     """(the monic irreducible factors of a monic squarefree poly, x^q mod poly or None).
 
     The factors come in the order of the equal-degree step, unsorted; x^q
-    is the one _distinct_degree took, None when it took none.
+    is the one _distinct_degree took, None when it took none.  With ring,
+    the second value is _distinct_degree's quotient ring F_q[x]/(poly)
+    instead.  That ring also serves the equal-degree step when poly is one
+    distinct-degree part, so a cubic with three roots builds no second one.
     """
-    parts, xq = _distinct_degree(poly)
-    return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, xq)], xq
+    parts, R = _distinct_degree(poly, ring=True)
+    xq = None if R is None else _unpacked(R, R.xq())
+    whole = R if len(parts) == 1 else None
+    return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, xq, whole)], R if ring else xq
 
 
 def factorize(poly: Poly):
@@ -511,7 +557,7 @@ def factorize(poly: Poly):
     if poly.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     lc = poly.lc
-    rng = _poly_rng(poly)
+    rng = _LazyRng(poly)
     factors = []
     for part, mult in squarefree_decomposition(poly):
         factors += [(irr, mult) for irr in _split_squarefree(part, rng)[0]]
@@ -533,7 +579,7 @@ def roots(poly: Poly) -> list:
     f = poly.field
     if poly.is_zero:
         raise ZeroPolynomial("roots of the zero polynomial")
-    rng = _poly_rng(poly)
+    rng = _LazyRng(poly)
     sf = poly.monic()[0]
     g = gcd(sf, sf.derivative())
     if g.degree > 0:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
 from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
 from .fields import ExtField, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _poly_rng, is_squarefree, split_root
+from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _LazyRng, is_squarefree, split_root
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -153,7 +153,7 @@ class OrbitSplit:
 
     def orbits(self):
         """[Orbit], the factor v first, then by the distinct-degree parts."""
-        rng = _poly_rng(self.F)
+        rng = _LazyRng(self.F)
         out = [Orbit(1, None, None)] if self.has_v else []
         for g, d in self.parts:
             for h in _equal_degree(g, d, rng, self.xp):

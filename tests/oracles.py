@@ -3,8 +3,8 @@ tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Fro
 the conjugate product of a quotient ring taken as one power in that ring, point counts by
 enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
 idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
-every expanded row, the points of a class's support one by one, the cascade fold of a packed
-product, the norm s(t) as its thirteen expanded terms."""
+every expanded row, the points of a class's support one by one, powers by the ring's product
+alone, the cascade fold of a packed product, the norm s(t) as its thirteen expanded terms."""
 
 import math
 
@@ -405,6 +405,17 @@ def effective_points(D):
     if orbits is None:
         return None
     return [(K, K.frobenius_power(x, j), K.frobenius_power(y, j)) for K, x, y, js in orbits for j in js]
+
+
+def square_and_multiply(K, a, n):
+    """a^n for n >= 0 in the ring K, right to left, by K.mul alone: no shortcut for any a."""
+    r = K.one
+    while n:
+        if n & 1:
+            r = K.mul(r, a)
+        a = K.mul(a, a)
+        n >>= 1
+    return r
 
 
 def cascade_fold(K, c):

@@ -568,6 +568,45 @@ def test_fiber_gluing_matches_the_xgcd_reference(ex37_fibration, k):
     assert seen == {(b, pattern) for b in ("F", "F/nu") for pattern in ((3,), (1, 2), (1, 1, 1))}, seen
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_fiber_points_seeds_an_rng_only_to_draw_and_builds_one_ring_per_factor(ex37_R, k, monkeypatch):
+    # a fiber cubic with at most one root splits with no draw, so its rng is
+    # never seeded; one with three roots seeds it once, and its split runs in
+    # the distinct-degree ring, the only ring it builds.  An irreducible
+    # cubic's factor ring is that ring too; a quadratic factor gets its own.
+    from trigonal import fields, polyring
+
+    K = make_extension(37, k)
+    seeded, built = [], []
+    real_rng, real_init = polyring._poly_rng, fields.ExtField.__init__
+
+    def rng_spy(poly):
+        seeded.append(poly)
+        return real_rng(poly)
+
+    def init_spy(self, base, modulus, *args):
+        built.append(modulus)
+        real_init(self, base, modulus, *args)
+
+    seen = {}
+    for i in range(min(K.order, 300)):
+        t0 = K.decode(i)
+        if ex37_R.fib.ramified_at(t0, K):
+            continue
+        Gt = evaluation._fiber_cubic(ex37_R.fib, t0, K)
+        pattern = tuple(sorted(h.degree for h, _ in factorize(Gt)[1]))
+        want = fiber_points(ex37_R.X, t0, K)
+        monkeypatch.setattr(polyring, "_poly_rng", rng_spy)
+        monkeypatch.setattr(fields.ExtField, "__init__", init_spy)
+        seeded.clear()
+        built.clear()
+        assert fiber_points(ex37_R.X, t0, K) == want
+        monkeypatch.undo()
+        seen[pattern] = (len(seeded), len(built))
+        assert (len(seeded), len(built)) == {(3,): (0, 1), (1, 2): (0, 2), (1, 1, 1): (1, 1)}[pattern]
+    assert set(seen) == {(3,), (1, 2), (1, 1, 1)}
+
+
 def test_reverse_builds_each_orbit_over_its_own_field(phi_classes, monkeypatch):
     # an orbit of e points over F_q gets its triple class over F_{q^e}, so a
     # rational orbit's runs over F_q itself

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import time
 import weakref
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import run_under
 from trigonal import fields
-from trigonal.errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall
+from trigonal.errors import BadDegree, ContextMismatch, NonPrime, PrimeTooSmall, TooLarge
 from trigonal.fields import (
     ExtField,
     embed,
@@ -773,6 +774,61 @@ def test_twisted_frobenius_of_split_root_matches_the_schoolbook_reference(p, s, 
             n = m // s
             got = _conjugate_product(A, a, e, n, s)
             assert as_tuple(A, got) == R.pow(ta, sum(e * q**i for i in range(n)))
+
+
+def _xpath_rings():
+    """Flat rings and towers over F_37^2, F_37^3 and a 30-bit F_p^2 at degrees 2 to 8, the fold rows at their worst.
+
+    A tower's modulus has every slot of every low coefficient at 1, so its
+    first row -modulus has every slot at p - 1, or at p - 1 itself.  A
+    degree-9 tower is a _LongTowerField.
+    """
+    for p, k in ((37, 3), (_P30, 4), (_P160, 8)):
+        yield pytest.param(make_extension(p, k), id=f"flat-{p}-{k}")
+    for p, m in ((37, 2), (37, 3), (_P30, 2)):
+        K = make_extension(p, m)
+        ones = K.from_coeffs([1] * m)
+        for d in range(2, 10 if (p, m) == (37, 2) else 9):
+            for c in (ones, K.neg(ones)):
+                yield pytest.param(ExtField(K, [c] * d + [K.one]), id=f"tower-{p}-{m}-{d}-{K.encode(c)}")
+
+
+@pytest.mark.parametrize("A", list(_xpath_rings()))
+def test_x_powers_match_square_and_multiply_and_pow_mod(A):
+    # pow on x shifts each square up one coefficient (a slot, or a block in a
+    # tower) and folds its top one by x^(2 deg - 1): against the ring's own
+    # product alone, Poly.pow_mod over the base, and the schoolbook x^q
+    from oracles import as_tuple, schoolbook_of, square_and_multiply
+
+    B = A.base
+    assert A._xpath == (B.k == 1 or A.deg <= 8)
+    modulus = Poly(B, A.modulus)
+    rng = random.Random(A.order % 10069)
+    for n in (1, 2, 3, A.p - 1, A.p, B.order - 1, B.order, B.order**2 + 1, 2**40 - 1, rng.randrange(1, A.order)):
+        want = square_and_multiply(A, A.x, n)
+        assert A.pow(A.x, n) == want
+        assert Poly.x(B).pow_mod(n, modulus) == Poly(B, A.coeffs(want))
+    R = schoolbook_of(A)
+    assert as_tuple(A, A.xq()) == R.pow(as_tuple(A, A.x), B.order)
+    if not A._xpath:
+        with pytest.raises(ContextMismatch):
+            A._xsquare(A.x)
+        return
+    # one step on the all-(p - 1) element, every slot of the square at its largest
+    top = _operands(A, rng, 0)[2]
+    assert A._xsquare(top) == A.mul(A.mul(top, top), A.x)
+    assert as_tuple(A, A._xsquare(top)) == R.mul(R.mul(as_tuple(A, top), as_tuple(A, top)), as_tuple(A, A.x))
+
+
+def test_the_modulus_search_gives_up_past_its_cap(monkeypatch):
+    # a fault under the irreducibility test once made make_extension search
+    # for ever at 160 bits; every candidate now failing ends it in TooLarge
+    monkeypatch.setattr(fields, "_irreducible_mod_p", lambda f, p: False)
+    monkeypatch.setattr(fields, "_ext_cache", {})
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        make_extension(_P160, 8)
+    assert time.perf_counter() - start < 1
 
 
 def test_no_tower_over_a_tower():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_irreducible
-from trigonal.errors import BadDegree, ContextMismatch, NotMonicCubic, ZeroPolynomial
+from trigonal.errors import BadDegree, ContextMismatch, NotMonicCubic, NotSquarefree, ZeroPolynomial
 from trigonal.fields import ExtField, embed, embed_poly, make_extension, prime_field
 from trigonal.polyring import (
     BinaryForm,
@@ -328,8 +328,50 @@ def test_equal_degree_matches_plain_power(p, d):
                 prod = prod * g
         seed = rng.random()
         got = _equal_degree(prod, d, random.Random(seed))
-        assert got == _plain_equal_degree(prod, d, random.Random(seed))
+        if d == 1:
+            # the quadratic formula emits the last two roots in its own order
+            got = sorted(got, key=Poly.sort_key)
+            assert got == sorted(_plain_equal_degree(prod, d, random.Random(seed)), key=Poly.sort_key)
+        else:
+            assert got == _plain_equal_degree(prod, d, random.Random(seed))
         assert sorted(g.encode() for g in got) == sorted(seen)
+
+
+P160 = deterministic_prime(160, 0)
+
+
+@pytest.mark.parametrize(
+    "field", [prime_field(37), prime_field(53), prime_field(P30), prime_field(P160), make_extension(13, 2), make_extension(37, 2)], ids=repr
+)
+def test_two_and_three_roots_split_as_cantor_zassenhaus_does(field):
+    # the last two roots come from the quadratic formula: the factor set of
+    # the plain split, and two roots alone draw nothing (rng None)
+    rng = random.Random(field.order % 10007)
+    x = Poly.x(field)
+    for count in (2, 3) * 4:
+        rs = set()
+        while len(rs) < count:
+            rs.add(field.random(rng))
+        prod = functools.reduce(Poly.__mul__, [x - Poly.const(field, r) for r in rs])
+        seed = rng.random()
+        got = _equal_degree(prod, 1, random.Random(seed) if count == 3 else None)
+        want = _plain_equal_degree(prod, 1, random.Random(seed))
+        assert sorted(got, key=Poly.sort_key) == sorted(want, key=Poly.sort_key)
+        assert sorted(h.encode() for h in got) == sorted(((field.encode(field.neg(r)), 1) for r in rs))
+
+
+@pytest.mark.parametrize("field", [prime_field(37), prime_field(P160), make_extension(37, 2)], ids=repr)
+def test_a_quadratic_without_two_roots_raises(field):
+    # an irreducible or square quadratic has no two linear factors: the
+    # quadratic formula raises where Cantor-Zassenhaus would draw for ever
+    rng = random.Random(field.order % 10009)
+    x = Poly.x(field)
+    r = Poly.const(field, field.random(rng))
+    with pytest.raises(NotSquarefree):
+        _equal_degree((x - r) * (x - r), 1, None)
+    nu = Poly.const(field, field.nonresidue())
+    with pytest.raises(ContextMismatch):
+        _equal_degree(x * x - nu, 1, None)
 
 
 def test_monic_divisor_skips_the_inverse():
