@@ -154,7 +154,7 @@ def fiber_points(X: CurveXModel, t0, field) -> list:
     fib = X.fib
     Gt = _fiber_cubic(fib, t0, field)
     over = fib.over(field)
-    factors, R = _split_squarefree(Gt, _LazyRng(Gt), ring=True)
+    factors, R = _split_squarefree(Gt, _LazyRng(Gt))
     factors.sort(key=Poly.sort_key)
     # one ring per factor serves both branches: an irreducible Gt's is the split's own, and
     # the split's x^q modulo a quadratic factor seeds that factor's
@@ -200,7 +200,8 @@ def _support_orbits(D: DivisorClass):
         return [(f, x, y, [0]) for x, y in sorted(D.drawn, key=lambda pt: f.encode(f.neg(pt[0])))]
     if D.a.degree != 3 or not is_squarefree(D.a):
         return None
-    factors, xq = _split_squarefree(D.a, _LazyRng(D.a))
+    factors, R = _split_squarefree(D.a, _LazyRng(D.a))
+    xq = _unpacked(R, R.xq())
     out = []
     for h in sorted(factors, key=Poly.sort_key):
         if 2 * f.k * h.degree > _MAX_EXT_DEGREE:

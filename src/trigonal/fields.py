@@ -856,14 +856,24 @@ def _binomial_filter(p: int, k: int, c: int) -> bool:
     return True
 
 
-# Candidates _lex_min_irreducible tries before it gives up with TooLarge.
-# About one monic polynomial of degree k in k is irreducible, and the most
-# any p < 10^4 needs at any k <= 24 is 4430 (p = 67, k = 24, where no
-# trinomial x^24 + a x + b is irreducible); the tests need at most 142
-# (p = 5, k = 24) and the workloads 7.  Only a fault under the
-# irreducibility test gets past the cap, which then ends the search in a
-# fraction of a second even where each candidate takes a 160-bit power test.
+# The candidates _lex_min_irreducible tries before it gives up with TooLarge
+# (_search_cap).  About one monic polynomial of degree k in k is
+# irreducible, but a whole row x^k + a x + b (a fixed, b over F_p) can be
+# reducible: no x^22 + x + b is irreducible at p = 2437.  Every p < 10^4 at
+# every k <= 24 ends within 4430 candidates (p = 67, k = 24, where no
+# x^24 + a x + b is irreducible); the tests reach at most 142 (p = 5,
+# k = 24) and the workloads 7.  For p < _ROW_PRIME the cap adds 2p, the
+# binomial block and one full row; a candidate's power test there takes
+# under a millisecond at k <= 24, so even a fault ends in about a minute.
+# Above _ROW_PRIME a row costs too much to promise, and a (p, k) that needs
+# more than _SEARCH_CAP candidates (none is known) gets TooLarge; under a
+# fault in the irreducibility test the 160-bit search ends in under a second.
 _SEARCH_CAP = 8192
+_ROW_PRIME = 2**16
+
+
+def _search_cap(p: int) -> int:
+    return _SEARCH_CAP + 2 * p if p < _ROW_PRIME else _SEARCH_CAP
 
 
 def _candidates(p: int, k: int):
@@ -888,19 +898,26 @@ def _lex_min_irreducible(p: int, k: int):
     """Lexicographically least monic irreducible of degree k over F_p.
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are ordered by the integer
-    sum(c_i p^i); the first irreducible wins.  TooLarge past _SEARCH_CAP
+    sum(c_i p^i); the first irreducible wins.  TooLarge past _search_cap(p)
     candidates.
     """
     if k == 1:
         return (0, 1)
-    for f in itertools.islice(_candidates(p, k), _SEARCH_CAP):
+    cap = _search_cap(p)
+    for f in itertools.islice(_candidates(p, k), cap):
         if f is not None and _irreducible_mod_p(f, p):
             return tuple(f)
-    raise TooLarge(f"no irreducible of degree {k} over GF({p}) among the first {_SEARCH_CAP} candidates")
+    raise TooLarge(f"no irreducible of degree {k} over GF({p}) among the first {cap} candidates")
 
 
 def make_extension(p: int, k: int):
-    """Context for F_{p^k} with the deterministic modulus; F_p itself for k=1."""
+    """Context for F_{p^k} with the deterministic modulus; F_p itself for k=1.
+
+    The modulus search is capped (_search_cap): it is checked to finish for
+    every p < 10^4 and every k, and for p < 2^16 it covers the binomials and
+    a full row of trinomials.  Above 2^16 a (p, k) that needs more than
+    _SEARCH_CAP candidates, none known, raises TooLarge.
+    """
     if not isinstance(k, int) or not 1 <= k <= 24:
         raise BadDegree(f"extension degree {k} outside 1..24")
     if k == 1:

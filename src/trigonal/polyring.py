@@ -456,16 +456,16 @@ def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
     return functools.reduce(R.add, map(R.scalar_mul, pows, Q.coeffs(Q.pow(Q.x, e))))
 
 
-def _distinct_degree(poly: Poly, ring: bool = False):
-    """([(product of irreducibles of degree d, d)], x^q mod poly or None) for monic squarefree input.
+def _distinct_degree(poly: Poly):
+    """([(product of irreducibles of degree d, d)], F_q[x]/(poly) or None) for monic squarefree input.
 
     x^q mod poly (q the field order) is one power in the quotient ring;
     each further x^(q^d) is the q-power Frobenius matrix of F_q[x]/(poly)
     applied to the last one.  The matrix is built only when a second degree
     is needed, so quadratics and cubics never build it.  h stays reduced
     modulo the input while the cofactor shrinks: the gcd with the cofactor
-    is unchanged.  With ring, the second value is that quotient ring
-    instead, None when none was built; its xq() is x^q.
+    is unchanged.  The second value is that quotient ring, whose xq() is
+    x^q mod poly, or None when none was built (deg poly <= 1).
     """
     x = Poly.x(poly.field)
     out = []
@@ -485,27 +485,30 @@ def _distinct_degree(poly: Poly, ring: bool = False):
             rest = rest // g
     if rest.degree > 0:
         out.append((rest, rest.degree))
-    return out, R if ring or R is None else _unpacked(R, R.xq())
+    return out, R
 
 
-def _equal_degree(poly: Poly, d: int, rng, xq=None, ring=None) -> list:
+def _equal_degree(poly: Poly, d: int, rng, ring=None) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles.
 
     h^((q^d - 1) / 2) is N(h)^((q - 1) / 2), N(h) the product of the d
     Frobenius conjugates of h, in one quotient ring per poly; the power
     runs in F_p[N(h)], of F_p-dimension at most 1/d of the quotient
-    ring's (_conjugate_product).  ring, the quotient ring modulo poly
-    when the caller holds it, is that ring; otherwise xq, x^q modulo poly
-    or a multiple of it, saves the power that builds the Frobenius matrix
-    for d > 1.  A product of two linear factors is split by the quadratic
-    formula (_linear_pair) and draws nothing.
+    ring's (_conjugate_product).  ring, a quotient ring modulo poly or a
+    multiple of it that the caller holds, is poly's ring when its modulus
+    is poly, and otherwise its x^q seeds the Frobenius matrix of poly's
+    ring for d > 1; each factor's split is seeded from poly's ring.  A
+    product of two linear factors is split by the quadratic formula
+    (_linear_pair) and draws nothing.
     """
     f = poly.field
     if poly.degree == d:
         return [poly]
     if poly.degree == 2:
         return _linear_pair(poly)
-    R = ring if ring is not None else _quotient(poly, xq % poly if d > 1 and xq is not None else None)
+    R = ring
+    if R is None or R.deg != poly.degree:
+        R = _quotient(poly, _unpacked(ring, ring.xq()) % poly if d > 1 and ring is not None else None)
     e = (f.order - 1) // 2
     while True:
         h = _random_poly(f, rng.randrange(1, poly.degree), rng)
@@ -516,7 +519,7 @@ def _equal_degree(poly: Poly, d: int, rng, xq=None, ring=None) -> list:
         g = gcd(t, poly)
         if 0 < g.degree < poly.degree:
             break
-    return _equal_degree(g, d, rng, xq) + _equal_degree(poly // g, d, rng, xq)
+    return _equal_degree(g, d, rng, R) + _equal_degree(poly // g, d, rng, R)
 
 
 def _linear_pair(poly: Poly) -> list:
@@ -537,19 +540,17 @@ def _linear_pair(poly: Poly) -> list:
     return [Poly(f, (f.mul(f.add(b, s), half), f.one), trim=False) for s in (r, f.neg(r))]
 
 
-def _split_squarefree(poly: Poly, rng, ring: bool = False):
-    """(the monic irreducible factors of a monic squarefree poly, x^q mod poly or None).
+def _split_squarefree(poly: Poly, rng):
+    """(the monic irreducible factors of a monic squarefree poly, F_q[x]/(poly) or None).
 
-    The factors come in the order of the equal-degree step, unsorted; x^q
-    is the one _distinct_degree took, None when it took none.  With ring,
-    the second value is _distinct_degree's quotient ring F_q[x]/(poly)
-    instead.  That ring also serves the equal-degree step when poly is one
-    distinct-degree part, so a cubic with three roots builds no second one.
+    The factors come in the order of the equal-degree step, unsorted; the
+    ring is the one _distinct_degree built, whose xq() is x^q mod poly,
+    None when it built none.  It also serves the equal-degree step of each
+    distinct-degree part, as the part's own ring when poly is one part, so
+    a cubic with three roots builds no second one.
     """
-    parts, R = _distinct_degree(poly, ring=True)
-    xq = None if R is None else _unpacked(R, R.xq())
-    whole = R if len(parts) == 1 else None
-    return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, xq, whole)], R if ring else xq
+    parts, R = _distinct_degree(poly)
+    return [irr for prod, d in parts for irr in _equal_degree(prod, d, rng, R)], R
 
 
 def factorize(poly: Poly):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
 from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
 from .fields import ExtField, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _LazyRng, is_squarefree, split_root
+from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _LazyRng, _unpacked, is_squarefree, split_root
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -135,8 +135,10 @@ class OrbitSplit:
     Construction runs only the distinct-degree step on the monic affine
     part F of F~: for each orbit size d, the product of the orbits of that
     size.  That fixes the pattern.  orbits() runs the equal-degree step.
-    x^p mod F is computed once; reduced modulo each orbit factor, it seeds
-    the Frobenius matrices of the orbit's algebra and of its root finding.
+    x^p mod F is computed once, in the distinct-degree ring F_p[x]/(F),
+    which also serves the equal-degree step; reduced modulo each orbit
+    factor, it seeds the Frobenius matrices of the orbit's algebra and of
+    its root finding.
     """
 
     def __init__(self, H: HCurve):
@@ -146,7 +148,8 @@ class OrbitSplit:
             raise NotSquarefree("F~ has a repeated factor")
         self.F = F
         self.has_v = H.form.v_multiplicity == 1
-        self.parts, self.xp = _distinct_degree(F)
+        self.parts, self.ring = _distinct_degree(F)
+        self.xp = _unpacked(self.ring, self.ring.xq())
         sizes = [d for g, d in self.parts for _ in range(g.degree // d)]
         sizes += [1] * self.has_v
         self.pattern = tuple(sorted(sizes, reverse=True))
@@ -156,7 +159,7 @@ class OrbitSplit:
         rng = _LazyRng(self.F)
         out = [Orbit(1, None, None)] if self.has_v else []
         for g, d in self.parts:
-            for h in _equal_degree(g, d, rng, self.xp):
+            for h in _equal_degree(g, d, rng, self.ring):
                 out.append(Orbit(d, h, self.xp % h))
         return out
 

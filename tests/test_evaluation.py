@@ -33,7 +33,7 @@ from trigonal.evaluation import (
     _phi_point,
 )
 from trigonal.fields import ExtField, embed, make_extension, prime_field
-from trigonal.polyring import Poly, _poly_rng, _split_squarefree, factorize, is_squarefree, roots
+from trigonal.polyring import Poly, _poly_rng, _split_squarefree, _unpacked, factorize, is_squarefree, roots
 from trigonal.subgroups import subgroup_elements
 
 from oracles import effective_points, etale_square_roots_xgcd, reverse_on_xdivisor_lcm
@@ -554,7 +554,8 @@ def test_fiber_gluing_matches_the_xgcd_reference(ex37_fibration, k):
             if fib.ramified_at(t0, K):
                 continue
             Gt = evaluation._fiber_cubic(fib, t0, K)
-            factors, xq = _split_squarefree(Gt, _poly_rng(Gt))
+            factors, Q = _split_squarefree(Gt, _poly_rng(Gt))
+            xq = _unpacked(Q, Q.xq())
             rings = [(h, ExtField(K, h.c, (xq % h).c) if h.degree > 1 else None) for h in factors]
             for branch, FF in (("F", over.F), ("F/nu", over.F_nu)):
                 parts = evaluation._square_root_parts(FF, rings, K)

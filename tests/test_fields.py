@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import random
-import time
 import weakref
 
 import pytest
@@ -820,15 +819,51 @@ def test_x_powers_match_square_and_multiply_and_pow_mod(A):
     assert as_tuple(A, A._xsquare(top)) == R.mul(R.mul(as_tuple(A, top), as_tuple(A, top)), as_tuple(A, A.x))
 
 
+def _spy_on_the_irreducibility_test(monkeypatch, answer):
+    """The candidates make_extension tests, each answered by answer(f, p)."""
+    tried = []
+
+    def spy(f, p):
+        tried.append(list(f))
+        return answer(f, p)
+
+    monkeypatch.setattr(fields, "_irreducible_mod_p", spy)
+    monkeypatch.setattr(fields, "_ext_cache", {})
+    return tried
+
+
 def test_the_modulus_search_gives_up_past_its_cap(monkeypatch):
     # a fault under the irreducibility test once made make_extension search
     # for ever at 160 bits; every candidate now failing ends it in TooLarge
-    monkeypatch.setattr(fields, "_irreducible_mod_p", lambda f, p: False)
-    monkeypatch.setattr(fields, "_ext_cache", {})
-    start = time.perf_counter()
+    tried = _spy_on_the_irreducibility_test(monkeypatch, lambda f, p: False)
     with pytest.raises(TooLarge):
         make_extension(_P160, 8)
-    assert time.perf_counter() - start < 1
+    assert 0 < len(tried) <= fields._SEARCH_CAP
+
+
+@pytest.mark.parametrize("p", [65521, 65537])
+def test_the_modulus_search_cap_covers_a_full_row_below_2_16(p, monkeypatch):
+    # below 2^16 the cap covers the binomials and the whole row x^2 + x + b;
+    # above it, _SEARCH_CAP candidates alone
+    tried = _spy_on_the_irreducibility_test(monkeypatch, lambda f, p: False)
+    with pytest.raises(TooLarge):
+        make_extension(p, 2)
+    if p < 2**16:
+        assert len(tried) <= fields._SEARCH_CAP + 2 * p
+        assert sum(f[1] == 1 for f in tried) == p
+    else:
+        assert len(tried) <= fields._SEARCH_CAP
+
+
+@pytest.mark.parametrize("p, k, tests, modulus", [(67, 24, 4430, (7, 0, 1)), (2437, 22, 2450, (12, 2, 0))])
+def test_the_longest_measured_modulus_searches_end_inside_the_cap(p, k, tests, modulus, monkeypatch):
+    # p = 67, k = 24: the most candidates any p < 10^4 needs; p = 2437, k = 22:
+    # no x^22 + x + b is irreducible, so the whole row is tried
+    tried = _spy_on_the_irreducibility_test(monkeypatch, fields._irreducible_mod_p)
+    K = make_extension(p, k)
+    assert K.modulus[:3] == modulus and K.modulus[3:] == (0,) * (k - 3) + (1,)
+    assert len(tried) == tests <= fields._SEARCH_CAP
+    assert sum(f[1] == 1 and not any(f[2:-1]) for f in tried) == p
 
 
 def test_no_tower_over_a_tower():
