@@ -859,15 +859,16 @@ def _binomial_filter(p: int, k: int, c: int) -> bool:
 # The candidates _lex_min_irreducible tries before it gives up with TooLarge
 # (_search_cap).  About one monic polynomial of degree k in k is
 # irreducible, but a whole row x^k + a x + b (a fixed, b over F_p) can be
-# reducible: no x^22 + x + b is irreducible at p = 2437.  Every p < 10^4 at
+# reducible: no x^22 + x + b is irreducible at p = 2437.  Every p < 2^16 at
 # every k <= 24 ends within 4430 candidates (p = 67, k = 24, where no
-# x^24 + a x + b is irreducible); the tests reach at most 142 (p = 5,
-# k = 24) and the workloads 7.  For p < _ROW_PRIME the cap adds 2p, the
-# binomial block and one full row; a candidate's power test there takes
-# under a millisecond at k <= 24, so even a fault ends in about a minute.
-# Above _ROW_PRIME a row costs too much to promise, and a (p, k) that needs
-# more than _SEARCH_CAP candidates (none is known) gets TooLarge; under a
-# fault in the irreducibility test the 160-bit search ends in under a second.
+# x^24 + a x + b is irreducible; above 10^4 within 326); the tests reach
+# at most 142 (p = 5, k = 24) and the workloads 7.  For p < _ROW_PRIME
+# the cap adds 2p, the binomial block and one full row; a candidate's
+# power test there takes under a millisecond at k <= 24, so even a fault
+# ends in about a minute.  Above _ROW_PRIME a row costs too much to
+# promise, and a (p, k) that needs more than _SEARCH_CAP candidates (none
+# is known) gets TooLarge; under a fault in the irreducibility test the
+# 160-bit search ends in under a second.
 _SEARCH_CAP = 8192
 _ROW_PRIME = 2**16
 
@@ -914,8 +915,8 @@ def make_extension(p: int, k: int):
     """Context for F_{p^k} with the deterministic modulus; F_p itself for k=1.
 
     The modulus search is capped (_search_cap): it is checked to finish for
-    every p < 10^4 and every k, and for p < 2^16 it covers the binomials and
-    a full row of trinomials.  Above 2^16 a (p, k) that needs more than
+    every p < 2^16 and every k, and there it covers the binomials and a full
+    row of trinomials as well.  Above 2^16 a (p, k) that needs more than
     _SEARCH_CAP candidates, none known, raises TooLarge.
     """
     if not isinstance(k, int) or not 1 <= k <= 24:
