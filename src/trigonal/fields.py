@@ -294,22 +294,19 @@ class PrimeField(_FieldOps):
 
 
 def _irreducible_mod_p(f, p) -> bool:
-    """Rabin irreducibility test for monic f over F_p, in the packed ring F_p[x]/(f)."""
-    k = len(f) - 1
-    if k == 1:
-        return True
+    """Ben-Or's test for monic f over F_p: gcd(x^(p^i) - x, f) = 1 for every i <= deg f / 2.
+
+    x^(p^i) is x^p, then one Frobenius map per i, in the packed ring
+    F_p[x]/(f), and the first i with a common factor rejects f.
+    """
     F = prime_field(p)
     R = ExtField(F, f)
-    # powers[j] = x^(p^j) mod f
-    powers = [R.x, R.xq()]
-    for _ in range(k - 1):
-        powers.append(R.frobenius_power(powers[-1], 1))
-    if powers[k] != R.x:
-        return False
-    # gcd(x^(p^(k/r)) - x, f) must be 1 for every prime r | k
-    fp = polyring.Poly(F, f)
-    x = polyring.Poly.x(F)
-    return all(polyring.gcd(fp, polyring.Poly(F, R.coeffs(powers[k // r])) - x).degree == 0 for r in _prime_divisors(k))
+    fp, x = polyring.Poly(F, f), polyring.Poly.x(F)
+    for i in range(1, (len(f) - 1) // 2 + 1):
+        h = R.xq() if i == 1 else R.frobenius_power(h, 1)
+        if polyring.gcd(fp, polyring.Poly(F, R.coeffs(h)) - x).degree:
+            return False
+    return True
 
 
 _layout_cache: dict[tuple[int, int], tuple] = {}

@@ -31,11 +31,12 @@ int multiply.  Values stay packed through each loop and are unpacked into
 a Poly for the gcd.  Poly products, divmod, gcd and eval over every context
 add up raw int products and reduce them with the field's _fold once per
 output coefficient, and after every _lazy products where the slots hold
-fewer (one product over a tower).  gcd runs Euclid on coefficient lists,
-makes each remainder monic with one inverse and builds a Poly only for the
-result; divmod shares its remainder loop (_divide).  xgcd is the same
-Euclid tracking one cofactor, on coefficient lists in and out, for Cantor's
-composition (curves.cantor_add).
+fewer (one product over a tower).  gcd runs Euclid on coefficient lists by
+pseudo-remainders (Collins, "Subresultants and reduced polynomial remainder
+sequences", 1967), with one inverse for the last remainder, and builds a
+Poly only for the result.  xgcd is Euclid tracking one cofactor, each
+remainder made monic with one inverse so that divmod's loop (_divide)
+divides by it, on coefficient lists in and out, for curves.cantor_add.
 
 split_root is the one root finder for an irreducible polynomial: given an
 irreducible over a subfield F_q of a field K that it splits in, and x^q
@@ -284,15 +285,37 @@ def _divide(f, r: list, b, binv, q: list | None) -> list:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """The monic gcd, by Euclid on coefficient lists: each remainder is made monic with one inverse as it is produced."""
+    """The monic gcd, by Euclid with pseudo-remainders on coefficient lists and one inverse at the end.
+
+    A step r <- lc(b) r - lc(r) x^k b cancels r's top coefficient with no
+    inverse; each remainder is a nonzero multiple of the exact one.  A
+    degree gap of one takes both steps in one pass, three products and one
+    fold a coefficient, where the slots hold three (not over a tower).  Else
+    a step folds lc(b) r - lc(r) b once, over a tower lc(b) r first.
+    """
     f = a.field
-    one, fold = f.one, f._fold
+    one, fold, neg = f.one, f._fold, f.neg
     a, b = (b.c, a.c) if b.is_zero else (a.c, b.c)
     while b:
-        if b[-1] != one:
-            c = f.inv(b[-1])
-            b = [fold(x * c) for x in b]
-        a, b = b, _divide(f, list(a), b[:-1], None, None)
+        r, lb, low = list(a), b[-1], b[:-1]
+        if len(r) == len(b) + 1 > 2 and f._lazy > 2:
+            c = neg(r[-1])
+            e = neg(fold(lb * r[-2] + c * low[-1]))
+            L, E = f.mul(lb, lb), f.mul(lb, c)
+            r = [fold(L * r[0] + e * low[0])] + [fold(L * x + E * y + e * z) for x, y, z in zip(r[1:-2], low, low[1:])]
+        for d in range(len(r) - len(b), -1, -1):
+            c = neg(r.pop())
+            if c:
+                s = lb
+                if f._lazy == 1:
+                    r, s = [fold(lb * x) for x in r], one
+                r = [fold(s * x) for x in r[:d]] + [fold(s * x + c * y) for x, y in zip(r[d:], low)]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    if a and a[-1] != one:
+        c = f.inv(a[-1])
+        a = [fold(x * c) for x in a]
     return Poly(f, a, trim=False)
 
 

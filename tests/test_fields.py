@@ -866,6 +866,50 @@ def test_the_longest_measured_modulus_searches_end_inside_the_cap(p, k, tests, m
     assert sum(f[1] == 1 and not any(f[2:-1]) for f in tried) == p
 
 
+# every (p, k) Tier-1 builds with make_extension, and the SHA-256 of the
+# list of their (p, k, modulus), recorded while Rabin's test chose them
+_TIER1_EXTENSIONS = {
+    5: (2, 3, 4, 5, 6, 12, 24),
+    7: (2, 3, 4),
+    11: (2, 3, 4),
+    13: (2, 3, 4),
+    37: (2, 3, 4, 5, 6, 8, 9, 12, 24),
+    41: (2, 3),
+    43: (2, 3),
+    47: (2, 3),
+    53: (2, 3, 4, 6, 8, 12),
+    67: (24,),
+    101: (2, 3, 4, 5, 6, 7, 8, 10, 12, 15),
+    1009: (2, 3, 4, 6, 7, 8, 15),
+    2437: (22,),
+    65521: (2,),
+    65537: (2,),
+    1000003: (2, 3, 4),
+    _P30: (2, 3, 4, 5, 6, 8),
+    2**61 - 1: (2, 3, 4),
+    17852487187150343363: (2, 3, 4, 6, 8),  # survey.deterministic_prime(64, 0)
+    _P160: (2, 3, 4, 5, 6, 8),
+}
+_TIER1_MODULI_SHA256 = "c75016dc03bfb184d697198df2aa4849f25c27fb2c8ab08ad707d533da7c9a9c"
+
+
+def test_the_lex_min_moduli_tier1_builds_are_frozen():
+    # Ben-Or's test must pick the moduli Rabin's picked: every encoding over
+    # an extension depends on them
+    got = [(p, k, make_extension(p, k).modulus) for p, ks in sorted(_TIER1_EXTENSIONS.items()) for k in ks]
+    assert len(got) == 81
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == _TIER1_MODULI_SHA256
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (5, 5), (7, 3), (11, 2)])
+def test_the_irreducibility_test_counts_gauss_formula(p, k):
+    # monic irreducibles of degree k over F_p: (1/k) sum over d | k of mu(d) p^(k/d)
+    mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1}
+    want = sum(mu[d] * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    polys = ([n // p**i % p for i in range(k)] + [1] for n in range(p**k))
+    assert sum(fields._irreducible_mod_p(f, p) for f in polys) == want
+
+
 def test_no_tower_over_a_tower():
     T = _tower(37, 2, 2, 31)
     with pytest.raises(ContextMismatch):

@@ -159,3 +159,13 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             continue  # never called: test_no_unreferenced_definition's concern
         idle += [f"{label}({arg})" for i, arg in _defaulted(fn, bound) if not any(_turns(c, i, arg) for c in sites)]
     assert idle == []
+
+
+# wc -l src/trigonal/*.py after the pseudo-remainder gcd and Ben-Or's
+# irreducibility test; a change that shortens src/ lowers it
+_SRC_LINES = 5030
+
+
+def test_src_does_not_grow_past_its_line_count():
+    lines = sum(path.read_bytes().count(b"\n") for path in _modules())
+    assert lines <= _SRC_LINES, f"src/trigonal is {lines} lines, more than the {_SRC_LINES} pinned"

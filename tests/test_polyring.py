@@ -696,21 +696,30 @@ def test_split_root_takes_at_most_2m_tower_products_per_attempt(m, monkeypatch):
 
 
 def _gcd_fields():
-    """(field, degree of its test irreducibles): F_p at 30 and 160 bits, F_37^2, and a tower, a cubic
-    extension of F_37^2, over which nothing is factored (its irreducibles are linear)."""
-    K = make_extension(37, 2)
+    """(field, degree of its test irreducibles): F_p at 30 and 160 bits, F_37^2, and two towers over
+    which nothing is factored (their irreducibles are linear): a cubic extension of F_37^2, and one of
+    degree 8 over F_181^2, at the accumulation bound with little room above it in a slot (the
+    bound 32 (181 - 1)^2 is 0.99 of 2^20)."""
+    K, K181 = make_extension(37, 2), make_extension(181, 2)
     T = ExtField(K, random_irreducible(K, 3, random.Random(101)).c)
-    fields = [(prime_field(P30), 2), (prime_field(_P160), 2), (K, 2), (T, 1)]
+    T8 = ExtField(K181, random_irreducible(K181, 8, random.Random(101)).c)
+    fields = [(prime_field(P30), 2), (prime_field(_P160), 2), (K, 2), (T, 1), (T8, 1)]
     return [pytest.param(f, d, id=repr(f)) for f, d in fields]
 
 
 def _gcd_inputs(f, d, rng):
-    """Pairs (a, b) over f: zero, constants, equal, coprime, with a common factor, and random."""
+    """Pairs (a, b) over f: zero, constants, equal, coprime, with a common factor, and random.
 
-    def rand(n):
-        return Poly(f, [f.random(rng) for _ in range(n + 1)])
+    Degree gaps reach 24, and top (every slot p - 1) as the leading or
+    every coefficient makes each raw sum of a pseudo-remainder step its
+    largest, over F_p and over the tower.
+    """
 
-    zero, one, two = Poly.zero(f), Poly.one(f), Poly.const(f, f.from_int(2))
+    def rand(n, lead=None):
+        return Poly(f, [f.random(rng) for _ in range(n)] + [lead or f.random(rng)])
+
+    top = f.decode(f.order - 1)
+    zero, one, two, topc = Poly.zero(f), Poly.one(f), Poly.const(f, f.from_int(2)), Poly.const(f, top)
     g1, g2, g3 = _distinct_irreducibles(f, d, 3, rng)
     pairs = [(zero, zero), (rand(3), zero), (zero, rand(4)), (one, rand(5)), (rand(5), two), (two, zero)]
     for _ in range(4):
@@ -718,6 +727,13 @@ def _gcd_inputs(f, d, rng):
         pairs += [(a, a), (a.scale(f.from_int(3)), a), (a * c, c), (c, a * c), (a * c, a * rand(2))]
     pairs += [(g1 * g2, g2 * g3), (g1 * g1 * g2, g1 * g3), (g1, g2), (g1 * g2 * g3, (g1 * g2).derivative())]
     pairs += [(rand(rng.randrange(0, 8)), rand(rng.randrange(0, 8))) for _ in range(12)]
+    pairs += [(zero, two), (two, topc), (topc, zero), (topc, rand(24)), (rand(24, top), one)]
+    for m in (1, 2, 3):
+        full = Poly(f, [top] * (m + 1))
+        pairs += [(rand(24), rand(m)), (rand(m, top), rand(24, top)), (Poly(f, [top] * 25), full), (rand(24 - m, top) * full, full)]
+        pairs += [(rand(24 - m) * g1, rand(m - 1, top) * g1)]
+    pairs += [(rand(8, top), rand(7, top)), (Poly(f, [top] * 9), Poly(f, [top] * 8)), (Poly(f, [top] * 9), rand(6, top))]
+    pairs += [(Poly(f, [top] * n + [f.neg(top)]), Poly(f, [top] * 8)) for n in (7, 8, 9, 24)]
     return pairs
 
 
@@ -739,3 +755,45 @@ def test_xgcd_with_monic_remainders_matches_the_poly_oracle(field, d):
         g, s = (Poly(field, c) for c in xgcd(field, a.c, b.c))
         assert (g, s) == xgcd_by_polys(a, b)[:2], (a, b)
         assert g.is_zero or ((g - s * a) % b if not b.is_zero else g - s * a).is_zero
+
+
+@pytest.mark.parametrize("field, d", _gcd_fields())
+def test_gcd_takes_at_most_one_inverse(field, d, monkeypatch):
+    # pseudo-remainder steps divide by nothing: the one inverse makes the
+    # last remainder monic
+    rng = random.Random(field.order % 1019)
+    pairs = _gcd_inputs(field, d, rng)
+    want = [gcd_by_polys(a, b) for a, b in pairs]
+    inverses = []
+    inv = field.inv
+    monkeypatch.setattr(field, "inv", lambda a: inverses.append(a) or inv(a))
+    counts = []
+    for (a, b), g in zip(pairs, want):
+        inverses.clear()
+        assert gcd(a, b) == g, (a, b)
+        counts.append(len(inverses))
+    assert max(counts) == 1
+
+
+def _max_slot(K, c):
+    """The largest slot of the nonnegative int c in K's packing."""
+    w, m, out = K._top + 1, K._mask, 0
+    while c:
+        out, c = max(out, c & m), c >> w
+    return out
+
+
+@pytest.mark.parametrize("field, d", [p for p in _gcd_fields() if p.values[0].k > 1])
+def test_gcd_folds_within_the_accumulation_bound(field, d, monkeypatch):
+    # every raw sum gcd folds is at most _lazy raw products of two elements
+    # plus an element (one product over a tower): no slot above the
+    # largest of the all-(p - 1) sum
+    top = field.decode(field.order - 1)
+    bound = _max_slot(field, field._lazy * top * top + top)
+    pairs = _gcd_inputs(field, d, random.Random(field.order % 1021))
+    want = [gcd_by_polys(a, b) for a, b in pairs]
+    sums = []
+    fold = field._fold
+    monkeypatch.setattr(field, "_fold", lambda c: sums.append(_max_slot(field, c)) or fold(c))
+    assert [gcd(a, b) for a, b in pairs] == want
+    assert 0 < max(sums) <= bound
