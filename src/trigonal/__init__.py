@@ -35,7 +35,6 @@ from .evaluation import (
     XDivisor,
     XPoint,
     consensus_sign,
-    count_X_open,
     fiber_partition_oracle,
     fiber_points,
     phi_on_class,

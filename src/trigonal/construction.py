@@ -29,9 +29,9 @@ from typing import NamedTuple
 from .curves import HCurve
 from .errors import BadSign, ContextMismatch, DegenerateConfiguration, SquareRootObstruction
 from .fields import embed, embed_poly, make_extension
-from .polyring import BiPoly, Poly, exact_square_root, reduce_mod_cubic
+from .polyring import BinaryForm, BiPoly, Poly, exact_square_root, reduce_mod_cubic
 from .subgroups import TractableSubgroup
-from .trigmaps import TrigonalMap, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
+from .trigmaps import TrigonalMap, _compose_mobius, build_M, kernel_basis, rationality_discriminant, trigonal_map_for
 
 B_VARS = ("b00", "b01", "b02", "b11", "b12", "b22")  # the order of an X-point's b
 # the six rank-1 relations among the b_ij = b_i b_j, as index pairs into B_VARS: b01^2 = b00 b11,
@@ -327,6 +327,24 @@ def build_plane_model(fib: TrigonalFibration) -> PlaneQuarticModel:
     return PlaneQuarticModel(delta0, delta1, delta2, delta4, d1f, rational)
 
 
+class Transport(NamedTuple):
+    """The construction's coordinates carried to one odd model, over one field (CorrespondenceR.transport).
+
+    M = tau o pre^-1 takes the construction's x to the odd model's, and y to
+    det(tau)^4 y / (gamma x + delta)^4.  Its adjugate takes an odd-model x0
+    to (U : V) = adj(M)(x0, 1) on the construction's curve, with
+    y = det(pre)^4 y0 / V^4 there.
+    """
+
+    adj: tuple  # adj(M) = pre o adj(tau), as a Mobius matrix
+    src: tuple  # adj(tau)'s second row: zero at the x0 over the source curve's point at infinity
+    y_scale: object  # det(pre)^4
+    N: Poly  # the cubic forms of N and D (D's is v D) under adj(M), four coefficients each
+    D: Poly
+    P: tuple  # c (x^i under adj(M)) (alpha - gamma x)^2 = c (delta x - beta)^i (alpha - gamma x)^(4 - i); c = det(pre)^-4
+    pole: tuple  # the cubic forms of N and D at pre(1, 0), the x where pre^-1 has its pole
+
+
 @dataclass(frozen=True)
 class CorrespondenceR:
     """The correspondence (G(t,x), y -/+ (b02 + b12 x + b22 x^2)/rho) between H and X."""
@@ -336,6 +354,34 @@ class CorrespondenceR:
     plane: PlaneQuarticModel
     sign: int  # +1 for R, -1 for R'
     _embed_cache: dict = _embedding_cache()
+    _transport_cache: dict = _embedding_cache()
+
+    def transport(self, tau) -> Transport:
+        """The construction's coordinates on the odd model that tau reaches, over tau's field, built once per tau.
+
+        A degree-3 Mumford pair (a, b) lands there as a' = monic(a's cubic form
+        under adj(M)) and b' = c (b's form at degree 2 under adj(M)) (alpha - gamma x)^2
+        mod a': both linear in the coefficients of a and b.
+        """
+        got = self._transport_cache.get(tau)
+        if got is None:
+            g, K = self.fib.gmap, tau.field
+            pre = g.pre_transform if K is g.field else g.pre_transform.base_change(K)
+            M = _compose_mobius(tau, pre.inverse())
+            al, be, ga, de = M.m
+            adj = (de, K.neg(be), K.neg(ga), al)
+            N3, D3 = (BinaryForm.from_affine(embed_poly(h, g.field, K), 3) for h in (g.N, g.D))
+            y_scale = K.pow(pre.det, 4)
+            u, w = Poly(K, [K.neg(be), de]), Poly(K, [al, K.neg(ga)])
+            w2 = (w * w).scale(K.inv(y_scale))
+            P = ((w2 * w * w).c, (w2 * u * w).c, (w2 * u * u).c)
+            pu, pv = pre.m[0], pre.m[2]
+            got = self._transport_cache[tau] = Transport(
+                adj, (K.neg(tau.m[2]), tau.m[0]), y_scale,
+                Poly(K, N3.substituted(*adj).c, trim=False), Poly(K, D3.substituted(*adj).c, trim=False),
+                P, (N3.eval(pu, pv), D3.eval(pu, pv)),
+            )
+        return got
 
     def rho_at(self, field, t0) -> tuple:
         """(d4, d2, d0, +/-1/d1) at t0, so that rho_of gives rho at every b22 over t0 with no evaluation or inverse."""

@@ -5,7 +5,10 @@ t = N(x(P))/D(x(P)), and of the (at most four) fiber points of X over t
 exactly the two satisfying y(P) * rho(Q) = b02 + b12 x(P) + b22 x(P)^2 lie
 under P on the correspondence.  The reverse composition pulls an X-point Q
 back to the Mumford triple (G(t(Q), x), (b02 + b12 x + b22 x^2) / rho(Q))
-on H and reduces with Cantor arithmetic.  reverse(phi(.)) acts as
+on H, built on the odd model from one cached transport of the construction
+(CorrespondenceR.transport), and reduces with Cantor arithmetic.  Both ways
+cross between the odd model and the construction's curve in one Mobius map,
+tau o pre_transform^-1 or its inverse.  reverse(phi(.)) acts as
 multiplication by +/-2 with a consensus sign per construction, which is the
 functional certificate used throughout verification.
 
@@ -43,10 +46,10 @@ import random
 from dataclasses import dataclass
 
 from .construction import B_VARS, CorrespondenceR, CurveXModel
-from .curves import _COUNT_GUARD, DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
-from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber, TooLarge
+from .curves import DivisorClass, OddModel, cantor_add, cantor_mul, random_class_on
+from .errors import BadSupport, ContextMismatch, ModelMismatch, NotSquarefree, RamifiedFiber
 from .fields import ExtField, embed, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _LazyRng, _split_squarefree, _unpacked, crt_terms, factorize, is_squarefree, roots, split_root
+from .polyring import Poly, _LazyRng, _split_squarefree, _sum_of, _unpacked, crt_terms, factorize, is_squarefree, roots, split_root
 
 
 @dataclass(frozen=True)
@@ -216,35 +219,32 @@ def _support_orbits(D: DivisorClass):
 def _good_curve_points(D: DivisorClass, R: CorrespondenceR):
     """The factors' points carried onto the construction's curve, as [(K, x1, y1, t0, js)].
 
-    Applies odd-model -> source and the trigonal map's pre-transform, then
-    checks the full bad-support list (Galois-invariant, so one point decides
-    for its factor); None means try another representative.
+    R.transport maps an odd-model point (x0, y0) there in one step, odd model
+    -> source -> pre-transform: x1 = U / V for (U : V) = adj(M)(x0, 1), and
+    y1 = det(pre)^4 y0 / V^4.  t0 = N(x1) / D(x1) is read from the transported
+    cubic forms at x0, so V and D share one inverse.  The full bad-support list,
+    the source curve's point at infinity included, is Galois-invariant, so one
+    point decides for its factor; None means try another representative.
     """
     model = D.model
-    g = R.fib.gmap
     orbits = _support_orbits(D)
     if orbits is None:
         return None
     out = []
     for K, x0, y0, js in orbits:
-        mk = model if K is model.field else model.base_change(K)
-        u, v, w = mk.to_source((x0, K.one, y0))
-        if v == K.zero:
-            return None
-        pre = g.pre_transform if K is g.field else g.pre_transform.base_change(K)
-        u, v, w = pre.apply_uvw((u, v, w))
-        if v == K.zero:
-            return None
-        vi = K.inv(v)
-        x1 = K.mul(u, vi)
-        y1 = K.mul(w, K.pow(vi, 4))
-        if y1 == K.zero:
-            return None  # Weierstrass support
-        DK = embed_poly(g.D, g.field, K)
-        NK = embed_poly(g.N, g.field, K)
-        if DK.eval(x1) == K.zero:
-            return None  # maps to t = infinity
-        t0 = K.div(NK.eval(x1), DK.eval(x1))
+        tr = R.transport(model.tau if K is model.field else model.tau.base_change(K))
+        add, mul, z = K.add, K.mul, K.zero
+        a, b, c, d = tr.adj
+        # V^3 D(x1): zero where x1 is infinite (V = 0) or maps to t = infinity
+        Dx = tr.D.eval(x0)
+        if y0 == z or Dx == z or add(mul(tr.src[0], x0), tr.src[1]) == z:
+            return None  # Weierstrass support, t = infinity, or the source curve's point at infinity
+        V = add(mul(c, x0), d)
+        inv = K.inv(mul(V, Dx))
+        vi = mul(Dx, inv)
+        x1 = mul(add(mul(a, x0), b), vi)
+        y1 = mul(tr.y_scale, mul(y0, K.sqr(K.sqr(vi))))
+        t0 = mul(tr.N.eval(x0), mul(V, inv))
         if R.fib.ramified_at(t0, K):
             return None
         out.append((K, x1, y1, t0, js))
@@ -338,57 +338,24 @@ def phi_on_class(D: DivisorClass, R: CorrespondenceR, rng=None) -> XDivisor:
     raise BadSupport("no good representative found after shuffling")
 
 
-def _mumford_transform(a: Poly, b: Poly, matrix, w_scale, field, target_F: Poly):
-    """Transport a Mumford pair through x -> (alpha x + beta)/(gamma x + delta).
-
-    The point map is (x, y) -> (m(x), w_scale * y / (gamma x + delta)^4).
-    Raises BadSupport if the divisor meets the pole (degree would drop).
-    """
-    al, be, ga, de = matrix
-    f = field
-    n = a.degree
-    det = f.sub(f.mul(al, de), f.mul(be, ga))
-    # target a: substitute the adjugate into the degree-n homogenization of a
-    aform = BinaryForm.from_affine(a, n)
-    a2form = aform.substituted(de, f.neg(be), f.neg(ga), al)
-    a2 = a2form.affine()
-    if a2.degree != n:
-        raise BadSupport("support meets the pole of the coordinate change")
-    a2, _ = a2.monic()
-    # numerator of b((delta x' - beta)/(-gamma x' + alpha)) at padding degree n-1
-    bpad = BinaryForm(f, n - 1, [b[i] for i in range(n)])
-    num = bpad.substituted(de, f.neg(be), f.neg(ga), al).affine()
-    lin = Poly(f, [al, f.neg(ga)])  # alpha - gamma x'
-    b2 = num
-    for _ in range(5 - n):
-        b2 = b2 * lin
-    b2 = b2.scale(f.mul(w_scale, f.inv(f.pow(det, 4)))) % a2
-    if not ((b2 * b2 - target_F) % a2).is_zero:
-        raise ModelMismatch("transported pair misses the target curve")
-    return a2, b2
-
-
 def _triple_class(R: CorrespondenceR, q: XPoint, odd_big: OddModel):
-    """The class [(pi_H preimage triple of q) - 3 inf] on an odd model over q's field."""
-    fib = R.fib
+    """The class [(pi_H preimage triple of q) - 3 inf] on an odd model over q's field.
+
+    The triple (G(t0, x), (b02 + b12 x + b22 x^2) / rho) is built on the odd
+    model from R.transport: a = monic(N' - t0 D'), b = (b02 P0 + b12 P1 + b22 P2)
+    / rho mod a.  BadSupport where it meets the pole of pre^-1 or of the
+    composite (a's degree drops); DivisorClass checks b^2 = F mod a.
+    """
     big, t0, b = odd_big.field, q.t, q.b
-    aq = Poly(big, [c.eval(t0) for c in fib.over(big).G])
     rho = R.rho_of(big, R.rho_at(big, t0), b[5])
-    bq = Poly(big, [b[2], b[4], b[5]]).scale(big.inv(rho))
-    bq = bq % aq
-    g = fib.gmap
-    # carry the triple from the construction curve back to the source curve
-    if not g.pre_transform.is_identity:
-        pre = g.pre_transform.base_change(big) if big is not g.field else g.pre_transform
-        inv = pre.inverse()
-        FH = embed_poly(g.source_curve.F, g.field, big)
-        aq, bq = _mumford_transform(aq, bq, inv.m, big.one, big, FH)
-    # and onto the odd model
-    tau = odd_big.tau
-    if not tau.is_identity:
-        w_scale = big.pow(tau.det, 4)
-        aq, bq = _mumford_transform(aq, bq, tau.m, w_scale, big, odd_big.F)
-    return DivisorClass(odd_big, aq, bq)
+    tr = R.transport(odd_big.tau)
+    sub, mul = big.sub, big.mul
+    a = Poly(big, [sub(n, mul(t0, d)) for n, d in zip(tr.N.c, tr.D.c)])
+    if sub(tr.pole[0], mul(t0, tr.pole[1])) == big.zero or a.degree != 3:
+        raise BadSupport("support meets the pole of the coordinate change")
+    a, _ = a.monic()
+    num = Poly(big, _sum_of(big, [(b[2], tr.P[0], 0), (b[4], tr.P[1], 0), (b[5], tr.P[2], 0)]))
+    return DivisorClass(odd_big, a, (num % a).scale(big.inv(rho)))
 
 
 def _orbit_sum(T: DivisorClass, e: int, s: int) -> DivisorClass:
@@ -488,20 +455,6 @@ def consensus_sign(classes, R: CorrespondenceR, rng=None) -> str:
     if len(signs) > 1:
         return "mixed"
     return signs.pop()
-
-
-def count_X_open(fib, X: CurveXModel, k: int) -> int:
-    """Number of F_{q^k}-points of X over unramified fiber coordinates."""
-    p = fib.field.p
-    if p**k > _COUNT_GUARD:
-        raise TooLarge(f"{p}^{k} exceeds the enumeration guard")
-    field = make_extension(p, k)
-    n = 0
-    for t0 in field.elements():
-        if fib.ramified_at(t0, field):
-            continue
-        n += len(fiber_points(X, t0, field))
-    return n
 
 
 def fiber_partition_oracle(fib, t0, field) -> int:

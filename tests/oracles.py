@@ -1,16 +1,17 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
 the conjugate product of a quotient ring taken as one power in that ring, point counts by
-enumeration, the reverse composition in the lcm field of its points, CRT gluing by xgcd
+enumeration, the reverse composition in the lcm field of its points, the reverse's triple class
+carried by two checked Mobius maps, the open points of X counted fiber by fiber, CRT gluing by xgcd
 idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
 every expanded row, the points of a class's support one by one, powers by the ring's product
 alone, the cascade fold of a packed product, the norm s(t) as its thirteen expanded terms."""
 
 import math
 
-from trigonal.curves import DivisorClass, cantor_add, cantor_mul
+from trigonal.curves import _COUNT_GUARD, DivisorClass, cantor_add, cantor_mul
 from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge
-from trigonal.evaluation import XPoint, _support_orbits, _triple_class
+from trigonal.evaluation import XPoint, _support_orbits, fiber_points
 from trigonal.fields import _rref, embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
@@ -281,7 +282,7 @@ def reverse_on_xdivisor_lcm(DX, R, model):
     for q, w in DX.entries:
         K = q.field
         q = XPoint(big, embed(q.t, K, big), tuple(embed(c, K, big) for c in q.b))
-        total = cantor_add(total, cantor_mul(_triple_class(R, q, odd_big), w))
+        total = cantor_add(total, cantor_mul(triple_class_two_stage(R, q, odd_big), w))
     if big is base:
         return total
     a_c = [project(c, big, base) for c in total.a.c]
@@ -289,6 +290,67 @@ def reverse_on_xdivisor_lcm(DX, R, model):
     if None in a_c or None in b_c:
         raise BadSupport("reverse image is not rational over the base field")
     return DivisorClass(model, Poly(base, a_c), Poly(base, b_c))
+
+
+def mumford_transform(a, b, matrix, w_scale, field, target_F):
+    """Transport a Mumford pair through x -> (alpha x + beta)/(gamma x + delta) by BinaryForm substitutions.
+
+    The point map is (x, y) -> (m(x), w_scale * y / (gamma x + delta)^4).
+    Raises BadSupport if the divisor meets the pole (degree would drop), and
+    ModelMismatch unless the image satisfies b^2 = target_F mod a.
+    """
+    al, be, ga, de = matrix
+    f = field
+    n = a.degree
+    det = f.sub(f.mul(al, de), f.mul(be, ga))
+    # target a: substitute the adjugate into the degree-n homogenization of a
+    a2 = BinaryForm.from_affine(a, n).substituted(de, f.neg(be), f.neg(ga), al).affine()
+    if a2.degree != n:
+        raise BadSupport("support meets the pole of the coordinate change")
+    a2, _ = a2.monic()
+    # numerator of b((delta x' - beta)/(-gamma x' + alpha)) at padding degree n-1
+    num = BinaryForm(f, n - 1, [b[i] for i in range(n)]).substituted(de, f.neg(be), f.neg(ga), al).affine()
+    lin = Poly(f, [al, f.neg(ga)])  # alpha - gamma x'
+    b2 = num
+    for _ in range(5 - n):
+        b2 = b2 * lin
+    b2 = b2.scale(f.mul(w_scale, f.inv(f.pow(det, 4)))) % a2
+    if not ((b2 * b2 - target_F) % a2).is_zero:
+        raise ModelMismatch("transported pair misses the target curve")
+    return a2, b2
+
+
+def triple_class_two_stage(R, q, odd_big):
+    """The reverse's triple class of the X-point q, built on the construction's curve and carried to the
+    odd model in two checked stages: by pre_transform^-1 to the source curve, then by the model's tau."""
+    fib = R.fib
+    big, t0, b = odd_big.field, q.t, q.b
+    aq = Poly(big, [c.eval(t0) for c in fib.over(big).G])
+    rho = R.rho_of(big, R.rho_at(big, t0), b[5])
+    bq = Poly(big, [b[2], b[4], b[5]]).scale(big.inv(rho))
+    g = fib.gmap
+    if not g.pre_transform.is_identity:
+        pre = g.pre_transform.base_change(big) if big is not g.field else g.pre_transform
+        FH = embed_poly(g.source_curve.F, g.field, big)
+        aq, bq = mumford_transform(aq, bq, pre.inverse().m, big.one, big, FH)
+    tau = odd_big.tau
+    if not tau.is_identity:
+        aq, bq = mumford_transform(aq, bq, tau.m, big.pow(tau.det, 4), big, odd_big.F)
+    return DivisorClass(odd_big, aq, bq)
+
+
+def count_X_open(fib, X, k):
+    """Number of F_{q^k}-points of X over unramified fiber coordinates, fiber by fiber."""
+    p = fib.field.p
+    if p**k > _COUNT_GUARD:
+        raise TooLarge(f"{p}^{k} exceeds the enumeration guard")
+    field = make_extension(p, k)
+    n = 0
+    for t0 in field.elements():
+        if fib.ramified_at(t0, field):
+            continue
+        n += len(fiber_points(X, t0, field))
+    return n
 
 
 def etale_square_roots_xgcd(Gt, parts, field):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import constructions, run_under
 from ex37 import EX37_DLP_MULTIPLIER, EX37_JAC_ORDER
-from trigonal.construction import B_VARS, build_correspondence, embed_poly
+from trigonal.construction import B_VARS, build_correspondence, build_fibration, embed_poly
 from trigonal import evaluation
 from trigonal.curves import (
     DivisorClass,
@@ -24,7 +24,6 @@ from trigonal.evaluation import (
     _glued_square_roots,
     _triple_class,
     consensus_sign,
-    count_X_open,
     fiber_partition_oracle,
     fiber_points,
     phi_on_class,
@@ -36,7 +35,7 @@ from trigonal.fields import ExtField, embed, make_extension, prime_field
 from trigonal.polyring import Poly, _poly_rng, _split_squarefree, _unpacked, factorize, is_squarefree, roots
 from trigonal.subgroups import subgroup_elements
 
-from oracles import effective_points, etale_square_roots_xgcd, reverse_on_xdivisor_lcm
+from oracles import count_X_open, effective_points, etale_square_roots_xgcd, reverse_on_xdivisor_lcm, triple_class_two_stage
 
 
 def test_fiber_sizes_and_oracle(ex37_fibration, ex37_R):
@@ -465,6 +464,126 @@ def test_reverse_matches_the_lcm_field_oracle(phi_classes, ex37_curve, ex37_subg
         assert reverse_on_xdivisor(DX, ex37_R, big_model) == reverse_on_xdivisor_lcm(DX, ex37_R, big_model)
 
 
+def _forced_retry_construction(g0):
+    """g0's subgroup and source curve with every pencil root refused at _depth 0, so that
+    trigonal_map_for takes a random Mobius change of x and pre_transform is not the identity."""
+    from trigonal import trigmaps
+    from trigonal.errors import DegenerateConfiguration
+
+    H, real = g0.source_curve, trigmaps._try_build
+
+    def refuse(field, alpha, beta, roots, which, curve, S):
+        if curve is H:
+            raise DegenerateConfiguration("refused at _depth 0")
+        return real(field, alpha, beta, roots, which, curve, S)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trigmaps, "_try_build", refuse)
+        g = trigmaps.trigonal_map_for(g0.subgroup, H)
+    assert not g.pre_transform.is_identity
+    return g, build_correspondence(build_fibration(g, g.curve))
+
+
+def _outcome(fn, R, q, odd):
+    try:
+        return fn(R, q, odd)
+    except BadSupport:
+        return "BadSupport"
+
+
+@pytest.fixture(scope="module")
+def transport_cases(ex37_map, ex37_R, ex37_fibration):
+    """(name, g, R) for the worked example (both signs, a degree-7 F: tau is the identity), the
+    30-, 64- and 160-bit roundtrip constructions, and forced Mobius retries at F_37 and 30 bits."""
+    cases = [("ex37+", ex37_map, ex37_R), ("ex37-", ex37_map, build_correspondence(ex37_fibration, -1))]
+    cases += [(f"{bits}-bit", *_roundtrip_construction(bits)) for bits in (30, 64, 160)]
+    cases += [(f"{name} retry", *_forced_retry_construction(g)) for name, g, _ in (cases[0], cases[2])]
+    return cases
+
+
+def test_transported_triples_match_the_two_stage_oracle(transport_cases):
+    # the triple built on the odd model from one cached transport equals the
+    # two-stage Mobius transport with its two model checks, on the points of
+    # open fibers over F_q and F_q^2, on phi's points, and where the triple
+    # meets the pole of pre^-1 (BadSupport on both)
+    poles = 0
+    for name, g, R in transport_cases:
+        model = OddModel.from_curve(g.source_curve)
+        assert model.tau.is_identity == name.startswith("ex37")
+        points = []
+        for k in (1, 2):
+            K = make_extension(R.fib.field.p, k)
+            i, n = 0, len(points)
+            while len(points) < n + 6:
+                t0 = K.from_int(i)
+                i += 1
+                if not R.fib.ramified_at(t0, K):
+                    points += fiber_points(R.X, t0, K)
+        D = random_class(g.source_curve, 1, random.Random(len(name)))
+        points += [q for q, _ in phi_on_class(D, R).entries]
+        for q in points:
+            odd = model if q.field is model.field else model.base_change(q.field)
+            assert _outcome(_triple_class, R, q, odd) == _outcome(triple_class_two_stage, R, q, odd), name
+        # the fiber through the construction's x over the source curve's point at infinity
+        f = g.field
+        pa, pc = g.pre_transform.m[0], g.pre_transform.m[2]
+        if pc == f.zero or g.D.eval(f.div(pa, pc)) == f.zero:
+            continue
+        xp = f.div(pa, pc)
+        tp = f.div(g.N.eval(xp), g.D.eval(xp))
+        if R.fib.ramified_at(tp):
+            continue  # a degree-7 source curve: its point at infinity is a Weierstrass point
+        for K in (make_extension(f.p, k) for k in (1, 2, 3)):
+            pts = fiber_points(R.X, embed(tp, f, K), K)
+            for q in pts:
+                odd = model if K is model.field else model.base_change(K)
+                assert _outcome(_triple_class, R, q, odd) == "BadSupport" == _outcome(triple_class_two_stage, R, q, odd)
+            if pts:
+                poles += 1
+                break
+    assert poles == 1
+
+
+def test_the_transport_is_built_on_first_use(ex37_fibration, ex37_model):
+    # build_correspondence builds nothing new; the first reverse builds one
+    # transport per (tau, field), and the forward path shares it
+    R = build_correspondence(ex37_fibration)
+    assert R._transport_cache == {}
+    D = class_from_points(ex37_model, [(10, 1, 28)], [(14, 1, 6)])
+    assert roundtrip(D, R) in ("+2", "-2")
+    taus = list(R._transport_cache)
+    assert taus and all(tau.is_identity for tau in taus)
+    assert len({tau.field.k for tau in taus}) == len(taus)
+    assert R.transport(taus[0]) is R._transport_cache[taus[0]]
+
+
+def test_forced_retry_roundtrip(transport_cases):
+    # with pre_transform not the identity, phi's points go through the
+    # cached inverse composite and the reverse lands on +/-2D
+    for name, g, R in transport_cases[-2:]:
+        rng = random.Random(71)
+        model = OddModel.from_curve(g.source_curve)
+        for _ in range(2):
+            D = random_class(g.source_curve, 1, rng)
+            assert D.model == model
+            assert roundtrip(D, R) in ("+2", "-2"), name
+    # a support point over the source curve's point at infinity is refused,
+    # though pre_transform makes it affine on the construction's curve
+    _, g, R = transport_cases[-1]
+    K = make_extension(g.field.p, 2)
+    model = OddModel.from_curve(g.source_curve).base_change(K)
+    x0 = K.div(model.tau.m[0], model.tau.m[2])
+    pts = []
+    while len(pts) < 3:
+        x = K.random(rng)
+        y = K.sqrt(model.F.eval(x))
+        if y:
+            pts.append((x, K.one, y))
+    assert evaluation._good_curve_points(class_from_points(model, pts, []), R) is not None
+    D = class_from_points(model, [(x0, K.one, K.sqrt(model.F.eval(x0)))] + pts[:2], [])
+    assert D.a.degree == 3 and evaluation._good_curve_points(D, R) is None
+
+
 def test_reverse_rejects_an_incomplete_orbit(phi_classes):
     # a divisor missing one conjugate of a point, or weighting it apart from
     # the rest of its orbit, is not rational
@@ -484,10 +603,11 @@ def test_reverse_rejects_an_incomplete_orbit(phi_classes):
 
 def test_typed_errors_survive_python_O():
     # the evaluation checks raise TrigonalError subclasses, not asserts; the
-    # CRT terms refuse a repeated factor, linear or with a ring
+    # CRT terms refuse a repeated factor, linear or with a ring, and the model
+    # check that guards every transported triple refuses b^2 != F mod a
     code = """
+from trigonal.curves import DivisorClass, HCurve, OddModel
 from trigonal.errors import ModelMismatch, NotSquarefree
-from trigonal.evaluation import _mumford_transform
 from trigonal.fields import ExtField, prime_field
 from trigonal.polyring import Poly, crt_terms, is_irreducible
 F = prime_field(37)
@@ -503,7 +623,7 @@ try:
 except NotSquarefree:
     print("ok2" if is_irreducible(q) else "reducible")
 try:
-    _mumford_transform(h1, Poly.const(F, 5), (1, 0, 0, 1), 1, F, Poly.from_ints(F, [1, 0, 0, 0, 0, 0, 0, 1]))
+    DivisorClass(OddModel.from_curve(HCurve.from_coeffs(F, [1, 0, 0, 0, 0, 0, 0, 1, 0])), h1, Poly.const(F, 5))
 except ModelMismatch:
     print("ok3")
 """

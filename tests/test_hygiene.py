@@ -161,9 +161,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert idle == []
 
 
-# wc -l src/trigonal/*.py after the pseudo-remainder gcd and Ben-Or's
-# irreducibility test; a change that shortens src/ lowers it
-_SRC_LINES = 5030
+# wc -l src/trigonal/*.py after the reverse's triple classes were built on
+# the odd model from one cached transport; a change that shortens src/ lowers it
+_SRC_LINES = 5028
 
 
 def test_src_does_not_grow_past_its_line_count():
