@@ -22,13 +22,12 @@ from .curves import (
     OddModel,
     cantor_add,
     cantor_mul,
+    class_from_points,
     count_points,
-    jacobian_order,
     l_polynomial,
     point_class,
     random_class,
     random_class_on,
-    to_odd_model,
     two_torsion_from_pair,
 )
 from .evaluation import (
@@ -41,7 +40,7 @@ from .evaluation import (
     reverse_on_xdivisor,
     roundtrip,
 )
-from .fields import frobenius, make_extension, prime_field
+from .fields import make_extension, prime_field
 from .polyring import (
     BinaryForm,
     BiPoly,
@@ -62,7 +61,6 @@ from .subgroups import (
 from .survey import SurveyConfig, SurveyStats, deterministic_prime, random_curve, run_survey
 from .trigmaps import (
     TrigonalMap,
-    alternate_map,
     build_M,
     kernel_basis,
     plucker_of_pair,

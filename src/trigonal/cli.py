@@ -86,8 +86,7 @@ def cmd_isogeny(args):
     H = serialize.load_curve(args.curve)
     sign = +1 if args.sign != "-" else -1
     subs, i, S, g, fib, R = _build(H, args.subgroup, sign)
-    verification = {"zeta_h": _zeta_if_cheap(H), "roundtrip_sign": None}
-    doc = serialize.isogeny_report(H, S, i, g, fib, R.plane, R.X, sign, verification)
+    doc = serialize.isogeny_report(H, S, i, g, fib, R.plane, R.X, sign, {"zeta_h": _zeta_if_cheap(H)})
     print(json.dumps(doc, indent=2))
     return 0
 

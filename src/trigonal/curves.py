@@ -61,21 +61,18 @@ class Mobius:
         f = self.field
         return Mobius(f, d, f.neg(b), f.neg(c), a)
 
-    def apply_uvw(self, pt, w_scale=None):
-        """Image of a weighted-projective point (u, v, w).
+    def apply_uvw(self, pt):
+        """Image of a weighted-projective point (u, v, w) on the curve of F~ o adj(m).
 
-        The default w-scaling det^4 is correct when the target curve carries
-        the pulled-back form F~ o adj(m); pass w_scale explicitly otherwise.
+        w scales by det^4: F~(adj(m) m (u, v)) = det^8 F~(u, v) = (det^4 w)^2.
         """
         f = self.field
         a, b, c, d = self.m
         u, v, w = pt
-        if w_scale is None:
-            w_scale = f.pow(self.det, 4)
         return (
             f.add(f.mul(a, u), f.mul(b, v)),
             f.add(f.mul(c, u), f.mul(d, v)),
-            f.mul(w_scale, w),
+            f.mul(f.pow(self.det, 4), w),
         )
 
     def pullback_form(self, form: BinaryForm) -> BinaryForm:
@@ -198,14 +195,6 @@ class OddModel:
         """Map a source point (u, v, w) to the odd model."""
         return normalize_uvw(self.field, self.tau.apply_uvw(pt))
 
-    def to_source(self, pt):
-        """Map an odd-model point (u, v, w) back to the source curve.
-
-        The inverse of (u, v, w) -> (m(u, v), det^4 w) applies the adjugate
-        matrix with no w-scaling: F~(adj(m)(u, v)) is literally w^2 there.
-        """
-        return normalize_uvw(self.field, self.tau.inverse().apply_uvw(pt, self.field.one))
-
     def __eq__(self, other):
         return (
             isinstance(other, OddModel)
@@ -216,11 +205,6 @@ class OddModel:
 
     def __hash__(self):
         return hash((id(self.field), self.source.form.c, self.tau.m))
-
-
-def to_odd_model(H: HCurve, field=None) -> OddModel:
-    """Spec-level entry point; see OddModel.from_curve."""
-    return OddModel.from_curve(H, field)
 
 
 class DivisorClass:
@@ -519,8 +503,3 @@ def l_polynomial(H: HCurve):
     if num % 3:
         raise ModelMismatch(f"point counts {n1}, {n2}, {n3} give a non-integral e3")
     return [1, -s1, e2, -(num // 3), q * e2, -q * q * s1, q**3]
-
-
-def jacobian_order(H: HCurve) -> int:
-    """#Jac(H)(F_q) = L(1)."""
-    return sum(l_polynomial(H))

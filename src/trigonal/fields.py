@@ -928,21 +928,6 @@ def make_extension(p: int, k: int):
     return ctx
 
 
-def frobenius(field, a, q: int):
-    """The q-power Frobenius a -> a^q, for a in an extension of the field of order q."""
-    p = field.p
-    j = 0
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise ContextMismatch(f"{q} is not a power of the characteristic {p}")
-        qq //= p
-        j += 1
-    if j == 0 or field.k % j != 0:
-        raise ContextMismatch(f"field of order {q} is not a subfield of {field!r}")
-    return field.frobenius_power(a, j)
-
-
 # --- embeddings between the deterministic contexts -------------------------
 
 _embed_cache: dict[tuple[int, int, int], tuple] = {}

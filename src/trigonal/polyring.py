@@ -165,12 +165,6 @@ class Poly:
             return Poly.zero(f)
         return Poly(f, [f.mul(x, c) for x in self.c], trim=False)
 
-    def shifted(self, n):
-        """Multiply by x^n."""
-        if not self.c:
-            return self
-        return Poly(self.field, (self.field.zero,) * n + self.c, trim=False)
-
     def divmod(self, other):
         """(quotient, remainder), by the remainder loop of _divide."""
         f = self.field
@@ -587,15 +581,6 @@ def factorize(poly: Poly):
         factors += [(irr, mult) for irr in _split_squarefree(part, rng)[0]]
     factors.sort(key=lambda fm: fm[0].sort_key())
     return lc, factors
-
-
-def is_irreducible(poly: Poly) -> bool:
-    if poly.is_zero:
-        raise ZeroPolynomial("irreducibility of the zero polynomial")
-    if poly.degree == 0:
-        return False
-    _, factors = factorize(poly)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == poly.degree
 
 
 def roots(poly: Poly) -> list:

@@ -1,4 +1,4 @@
-"""JSON wire formats: curve files, divisor inputs, and isogeny reports.
+"""JSON wire formats: isogeny reports are written; curve files and divisor inputs are read.
 
 Field elements travel as decimal strings (no native JSON integers, so 60-bit
 and larger primes survive every JSON parser); extension elements are
@@ -23,28 +23,11 @@ def elem_to_json(field, a):
     return {"p": str(field.p), "k": field.k, "coeffs": [str(c) for c in field.coeffs(a)]}
 
 
-def elem_from_json(obj):
-    """(context, element) of an extension element, the context read from its (p, k) tag."""
-    if isinstance(obj, str):
-        raise ValueError("prime-field element needs an explicit context")
-    p = int(obj["p"])
-    k = int(obj["k"])
-    f = make_extension(p, k)
-    coeffs = [int(c) % p for c in obj["coeffs"]]
-    if len(coeffs) != k:
-        raise ValueError("extension element has wrong coefficient count")
-    return f, f.from_coeffs(coeffs)
-
-
 def poly_to_json(poly: Poly):
     """Ascending coefficient list of a polynomial over a prime field."""
     if poly.field.k != 1:
         raise ContextMismatch(f"a report polynomial lies over a prime field, not {poly.field!r}")
     return [str(c) for c in poly.c]
-
-
-def poly_from_json(obj, field) -> Poly:
-    return Poly(field, [field.from_int(int(c)) for c in obj])
 
 
 def curve_to_json(H: HCurve) -> dict:
@@ -100,29 +83,9 @@ def quad_to_json(q: BinaryForm) -> dict:
     }
 
 
-def quad_from_json(obj) -> BinaryForm:
-    p = int(obj["p"])
-    k = int(obj["k"])
-    f = make_extension(p, k)
-
-    def elem(o):
-        if isinstance(o, str):
-            return f.from_int(int(o))
-        ff, v = elem_from_json(o)
-        if ff is not f:
-            raise ContextMismatch(f"an element of {ff!r} in a quadratic over {f!r}")
-        return v
-
-    return BinaryForm(f, 2, (elem(obj["v2"]), elem(obj["uv"]), elem(obj["u2"])))
-
-
 def subgroup_to_json(S: TractableSubgroup) -> list:
     """The quadratics over the deterministic contexts that their (p, k) tags name."""
     return [quad_to_json(q) for q in S.canonical().quads]
-
-
-def subgroup_from_json(obj) -> TractableSubgroup:
-    return TractableSubgroup.from_quads([quad_from_json(q) for q in obj])
 
 
 def xdivisor_to_json(DX) -> dict:
@@ -191,44 +154,3 @@ def isogeny_report(H, S, index, g, fib, plane, X, sign, verification=None) -> di
         "verification": verification,
     }
     return report
-
-
-def parse_isogeny_report(obj) -> dict:
-    """Reconstruct the mathematical objects of a report (for round-trip checks)."""
-    H = parse_curve(obj["curve"])
-    f = H.field
-    S = subgroup_from_json(obj["subgroup"])
-    tm = obj["trigonal_map"]
-    gmap = tuple(f.from_int(int(tm[k])) for k in ("n1", "n0", "d1", "d0"))
-    mob = obj["mobius_pretransform"]
-    if mob is not None:
-        if not isinstance(mob, list) or len(mob) != 4:
-            raise ValueError("mobius_pretransform must be null or four field elements")
-        mob = tuple(f.from_int(int(c)) for c in mob)
-    out = {
-        "curve": H,
-        "subgroup": S,
-        "subgroup_index": obj["subgroup_index"],
-        "trigonal_map": gmap,
-        "mobius_pretransform": mob,
-        "G": {k: poly_from_json(v, f) for k, v in obj["G"].items()},
-        "f_polys": {k: poly_from_json(v, f) for k, v in obj["f_polys"].items()},
-        "s": poly_from_json(obj["s"], f),
-        "sign": +1 if obj["sign"] == "+" else -1,
-        "flags": obj["flags"],
-    }
-    d1 = obj["deltas"]["delta1"]
-    d1f = make_extension(f.p, int(d1["k"]))
-    out["deltas"] = {
-        "delta0": poly_from_json(obj["deltas"]["delta0"], f),
-        "delta2": poly_from_json(obj["deltas"]["delta2"], f),
-        "delta4": poly_from_json(obj["deltas"]["delta4"], f),
-        "delta1": Poly(
-            d1f,
-            [
-                d1f.from_int(int(c)) if isinstance(c, str) else elem_from_json(c)[1]
-                for c in d1["coeffs"]
-            ],
-        ),
-    }
-    return out

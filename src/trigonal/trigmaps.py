@@ -180,16 +180,15 @@ def _pencil_roots(field, alpha, beta):
 class TrigonalMap:
     """Degree-3 map x -> (x^3 + n1 x + n0) / (x^2 + d1 x + d0) for a subgroup."""
 
-    __slots__ = ("field", "n1", "n0", "d1", "d0", "curve", "subgroup", "pre_transform", "source_curve", "_roots")
+    __slots__ = ("field", "n1", "n0", "d1", "d0", "curve", "subgroup", "pre_transform", "source_curve")
 
-    def __init__(self, field, n1, n0, d1, d0, curve, subgroup, pre_transform, source_curve, roots_used=None):
+    def __init__(self, field, n1, n0, d1, d0, curve, subgroup, pre_transform, source_curve):
         self.field = field
         self.n1, self.n0, self.d1, self.d0 = n1, n0, d1, d0
         self.curve = curve
         self.subgroup = subgroup
         self.pre_transform = pre_transform
         self.source_curve = source_curve
-        self._roots = roots_used
 
     @property
     def N(self) -> Poly:
@@ -234,11 +233,9 @@ def _transform_subgroup(S: TractableSubgroup, mob: Mobius) -> TractableSubgroup:
     return TractableSubgroup.from_quads(quads)
 
 
-def _try_build(field, alpha, beta, roots, which, H, S):
-    n1, n0, d1, d0 = _map_from_root(field, alpha, beta, roots[which])
-    g = TrigonalMap(
-        field, n1, n0, d1, d0, H, S, Mobius.identity(field), H, (alpha, beta, roots, which)
-    )
+def _try_build(field, alpha, beta, root, H, S):
+    n1, n0, d1, d0 = _map_from_root(field, alpha, beta, root)
+    g = TrigonalMap(field, n1, n0, d1, d0, H, S, Mobius.identity(field), H)
     if not verify_trigonal(g, S):
         raise DegenerateConfiguration("N and D share a factor, or the map fails the pairing conditions")
     return g
@@ -257,11 +254,10 @@ def trigonal_map_for(S: TractableSubgroup, H: HCurve, _depth=0, _kernel=None) ->
     if _kernel is None:
         _kernel = kernel_basis(build_M(S, H), field)
     alpha, beta = _kernel
-    roots = _pencil_roots(field, alpha, beta)
     last = None
-    for which in range(len(roots)):
+    for root in _pencil_roots(field, alpha, beta):
         try:
-            return _try_build(field, alpha, beta, roots, which, H, S)
+            return _try_build(field, alpha, beta, root, H, S)
         except DegenerateConfiguration as exc:
             last = exc
     if _depth >= 8:
@@ -276,18 +272,8 @@ def trigonal_map_for(S: TractableSubgroup, H: HCurve, _depth=0, _kernel=None) ->
     H2 = HCurve(field, mob.pullback_form(H.form))
     S2 = _transform_subgroup(S, mob)
     g2 = trigonal_map_for(S2, H2, _depth + 1)
-    return TrigonalMap(
-        field,
-        g2.n1,
-        g2.n0,
-        g2.d1,
-        g2.d0,
-        g2.curve,
-        g2.subgroup,
-        mob if g2.pre_transform.is_identity else _compose_mobius(g2.pre_transform, mob),
-        H,
-        g2._roots,
-    )
+    pre = mob if g2.pre_transform.is_identity else _compose_mobius(g2.pre_transform, mob)
+    return TrigonalMap(field, g2.n1, g2.n0, g2.d1, g2.d0, g2.curve, g2.subgroup, pre, H)
 
 
 def _compose_mobius(outer: Mobius, inner: Mobius) -> Mobius:
@@ -300,23 +286,6 @@ def _compose_mobius(outer: Mobius, inner: Mobius) -> Mobius:
         f.add(f.mul(a1, b2), f.mul(b1, d2)),
         f.add(f.mul(c1, a2), f.mul(d1, c2)),
         f.add(f.mul(c1, b2), f.mul(d1, d2)),
-    )
-
-
-def alternate_map(g: TrigonalMap) -> TrigonalMap | None:
-    """The map built from the other pencil root (None if absent or degenerate)."""
-    if g._roots is None:
-        return None
-    alpha, beta, roots, which = g._roots
-    if len(roots) < 2:
-        return None
-    other = 1 - which
-    try:
-        got = _try_build(g.field, alpha, beta, roots, other, g.curve, g.subgroup)
-    except DegenerateConfiguration:
-        return None
-    return TrigonalMap(
-        g.field, got.n1, got.n0, got.d1, got.d0, g.curve, g.subgroup, g.pre_transform, g.source_curve
     )
 
 

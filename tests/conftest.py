@@ -10,11 +10,12 @@ from trigonal import construction
 from trigonal.construction import build_correspondence, build_fibration
 from trigonal.curves import HCurve, OddModel
 from trigonal.fields import prime_field
-from trigonal.polyring import Poly, is_irreducible
+from trigonal.polyring import Poly
 from trigonal.subgroups import enumerate_tractable
 from trigonal.trigmaps import trigonal_map_for
 
 from ex37 import *  # noqa: F401,F403
+from oracles import is_irreducible
 
 @pytest.fixture(scope="session")
 def F37():

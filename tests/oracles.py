@@ -1,6 +1,7 @@
 """Reference oracles that only the tests use: brute-force subgroups, binary form factoring,
 tuple field arithmetic and polynomials over it, schoolbook F_p[x] powers and Frobenius maps,
-the conjugate product of a quotient ring taken as one power in that ring, point counts by
+the conjugate product of a quotient ring taken as one power in that ring, irreducibility by
+factoring, point counts by
 enumeration, the reverse composition in the lcm field of its points, the reverse's triple class
 carried by two checked Mobius maps, the open points of X counted fiber by fiber, CRT gluing by xgcd
 idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
@@ -10,7 +11,7 @@ alone, the cascade fold of a packed product, the norm s(t) as its thirteen expan
 import math
 
 from trigonal.curves import _COUNT_GUARD, DivisorClass, cantor_add, cantor_mul
-from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge
+from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge, ZeroPolynomial
 from trigonal.evaluation import XPoint, _support_orbits, fiber_points
 from trigonal.fields import _rref, embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots
@@ -250,6 +251,16 @@ def conjugate_product_direct(R, h, e, n, j=None):
         b = R.frobenius_power(b, j)
         acc = R.mul(acc, b)
     return acc
+
+
+def is_irreducible(poly: Poly) -> bool:
+    """Irreducibility read off factorize: the oracle the moduli search's Ben-Or test is checked against."""
+    if poly.is_zero:
+        raise ZeroPolynomial("irreducibility of the zero polynomial")
+    if poly.degree == 0:
+        return False
+    _, factors = factorize(poly)
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == poly.degree
 
 
 def count_points_by_enumeration(H, k):

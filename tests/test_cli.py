@@ -1,6 +1,7 @@
-"""CLI subcommands: outputs, exit codes, JSON round-trips, reproducibility."""
+"""CLI subcommands and the README's library example: outputs, exit codes, JSON round-trips, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,8 +51,9 @@ def test_isogeny_report_roundtrip(capsys, curve_file):
     assert doc["trigonal_map"] == {"n1": "16", "n0": "22", "d1": "32", "d0": "18"}
     assert [int(c) for c in doc["deltas"]["delta1"]["coeffs"]] == list(EX37_DELTA1)
     assert doc["flags"]["isogeny_rational"] is True
+    assert list(doc["verification"]) == ["zeta_h"]
     assert [int(c) for c in doc["verification"]["zeta_h"]] == EX37_L
-    # lossless: parse and re-serialize identically
+    # lossless: the curve it names rebuilds the construction, which re-serializes identically
     from trigonal import serialize
     from trigonal.construction import build_correspondence, build_fibration
     from trigonal.curves import HCurve
@@ -59,18 +61,15 @@ def test_isogeny_report_roundtrip(capsys, curve_file):
     from trigonal.subgroups import enumerate_tractable
     from trigonal.trigmaps import trigonal_map_for
 
-    parsed = serialize.parse_isogeny_report(doc)
-    H = parsed["curve"]
+    H = serialize.parse_curve(doc["curve"])
     assert H == HCurve.from_coeffs(prime_field(37), EX37_F)
-    S = enumerate_tractable(H)[parsed["subgroup_index"]]
-    assert S.key() == parsed["subgroup"].key()
+    S = enumerate_tractable(H)[doc["subgroup_index"]]
     g = trigonal_map_for(S, H)
     fib = build_fibration(g, H)
-    R = build_correspondence(fib, parsed["sign"])
-    doc2 = serialize.isogeny_report(H, S, 0, g, fib, R.plane, R.X, +1, doc["verification"])
+    sign = +1 if doc["sign"] == "+" else -1
+    R = build_correspondence(fib, sign)
+    doc2 = serialize.isogeny_report(H, S, doc["subgroup_index"], g, fib, R.plane, R.X, sign, doc["verification"])
     assert doc2 == doc
-    assert parsed["s"] == fib.s
-    assert parsed["deltas"]["delta1"] == R.plane.delta1
 
 
 def test_map_command_reproducible(capsys, curve_file):
@@ -156,8 +155,7 @@ def test_sign_selects_sheet(capsys, curve_file):
 
 def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
     # _pick_subgroup hands its pencil to trigonal_map_for, so build_M runs
-    # once per subgroup it looks at, and the report is the one recorded
-    # before that hand-over
+    # once per subgroup it looks at, and both index paths print the recorded report
     import hashlib
 
     from trigonal import construction, trigmaps
@@ -171,7 +169,7 @@ def test_isogeny_builds_each_pencil_once(capsys, curve_file, monkeypatch):
 
     monkeypatch.setattr(construction, "build_M", counting)
     monkeypatch.setattr(trigmaps, "build_M", counting)
-    recorded = "ae20dc9ad1c3fa3c23fed78315e2ebe75ecff427b8a1a9d3336dac1b6a8f234c"
+    recorded = "d67265879cdd2f841a6eea8513b887cee9886419aa61d9c73b85840b4c11d0c9"
     # without an index the pick computes the pencil; with one, trigonal_map_for does
     for extra in ((), ("--subgroup", "0")):
         calls.clear()
@@ -220,3 +218,10 @@ def test_analyze_flags_a_map_failure_after_a_square_discriminant(capsys, tmp_pat
     assert code == 1 and json.loads(err)["error"] == "degenerate_configuration"
     code, _, err = run_cli(capsys, "isogeny", "--curve", path, "--subgroup", "2")
     assert code == 1 and json.loads(err)["error"] == "not_rational"
+
+
+def test_the_readme_library_example_runs():
+    # the documented API: every name it imports is exported, and every call it makes runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

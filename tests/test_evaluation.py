@@ -472,10 +472,10 @@ def _forced_retry_construction(g0):
 
     H, real = g0.source_curve, trigmaps._try_build
 
-    def refuse(field, alpha, beta, roots, which, curve, S):
+    def refuse(field, alpha, beta, root, curve, S):
         if curve is H:
             raise DegenerateConfiguration("refused at _depth 0")
-        return real(field, alpha, beta, roots, which, curve, S)
+        return real(field, alpha, beta, root, curve, S)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trigmaps, "_try_build", refuse)
@@ -609,7 +609,8 @@ def test_typed_errors_survive_python_O():
 from trigonal.curves import DivisorClass, HCurve, OddModel
 from trigonal.errors import ModelMismatch, NotSquarefree
 from trigonal.fields import ExtField, prime_field
-from trigonal.polyring import Poly, crt_terms, is_irreducible
+from trigonal.polyring import Poly, crt_terms
+from oracles import is_irreducible
 F = prime_field(37)
 h1, h2 = Poly.from_ints(F, [36, 1]), Poly.from_ints(F, [35, 1])
 q = Poly.from_ints(F, [2, 0, 1])

@@ -1,11 +1,13 @@
-"""Source hygiene of the trigonal package: no unused import, no dead definition, no idle knob.
+"""Source hygiene of the trigonal package: no unused import, no dead or test-only definition, no idle knob.
 
 The checks read the source with ast alone; nothing is imported.  An import
 of a module other than __init__ is used where its module loads the name.  A
 top-level or class-level definition is referenced where any file of src,
 tests or pipebench loads it, reads it as an attribute, imports it, passes it
 as a keyword or names it in a string that is not a docstring (pipebench
-names the functions it wraps in strings).  A defaulted parameter is a knob
+names the functions it wraps in strings).  A top-level function or class
+serves the program where src or pipebench references it outside its own
+body, or where the package exports it.  A defaulted parameter is a knob
 some call site turns: by keyword, by position, or through * or **.
 """
 
@@ -106,6 +108,25 @@ def test_no_unreferenced_definition():
     assert dead == []
 
 
+def test_every_top_level_definition_serves_the_program():
+    # a definition that only the tests call belongs in tests/oracles.py
+    init = PACKAGE / "__init__.py"
+    exported = {a.name for n in ast.walk(_tree(init)) if isinstance(n, ast.ImportFrom) for a in n.names}
+    refs = []  # (module, top-level statement, its references) over src/trigonal and pipebench less its tests
+    for path in _modules() + sorted((ROOT / "pipebench").rglob("*.py")):
+        if path != init and not path.name.startswith("test_"):
+            tree = _tree(path)
+            body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+            refs += [(path, node, _references(ast.Module(body=[node], type_ignores=[]))) for node in body]
+    unserved = [
+        f"{path.stem}.{node.name}"
+        for path, node, _ in refs
+        if path.parent == PACKAGE and isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
+        if not any(node.name in r for _, other, r in refs if other is not node)
+    ]
+    assert unserved == []
+
+
 def _functions():
     """(label, call name, def node, bound) for each top-level function and method of src/trigonal.
 
@@ -161,9 +182,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert idle == []
 
 
-# wc -l src/trigonal/*.py after the reverse's triple classes were built on
-# the odd model from one cached transport; a change that shortens src/ lowers it
-_SRC_LINES = 5028
+# wc -l src/trigonal/*.py after the definitions that only the tests called
+# left src/; a change that shortens src/ lowers it
+_SRC_LINES = 4865
 
 
 def test_src_does_not_grow_past_its_line_count():

@@ -23,7 +23,6 @@ from trigonal.polyring import (
     exact_square_root,
     factorize,
     gcd,
-    is_irreducible,
     is_squarefree,
     reduce_mod_cubic,
     roots,
@@ -36,6 +35,7 @@ from oracles import (
     conjugate_product_direct,
     factor_form,
     gcd_by_polys,
+    is_irreducible,
     schoolbook_frobenius,
     schoolbook_pow_mod,
     schoolbook_rem,

@@ -14,7 +14,6 @@ from trigonal.polyring import BinaryForm
 from trigonal.subgroups import TractableSubgroup, enumerate_tractable
 from trigonal.trigmaps import (
     TrigonalMap,
-    alternate_map,
     build_M,
     kernel_basis,
     plucker_form,
@@ -24,6 +23,7 @@ from trigonal.trigmaps import (
     trigonal_map_for,
     verify_trigonal,
     _pencil_roots,
+    _try_build,
 )
 
 
@@ -150,20 +150,30 @@ def test_wrong_map_fails_verification(ex37_map, ex37_subgroup, F37):
     assert not verify_trigonal(bad, ex37_subgroup)
 
 
+def _pencil_maps(g):
+    """The maps built from each root of g's pencil that does not degenerate."""
+    alpha, beta = kernel_basis(build_M(g.subgroup, g.curve), g.field)
+    maps = []
+    for root in _pencil_roots(g.field, alpha, beta):
+        try:
+            maps.append(_try_build(g.field, alpha, beta, root, g.curve, g.subgroup))
+        except DegenerateConfiguration:
+            pass
+    return maps
+
+
 def test_both_pencil_roots_give_maps(ex37_map, ex37_subgroup):
-    other = alternate_map(ex37_map)
-    assert other is not None
-    assert other.coeffs() != ex37_map.coeffs()
-    assert verify_trigonal(other, ex37_subgroup)
+    coeffs = [m.coeffs() for m in _pencil_maps(ex37_map) if verify_trigonal(m, ex37_subgroup)]
+    assert len(coeffs) == 2 and coeffs[0] != coeffs[1] and ex37_map.coeffs() in coeffs
 
 
 def test_both_roots_on_random_constructions():
     rng = random.Random(34)
     for H, S, g, fib in constructions(101, 10, rng):
         assert verify_trigonal(g, S)
-        other = alternate_map(g)
-        if other is not None:
-            assert verify_trigonal(other, S)
+        maps = _pencil_maps(g)
+        assert all(verify_trigonal(m, g.subgroup) for m in maps)
+        assert g.coeffs() in [m.coeffs() for m in maps]
 
 
 def test_not_rational_raised_on_nonsquare_disc():
