@@ -84,3 +84,20 @@ def test_a_curve_file_names_only_the_canonical_extension(ex37_curve):
         serialize.curve_to_json(HCurve(A, BinaryForm(A, 8, ex37_curve.form.c)))
     with pytest.raises(ValueError):
         serialize.parse_curve({"p": "37", "k": 2, "f": ["1"] * 9})
+
+
+def test_a_curve_file_with_eight_coefficients_reads_as_a_septic_and_bad_files_are_refused(ex37_curve):
+    doc = serialize.curve_to_json(ex37_curve)
+    assert doc["f"][8] == "0"
+    assert serialize.parse_curve({"p": "37", "f": doc["f"][:8]}) == ex37_curve
+    for bad in ([], {"f": doc["f"]}, {"p": "37"}, {"p": "37", "f": doc["f"][:7]}, {"p": "37", "f": doc["f"] + ["1"]}):
+        with pytest.raises(ValueError):
+            serialize.parse_curve(bad)
+
+
+def test_divisor_inputs_pair_pluses_with_minuses():
+    obj = {"points_plus": [["10", "28"], ["1", "2"]], "points_minus": [["14", "6"], ["3", "4"]]}
+    assert serialize.parse_divisor_points(obj) == ([(10, 28), (1, 2)], [(14, 6), (3, 4)])
+    for bad in ([], {"points_plus": []}, {"points_minus": []}, {"points_plus": [["10", "28"]], "points_minus": []}):
+        with pytest.raises(ValueError):
+            serialize.parse_divisor_points(bad)
