@@ -53,10 +53,11 @@ an element of the subfield.
 embed carries an element of F_{p^k1} into F_{p^k2} (k1 | k2) through the
 least root, by encoding, of the F_{p^k1} modulus among one
 polyring.split_root and its conjugates; embed_poly does that coefficient by
-coefficient for a Poly or BinaryForm.  project inverts embed by one _rref
-over F_p, the elimination the chord matrix of trigmaps uses too.  F_p is
-slot 0 of every extension and a tower's base block 0 of the tower, so both
-embed and project as they are.
+coefficient for a Poly or BinaryForm.  project inverts embed by one _rref,
+the one elimination of the package: over F_p only, on ints, as the chord
+matrix and pencil of trigmaps use it too.  F_p is slot 0 of every extension
+and a tower's base block 0 of the tower, so both embed and project as they
+are.
 """
 
 from __future__ import annotations
@@ -1007,31 +1008,32 @@ def embed_poly(poly, src, dst):
 
 
 def _rref(rows, field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form over F_p, on ints: (rows, pivot column list).
+
+    One % per updated entry; a pivot of 1 is not scaled, and a row with 0 in
+    the pivot column is left as it is.  ContextMismatch over F_{p^k}, k > 1.
+    """
+    if field.k != 1:
+        raise ContextMismatch(f"_rref eliminates over a prime field, not {field!r}")
+    p = field.p
     rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != field.zero:
-                piv = i
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != field.zero:
-                c = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[r])]
+        top, rows[piv] = rows[piv], rows[r]
+        if top[col] != 1:
+            inv = pow(top[col], -1, p)
+            top = [x * inv % p for x in top]
+        rows[r] = top
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                rows[i] = [(x - c * y) % p for x, y in zip(row, top)]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return rows[: len(pivots)], pivots
 
 
 _project_cache: dict[tuple, tuple] = {}

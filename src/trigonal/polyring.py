@@ -445,13 +445,15 @@ def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
 
     u -> u^q is R.frobenius_power(., j), so for n > 1 that is N^e with
     N = h h^q ... h^(q^(n-1)): n - 1 Frobenius maps and products.  N^e is
-    taken in F_p[N] = F_p[t]/(mu), mu the minimal polynomial of N over F_p:
-    the powers 1, N, N^2, ... up to the first F_p-linear dependency of
-    their F_p coordinates (fields._rref), one power t^e modulo mu, and the
-    sum of its coefficients times those powers.  When R is a product of
-    fields F_{q^n}, N lies in the F_q-subalgebra, and deg mu is at most
-    dim_{F_p} R / n.  For e = (q - 1) / 2 that is h^((q^n - 1) / 2) from
-    a power with a q-sized exponent in a ring n times smaller.
+    taken in F_p[N] = F_p[t]/(mu), mu the minimal polynomial of N over F_p.
+    The F_p coordinates of each power 1, N, N^2, ... are reduced once
+    against the echelon rows of the earlier powers, each row carrying the
+    combination of powers it stands for; the first power that reduces to 0
+    gives mu.  Then one power t^e modulo mu, and the sum of its
+    coefficients times the powers.  When R is a product of fields F_{q^n},
+    N lies in the F_q-subalgebra, and deg mu is at most dim_{F_p} R / n.
+    For e = (q - 1) / 2 that is h^((q^n - 1) / 2) from a power with a
+    q-sized exponent in a ring n times smaller.
     """
     if n == 1:
         return R.pow(h, e)
@@ -460,16 +462,23 @@ def _conjugate_product(R, h, e: int, n: int, j: int | None = None):
     for _ in range(n - 1):
         b = R.frobenius_power(b, j)
         N = R.mul(N, b)
-    F = fields.prime_field(R.p)
-    pows = [R.one, N]
+    p, D, basis, pows, u = R.p, R.k, [], [], R.one
     while True:
-        cols = [[c for v in R.coeffs(u) for c in R.base.coeffs(v)] for u in pows]
-        rows, pivots = fields._rref(zip(*cols), F)
-        if len(pivots) < len(pows):
+        # the D F_p coordinates of u = N^i, then e_i: the combination of powers the row stands for
+        v = [c for w in R.coeffs(u) for c in R.base.coeffs(w)] + [int(k == len(pows)) for k in range(D + 1)]
+        for col, row in basis:
+            c = v[col]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        col = next((k for k in range(D) if v[k]), None)
+        if col is None:
             break
-        pows.append(R.mul(pows[-1], N))
-    # N^d = sum rows[i][d] N^i for i < d: mu = t^d - that sum
-    Q = fields.ExtField(F, [F.neg(row[-1]) for row in rows] + [F.one])
+        inv = pow(v[col], -1, p)
+        basis.append((col, [x * inv % p for x in v]))
+        pows.append(u)
+        u = R.mul(u, N) if len(pows) > 1 else N
+    # N^i reduced to 0: sum v[D + k] N^k = 0 with v[D + i] = 1, so v[D:] holds mu, monic
+    Q = fields.ExtField(fields.prime_field(p), v[D : D + len(pows) + 1])
     return functools.reduce(R.add, map(R.scalar_mul, pows, Q.coeffs(Q.pow(Q.x, e))))
 
 
@@ -705,13 +714,6 @@ class BiPoly:
     @property
     def deg_x(self):
         return len(self.cx) - 1
-
-    def eval(self, t0, x0):
-        f = self.field
-        y = f.zero
-        for c in reversed(self.cx):
-            y = f.add(f.mul(y, x0), c.eval(t0))
-        return y
 
 
 def reduce_mod_cubic(F: Poly, G: BiPoly):

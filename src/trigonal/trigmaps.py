@@ -211,13 +211,9 @@ class TrigonalMap:
 
 def _map_from_root(field, alpha, beta, root):
     mu, lam = root
-    Ma = _line_matrix(field, alpha)
-    Mb = _line_matrix(field, beta)
-    Mp = [
-        [field.add(field.mul(mu, a), field.mul(lam, b)) for a, b in zip(ra, rb)]
-        for ra, rb in zip(Ma, Mb)
-    ]
-    rows, pivots = _rref(Mp, field)
+    # the system is linear in the Plucker coordinates: that of mu alpha + lam beta
+    v = [field.add(field.mul(mu, a), field.mul(lam, b)) for a, b in zip(alpha, beta)]
+    rows, pivots = _rref(_line_matrix(field, v), field)
     if len(rows) != 2 or pivots != [0, 1]:
         raise DegenerateConfiguration("line equations do not reach the (u0, u1) echelon shape")
     n1, n0 = rows[0][2], rows[0][3]

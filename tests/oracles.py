@@ -4,16 +4,17 @@ the conjugate product of a quotient ring taken as one power in that ring, irredu
 factoring, point counts by
 enumeration, the reverse composition in the lcm field of its points, the reverse's triple class
 carried by two checked Mobius maps, the open points of X counted fiber by fiber, CRT gluing by xgcd
-idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, the chord matrix from
-every expanded row, the points of a class's support one by one, powers by the ring's product
-alone, the cascade fold of a packed product, the norm s(t) as its thirteen expanded terms."""
+idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, row reduction by the
+field's own operations, the chord matrix from every expanded row, the points of a class's support
+one by one, powers by the ring's product alone, the cascade fold of a packed product, the norm s(t)
+as its thirteen expanded terms."""
 
 import math
 
 from trigonal.curves import _COUNT_GUARD, DivisorClass, cantor_add, cantor_mul
 from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge, ZeroPolynomial
 from trigonal.evaluation import XPoint, _support_orbits, fiber_points
-from trigonal.fields import _rref, embed, embed_poly, make_extension, project
+from trigonal.fields import embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
 from trigonal.trigmaps import hyperplane_row
@@ -413,6 +414,35 @@ def xgcd_by_polys(a, b):
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
+def rref_by_field_ops(rows, field):
+    """Reduced row echelon form by the field context's sub, mul and inv, every pivot inverted and
+    every row updated: (rows, pivot column list).  The elimination oracle for fields._rref."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != field.zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != field.zero:
+                c = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
 def chord_rows_full_expansion(S, H):
     """The reduced row echelon form over F_p of every quadratic's hyperplane row, each expanded on the
     F_p power basis of its field, whatever its rank: the chord matrix when that rank is 4."""
@@ -421,7 +451,7 @@ def chord_rows_full_expansion(S, H):
         row = hyperplane_row(q)
         cols = [q.field.coeffs(x) for x in row]
         vectors.extend([c[i] for c in cols] for i in range(q.field.k))
-    rows, _ = _rref(vectors, H.field)
+    rows, _ = rref_by_field_ops(vectors, H.field)
     return [tuple(r) for r in rows]
 
 

@@ -906,3 +906,51 @@ def test_no_tower_over_a_tower():
     T = _tower(37, 2, 2, 31)
     with pytest.raises(ContextMismatch):
         ExtField(T, (T.one, T.zero, T.one))
+
+
+# --- row reduction over F_p against the field-operation oracle ---------------
+
+
+def _rref_matrices(p, rng):
+    """Seeded matrices over F_p: no rows, zero rows, duplicate and scaled rows, full and deficient rank,
+    pivots already 1, sparse rows whose multipliers are mostly 0, and more rows than columns."""
+
+    def rand(n, m, density=1.0):
+        return [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    out = [[], [[0, 0, 0]], [[0] * 4] * 3, [[p - 1] * 5] * 4, [[int(i == j) for j in range(4)] for i in range(4)]]
+    for n in range(1, 8):
+        for m in range(1, 8):
+            out += [rand(n, m), rand(n, m, 0.3)]
+            r = rng.randrange(1, min(n, m) + 1)
+            out.append(product(rand(n, r), rand(r, m)))
+    for _ in range(20):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 9)
+        rows = rand(n, m, rng.choice([0.3, 1.0]))
+        c = rng.randrange(1, p)
+        rows += [[0] * m, list(rows[0]), [x * c % p for x in rows[-1]]]
+        rng.shuffle(rows)
+        out.append(rows)
+        # the same row space with every first nonzero entry scaled to 1, as build_M hands back its basis
+        out.append([[x * pow(next(y for y in row if y), -1, p) % p for x in row] for row in rows if any(row)])
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 37, _P30, _P160], ids=lambda p: f"{p.bit_length()}bit")
+def test_rref_matches_the_field_operation_oracle(p):
+    from oracles import rref_by_field_ops
+
+    F = prime_field(p)
+    for rows in _rref_matrices(p, random.Random(90 + p % 1000)):
+        want = rref_by_field_ops(rows, F)
+        assert fields._rref(rows, F) == want, rows
+        assert fields._rref(want[0], F) == want, rows
+
+
+@pytest.mark.parametrize("K", [make_extension(37, 2), make_extension(_P30, 3), _tower(37, 2, 2, 31)], ids=repr)
+def test_rref_over_an_extension_field_is_a_context_mismatch(K):
+    with pytest.raises(ContextMismatch):
+        fields._rref([[K.one, K.zero], [K.zero, K.one]], K)

@@ -692,6 +692,64 @@ def test_split_root_takes_at_most_2m_tower_products_per_attempt(m, monkeypatch):
     assert count["products"] <= 2 * m * count["attempts"], count
 
 
+def _conjugate_product_rings():
+    """(R, n, j) as the splitting loops build them: _equal_degree's rings F_q[x] modulo r distinct
+    degree-d irreducibles (n = d), over F_p and F_37^2, and split_root's towers F_{p^m}[x]/(poly),
+    poly irreducible of degree m / s over F_{p^s} (n = m / s, j = s)."""
+    rng = random.Random(84)
+    out = []
+    for field in (prime_field(5), prime_field(37), prime_field(P30), prime_field(_P160), make_extension(37, 2)):
+        for d in (2, 3, 4):
+            for r in (1, 2, 3):
+                out.append((_quotient(functools.reduce(Poly.__mul__, _distinct_irreducibles(field, d, r, rng))), d, None))
+    for p, s, m in ((_P160, 1, 3), (_P160, 1, 4), (37, 2, 4), (37, 1, 4)):
+        F, K = make_extension(p, s), make_extension(p, m)
+        poly = random_irreducible(F, m // s, rng)
+        Fq = _quotient(poly)
+        out.append((ExtField(K, embed_poly(poly, F, K).c, [embed(c, F, K) for c in Fq.coeffs(Fq.xq())], s), m // s, s))
+    return out
+
+
+def test_conjugate_product_takes_one_product_per_power_of_the_norm_and_no_rref(monkeypatch):
+    # op count, no wall clock: N(h) in n - 1 products in R, then the powers
+    # N^2 ... N^(deg mu) one product each, each power reduced once against the
+    # echelon rows of the earlier ones; deg mu is read off the rank of all
+    # the powers of N up to the F_p-dimension of R, by the elimination oracle
+    from oracles import rref_by_field_ops
+    from trigonal import fields
+
+    def no_rref(rows, field):
+        raise AssertionError("the minimal polynomial takes no _rref")
+
+    rng = random.Random(85)
+    for R, n, j in _conjugate_product_rings():
+        j = R.base.k if j is None else j
+        e = (R.p**j - 1) // 2
+        for h in (R.random(rng), R.random(rng), R.x, R.one, R.zero, R.from_coeffs([R.base.random(rng)])):
+            N = h
+            for i in range(1, n):
+                N = R.mul(N, R.frobenius_power(h, i * j))
+            powers = [R.one]
+            for _ in range(R.k):
+                powers.append(R.mul(powers[-1], N))
+            rows = [[c for w in R.coeffs(u) for c in R.base.coeffs(w)] for u in powers]
+            deg_mu = len(rref_by_field_ops(rows, prime_field(R.p))[1])
+            count = [0]
+            mul = type(R).mul
+
+            def counting_mul(self, a, b):
+                if self is R:
+                    count[0] += 1
+                return mul(self, a, b)
+
+            monkeypatch.setattr(type(R), "mul", counting_mul)
+            monkeypatch.setattr(fields, "_rref", no_rref)
+            got = _conjugate_product(R, h, e, n, j)
+            monkeypatch.undo()
+            assert got == conjugate_product_direct(R, h, e, n, j), (R, h)
+            assert count[0] == (n - 1) + (deg_mu - 1), (R, h, deg_mu)
+
+
 # --- Euclid on coefficient lists --------------------------------------------
 
 
