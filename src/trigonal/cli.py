@@ -20,7 +20,7 @@ from .curves import OddModel, class_from_points, l_polynomial, random_class
 from .errors import NotRational, TooLarge, TrigonalError
 from .evaluation import consensus_sign, fiber_partition_oracle, fiber_points, phi_on_class
 from .fields import make_extension
-from .subgroups import OrbitSplit, enumerate_tractable, expectation
+from .subgroups import enumerate_tractable, expectation
 from .survey import SurveyConfig, deterministic_prime, pattern_str, run_survey
 
 # the isogeny report counts points for zeta_h only up to p^3 = 2^21
@@ -29,8 +29,8 @@ _REPORT_ZETA_ORDER = 1 << 21
 
 def cmd_analyze(args):
     H = serialize.load_curve(args.curve)
-    split = OrbitSplit(H)
-    subs = enumerate_tractable(H, split=split)
+    split = H.orbit_split(keep=True)
+    subs = enumerate_tractable(H)
     verdicts = [assess(S, H) for S in subs]
     doc = {
         "curve": serialize.curve_to_json(H),
@@ -70,6 +70,8 @@ def _pick_subgroup(H, subs, index):
 
 
 def _build(H, index=None, sign=+1):
+    # the curve keeps its split: enumeration, an odd model and random classes share it
+    H.orbit_split(keep=True)
     subs = enumerate_tractable(H)
     i, v = _pick_subgroup(H, subs, index)
     R = build_correspondence(v.fibration, sign)

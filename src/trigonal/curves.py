@@ -5,6 +5,9 @@ degree-8 homogenization F~(u, v).  Divisor-class arithmetic runs on an odd
 (degree-7) model: degree-8 curves are carried to one by a Mobius change of
 x-coordinate moving a rational Weierstrass point to infinity, and the
 transform is recorded so points and divisors can be mapped both ways.
+A curve keeps the distinct-degree split of F (OrbitSplit) once an odd model
+is built on its own field: that model's rational Weierstrass point, the
+tractable-subgroup enumeration and every later odd model share one x^q mod F.
 
 Points at infinity are represented in weighted-projective form (u : v : w)
 with weights (1, 1, 4): affine (x, y) is (x : 1 : y) and infinity is (1 : 0 : w).
@@ -13,17 +16,12 @@ with weights (1, 1, 4): affine (x, y) is (x : 1 : y) and infinity is (1 : 0 : w)
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
-from .errors import (
-    ModelMismatch,
-    NoRationalWeierstrassPoint,
-    NotAFactor,
-    NotAMultiple,
-    TooFewPoints,
-    TooLarge,
-)
+from .errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, NotSquarefree, TooFewPoints, TooLarge
 from .fields import _prime_divisors, _slot_layout, embed, embed_poly, make_extension
-from .polyring import BinaryForm, Poly, _convolve, _divide, _sum_of, crt_terms, is_squarefree, roots, xgcd
+from .polyring import BinaryForm, Poly, _convolve, _distinct_degree, _divide, _equal_degree, _LazyRng, _sum_of, _unpacked
+from .polyring import crt_terms, is_squarefree, roots, xgcd
 
 _COUNT_GUARD = 1 << 30
 
@@ -34,11 +32,9 @@ class Mobius:
     __slots__ = ("field", "m")
 
     def __init__(self, field, a, b, c, d):
-        self.field = field
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == field.zero:
+        self.field, self.m = field, (a, b, c, d)
+        if self.det == field.zero:
             raise ValueError("singular Mobius matrix")
-        self.m = (a, b, c, d)
 
     @classmethod
     def identity(cls, field):
@@ -107,7 +103,7 @@ def normalize_uvw(field, pt):
 class HCurve:
     """y^2 = F(x) with F squarefree of degree 7 or 8 over a field of char > 3."""
 
-    __slots__ = ("field", "form", "F")
+    __slots__ = ("field", "form", "F", "_split")
 
     def __init__(self, field, form: BinaryForm, check=True):
         if form.d != 8:
@@ -117,6 +113,7 @@ class HCurve:
         self.field = field
         self.form = form
         self.F = form.affine()
+        self._split = None
         if self.F.degree not in (7, 8):
             raise ValueError("affine degree must be 7 or 8")
 
@@ -138,6 +135,13 @@ class HCurve:
         f = self.field
         return f.sqr(w) == self.form.eval(u, v)
 
+    def orbit_split(self, keep=False):
+        """The curve's OrbitSplit: the kept one if there is one, else a new one, kept when keep is set."""
+        split = self._split or OrbitSplit(self)
+        if keep:
+            self._split = split
+        return split
+
     def __eq__(self, other):
         return isinstance(other, HCurve) and self.field is other.field and self.form == other.form
 
@@ -146,6 +150,64 @@ class HCurve:
 
     def __repr__(self):
         return f"HCurve(p={self.field.p}, F={self.F!r})"
+
+
+class Orbit(NamedTuple):
+    """One Frobenius orbit of Weierstrass points."""
+
+    size: int
+    poly: Poly | None  # its monic irreducible factor of F; None for the factor v
+    xp: Poly | None  # x^q mod poly, q the order of the curve's field
+
+
+class OrbitSplit:
+    """The Frobenius orbits of a curve's Weierstrass points, found once per curve.
+
+    Construction runs only the distinct-degree step on the monic affine
+    part F of F~: for each orbit size d, the product of the orbits of that
+    size.  That fixes the pattern.  The equal-degree step splits a part
+    when it is first asked for, and every part draws from one rng stream
+    in the order of the parts: roots() splits the degree-1 part alone, for
+    the odd model's rational Weierstrass point, and orbits() the rest, with
+    the draws of one orbits() call.  x^q mod F is computed once, in the
+    distinct-degree ring F_q[x]/(F), which also serves the equal-degree
+    step; reduced modulo each orbit factor, it seeds the Frobenius matrices
+    of the orbit's algebra and of its root finding.  A curve keeps its
+    split (HCurve.orbit_split) once OddModel.from_curve has used it, so the
+    odd model, the enumeration and every random class share one split.
+    """
+
+    def __init__(self, H: HCurve):
+        F = H.F.monic()[0]
+        # an HCurve's constructor has already rejected a non-squarefree form
+        if not isinstance(H, HCurve) and not is_squarefree(F):
+            raise NotSquarefree("F~ has a repeated factor")
+        self.F = F
+        self.has_v = H.form.v_multiplicity == 1
+        self.parts, self.ring = _distinct_degree(F)
+        self.xp = _unpacked(self.ring, self.ring.xq())
+        sizes = [d for g, d in self.parts for _ in range(g.degree // d)]
+        sizes += [1] * self.has_v
+        self.pattern = tuple(sorted(sizes, reverse=True))
+        self._rng, self._found = _LazyRng(F), {}
+
+    def _factors(self, g, d):
+        """The monic irreducible factors of the degree-d part g, split on the first call."""
+        if d not in self._found:
+            self._found[d] = _equal_degree(g, d, self._rng, self.ring)
+        return self._found[d]
+
+    def roots(self):
+        """The roots of F in the curve's field, from the degree-1 part (it comes first)."""
+        f = self.F.field
+        return [f.neg(h[0]) for g, d in self.parts[:1] if d == 1 for h in self._factors(g, d)]
+
+    def orbits(self):
+        """[Orbit], the factor v first, then by the distinct-degree parts."""
+        out = [Orbit(1, None, None)] if self.has_v else []
+        for g, d in self.parts:
+            out += [Orbit(d, h, self.xp % h) for h in self._factors(g, d)]
+        return out
 
 
 class OddModel:
@@ -162,15 +224,17 @@ class OddModel:
 
     @classmethod
     def from_curve(cls, H: HCurve, field=None):
-        """Odd model over the given field (default: the curve's own field)."""
-        if field is None or field is H.field:
-            field = H.field
-            Hf = H
-        else:
-            Hf = H.base_change(field)
+        """Odd model over the given field (default: the curve's own field).
+
+        A septic is its own odd model.  An octic's least root by encoding
+        goes to infinity: on the curve's own field the root comes from its
+        OrbitSplit, which the curve then keeps; over an extension, from roots().
+        """
+        field = H.field if field is None else field
+        Hf = H if field is H.field else H.base_change(field)
         if Hf.F.degree == 7:
             return cls(H, Hf, Mobius.identity(field))
-        rs = roots(Hf.F)
+        rs = H.orbit_split(keep=True).roots() if Hf is H else roots(Hf.F)
         if not rs:
             raise NoRationalWeierstrassPoint(
                 f"F has no root over GF({field.p}^{field.k}); use an extension"
@@ -397,7 +461,11 @@ def random_class_on(model: OddModel, rng) -> DivisorClass:
 
 
 def random_class(H: HCurve, k: int, rng) -> DivisorClass:
-    """A pseudo-uniform class over F_{p^k} (on the odd model built there)."""
+    """A pseudo-uniform class over F_{p^k} (on the odd model built there).
+
+    Over the curve's own field the model's root comes from the curve's kept
+    OrbitSplit, so repeated draws factor F once.
+    """
     field = make_extension(H.field.p, k) if H.field.k == 1 else H.field
     model = OddModel.from_curve(H, field)
     return random_class_on(model, rng)

@@ -110,25 +110,12 @@ def isogeny_report(H, S, index, g, fib, plane, X, sign, verification=None) -> di
         "curve": curve_to_json(H),
         "subgroup_index": index,
         "subgroup": subgroup_to_json(S),
-        "trigonal_map": {
-            "n1": str(g.n1),
-            "n0": str(g.n0),
-            "d1": str(g.d1),
-            "d0": str(g.d0),
-        },
+        "trigonal_map": dict(zip(("n1", "n0", "d1", "d0"), map(str, g.coeffs()))),
         "mobius_pretransform": None
         if g.pre_transform.is_identity
         else [str(c) for c in g.pre_transform.m],
-        "G": {
-            "g0": poly_to_json(fib.g0),
-            "g1": poly_to_json(fib.g1),
-            "g2": poly_to_json(fib.g2),
-        },
-        "f_polys": {
-            "f0": poly_to_json(fib.f0),
-            "f1": poly_to_json(fib.f1),
-            "f2": poly_to_json(fib.f2),
-        },
+        "G": {name: poly_to_json(getattr(fib, name)) for name in ("g0", "g1", "g2")},
+        "f_polys": {name: poly_to_json(getattr(fib, name)) for name in ("f0", "f1", "f2")},
         "s": poly_to_json(fib.s),
         "deltas": {
             "delta0": poly_to_json(plane.delta0),

@@ -10,9 +10,11 @@ of degree at most 4 that holds their coefficients.  Larger deterministic
 contexts only appear in subgroup_elements, which materializes divisor
 classes over the splitting field.
 
-Each curve's octic is split once (OrbitSplit): the distinct-degree step
-alone gives the pattern, and a pattern without tractable subgroups stops
-there.  A cross pairing needs the roots of the second orbit o2 in the
+Each curve's octic is split once (curves.OrbitSplit): the distinct-degree
+step alone gives the pattern, and a pattern without tractable subgroups
+stops there.  The split a curve keeps from its odd model serves enumeration
+too; enumeration keeps none itself, so a curve search holds no split per
+curve.  A cross pairing needs the roots of the second orbit o2 in the
 first orbit's algebra K, ordered as the least root by encoding followed by
 its Frobenius conjugates, so finding any one root fixes the whole chain.  That
 root comes from polyring.split_root: for m = 2 its closed form with one F_p
@@ -28,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .curves import DivisorClass, HCurve, OddModel, cantor_add, two_torsion_from_pair
-from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8, NotSquarefree
+from .curves import DivisorClass, HCurve, OddModel, Orbit, cantor_add, two_torsion_from_pair
+from .errors import ContextMismatch, NotAFactor, NotAPartitionOf8
 from .fields import ExtField, embed_poly, make_extension, project
-from .polyring import BinaryForm, Poly, _distinct_degree, _equal_degree, _LazyRng, _unpacked, is_squarefree, split_root
+from .polyring import BinaryForm, split_root
 
 # s(T) for each factor-degree pattern of F~ with any Galois-stable pairing.
 PATTERN_COUNTS = {
@@ -121,51 +122,8 @@ class TractableSubgroup:
         return f"TractableSubgroup({[q.encode() for q in self.quads]})"
 
 
-class Orbit(NamedTuple):
-    """One Frobenius orbit of Weierstrass points."""
-
-    size: int
-    poly: Poly | None  # its monic irreducible factor of F; None for the factor v
-    xp: Poly | None  # x^p mod poly
-
-
-class OrbitSplit:
-    """The Frobenius orbits of a curve's Weierstrass points, found once per curve.
-
-    Construction runs only the distinct-degree step on the monic affine
-    part F of F~: for each orbit size d, the product of the orbits of that
-    size.  That fixes the pattern.  orbits() runs the equal-degree step.
-    x^p mod F is computed once, in the distinct-degree ring F_p[x]/(F),
-    which also serves the equal-degree step; reduced modulo each orbit
-    factor, it seeds the Frobenius matrices of the orbit's algebra and of
-    its root finding.
-    """
-
-    def __init__(self, H: HCurve):
-        F = H.F.monic()[0]
-        # an HCurve's constructor has already rejected a non-squarefree form
-        if not isinstance(H, HCurve) and not is_squarefree(F):
-            raise NotSquarefree("F~ has a repeated factor")
-        self.F = F
-        self.has_v = H.form.v_multiplicity == 1
-        self.parts, self.ring = _distinct_degree(F)
-        self.xp = _unpacked(self.ring, self.ring.xq())
-        sizes = [d for g, d in self.parts for _ in range(g.degree // d)]
-        sizes += [1] * self.has_v
-        self.pattern = tuple(sorted(sizes, reverse=True))
-
-    def orbits(self):
-        """[Orbit], the factor v first, then by the distinct-degree parts."""
-        rng = _LazyRng(self.F)
-        out = [Orbit(1, None, None)] if self.has_v else []
-        for g, d in self.parts:
-            for h in _equal_degree(g, d, rng, self.ring):
-                out.append(Orbit(d, h, self.xp % h))
-        return out
-
-
 def pattern_of(H: HCurve):
-    return OrbitSplit(H).pattern
+    return H.orbit_split().pattern
 
 
 def _matchings(orbits):
@@ -285,17 +243,16 @@ class _Materializer:
         return [_quad_from_pair(K, rs1[i], rs2[(i + j) % m]) for i in range(m)]
 
 
-def enumerate_tractable(H: HCurve, fast: bool = False, split: OrbitSplit | None = None):
+def enumerate_tractable(H: HCurve, fast: bool = False):
     """All F_q-rational tractable subgroups of Jac(H)[2] (canonically sorted).
 
     fast=True keeps the quadratics in the orbit algebras (the survey hot path:
     same subgroups, same downstream linear algebra); otherwise canonical()
-    carries each subgroup into the deterministic contexts.  split is the
-    curve's OrbitSplit when the caller already has it; a pattern with no
-    tractable subgroup returns before the equal-degree step.
+    carries each subgroup into the deterministic contexts.  The curve's kept
+    OrbitSplit serves when it has one; otherwise one is built and not kept.
+    A pattern with no tractable subgroup returns before the equal-degree step.
     """
-    if split is None:
-        split = OrbitSplit(H)
+    split = H.orbit_split()
     if not count_for_pattern(split.pattern):
         return []
     orbits = split.orbits()

@@ -26,7 +26,7 @@ from .curves import HCurve
 from .errors import PrimeTooSmall
 from .fields import is_prime, prime_field
 from .polyring import BinaryForm
-from .subgroups import OrbitSplit, count_for_pattern, enumerate_tractable
+from .subgroups import count_for_pattern, enumerate_tractable
 
 CSV_HEADER = ("trial", "pattern", "num_tractable", "num_trig_rational", "num_isog_rational", "success")
 
@@ -138,11 +138,11 @@ def survey_trial(p: int, master_seed: int, index: int, depth: str):
     """One trial: (pattern tuple, num_tractable, trig flags, isog flags, failure count)."""
     rng = trial_rng(master_seed, index)
     H = random_curve(p, rng)
-    split = OrbitSplit(H)
-    pattern = split.pattern
+    # the trial's curve keeps its split: the pattern and the enumeration share it
+    pattern = H.orbit_split(keep=True).pattern
     if depth == "subgroups":
         return pattern, count_for_pattern(pattern), (), (), 0
-    subs = enumerate_tractable(H, fast=True, split=split)
+    subs = enumerate_tractable(H, fast=True)
     verdicts = [assess(S, H, full=depth == "full") for S in subs]
     trig = tuple(bool(v.trig) for v in verdicts)
     isog = tuple(bool(v.isog) for v in verdicts)

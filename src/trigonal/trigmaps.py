@@ -133,18 +133,6 @@ def rationality_discriminant(field, alpha, beta):
     return field.sub(field.sqr(b), field.mul(aa, bb))
 
 
-def _line_matrix(field, v):
-    """The rank-2 linear system cutting out the line with Plucker coordinates v."""
-    z = field.zero
-    n = field.neg
-    return [
-        [z, n(v[3]), n(v[4]), n(v[5])],
-        [v[3], z, n(v[2]), v[1]],
-        [v[4], v[2], z, n(v[0])],
-        [v[5], n(v[1]), v[0], z],
-    ]
-
-
 def _pencil_roots(field, alpha, beta):
     """Intersections of the kernel pencil with the Plucker quadric.
 
@@ -210,15 +198,18 @@ class TrigonalMap:
 
 
 def _map_from_root(field, alpha, beta, root):
+    """(n1, n0, d1, d0) of the line v = mu alpha + lam beta, read off its equations in closed form.
+
+    The equations (0, -v3, -v4, -v5), (v3, 0, -v2, v1), (v4, v2, 0, -v0), (v5, -v1, v0, 0) have rank 2
+    iff v is on the Plucker quadric (their Pfaffian), and then reach the (u0, u1) echelon shape iff
+    v3 != 0, with rows (1, 0, -v2, v1) / v3 and (0, 1, v4, v5) / v3.
+    """
     mu, lam = root
-    # the system is linear in the Plucker coordinates: that of mu alpha + lam beta
     v = [field.add(field.mul(mu, a), field.mul(lam, b)) for a, b in zip(alpha, beta)]
-    rows, pivots = _rref(_line_matrix(field, v), field)
-    if len(rows) != 2 or pivots != [0, 1]:
+    if v[3] == field.zero or plucker_form(field, v) != field.zero:
         raise DegenerateConfiguration("line equations do not reach the (u0, u1) echelon shape")
-    n1, n0 = rows[0][2], rows[0][3]
-    d1, d0 = rows[1][2], rows[1][3]
-    return n1, n0, d1, d0
+    i = field.inv(v[3])
+    return field.neg(field.mul(v[2], i)), field.mul(v[1], i), field.mul(v[4], i), field.mul(v[5], i)
 
 
 def _transform_subgroup(S: TractableSubgroup, mob: Mobius) -> TractableSubgroup:
@@ -274,15 +265,9 @@ def trigonal_map_for(S: TractableSubgroup, H: HCurve, _depth=0, _kernel=None) ->
 
 def _compose_mobius(outer: Mobius, inner: Mobius) -> Mobius:
     f = outer.field
-    a1, b1, c1, d1 = outer.m
-    a2, b2, c2, d2 = inner.m
-    return Mobius(
-        f,
-        f.add(f.mul(a1, a2), f.mul(b1, c2)),
-        f.add(f.mul(a1, b2), f.mul(b1, d2)),
-        f.add(f.mul(c1, a2), f.mul(d1, c2)),
-        f.add(f.mul(c1, b2), f.mul(d1, d2)),
-    )
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = outer.m, inner.m
+    dot = lambda x1, y1, x2, y2: f.add(f.mul(x1, x2), f.mul(y1, y2))  # a row of outer times a column of inner
+    return Mobius(f, dot(a1, b1, a2, c2), dot(a1, b1, b2, d2), dot(c1, d1, a2, c2), dot(c1, d1, b2, d2))
 
 
 def verify_trigonal(g: TrigonalMap, S: TractableSubgroup) -> bool:

@@ -5,7 +5,7 @@ factoring, point counts by
 enumeration, the reverse composition in the lcm field of its points, the reverse's triple class
 carried by two checked Mobius maps, the open points of X counted fiber by fiber, CRT gluing by xgcd
 idempotents, Euclid on Poly objects, Cantor's group law on Poly objects, row reduction by the
-field's own operations, the chord matrix from every expanded row, the points of a class's support
+field's own operations, the chord matrix from every expanded row, a line's map by row reduction, the points of a class's support
 one by one, powers by the ring's product alone, the cascade fold of a packed product, the norm s(t)
 as its thirteen expanded terms."""
 
@@ -14,7 +14,7 @@ import math
 from trigonal.curves import _COUNT_GUARD, DivisorClass, cantor_add, cantor_mul
 from trigonal.errors import BadSupport, ModelMismatch, NotSquarefree, TooLarge, ZeroPolynomial
 from trigonal.evaluation import XPoint, _support_orbits, fiber_points
-from trigonal.fields import embed, embed_poly, make_extension, project
+from trigonal.fields import _rref, embed, embed_poly, make_extension, project
 from trigonal.polyring import BinaryForm, Poly, factorize, roots
 from trigonal.subgroups import TractableSubgroup, _quad_from_pair, normalize_quadratic, splitting_degree
 from trigonal.trigmaps import hyperplane_row
@@ -441,6 +441,23 @@ def rref_by_field_ops(rows, field):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def map_from_line_by_rref(field, v):
+    """(n1, n0, d1, d0) from the (u0, u1) echelon rows of fields._rref on the rank-2 linear system
+    cutting out the line with Plucker coordinates v; None when the rows do not reach that shape.
+    The oracle for trigmaps._map_from_root's closed form."""
+    z, n = field.zero, field.neg
+    system = [
+        [z, n(v[3]), n(v[4]), n(v[5])],
+        [v[3], z, n(v[2]), v[1]],
+        [v[4], v[2], z, n(v[0])],
+        [v[5], n(v[1]), v[0], z],
+    ]
+    rows, pivots = _rref(system, field)
+    if len(rows) != 2 or pivots != [0, 1]:
+        return None
+    return rows[0][2], rows[0][3], rows[1][2], rows[1][3]
 
 
 def chord_rows_full_expansion(S, H):

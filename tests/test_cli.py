@@ -225,3 +225,42 @@ def test_the_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+# a degree-8 curve over F_37 with a rational Weierstrass point and an isogeny-rational subgroup
+_OCTIC37 = [9, 2, 20, 29, 36, 5, 31, 11, 9]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze",),
+        ("isogeny",),
+        ("map", "--divisor", '{"points_plus": [["0","3"]], "points_minus": [["1","2"]]}'),
+        ("verify", "--trials", "2"),
+    ],
+)
+def test_each_command_factors_the_curve_once(capsys, tmp_path, monkeypatch, argv):
+    # the command's curve keeps its distinct-degree split: enumeration, the
+    # odd model and every random class reuse it, and roots() never runs on F
+    from trigonal import curves, polyring
+    from trigonal.curves import HCurve
+    from trigonal.fields import prime_field
+
+    F = HCurve.from_coeffs(prime_field(37), _OCTIC37).F
+    steps = {"distinct_degree": 0, "roots": 0}
+
+    def counting(name, real):
+        def wrapped(poly, *args):
+            steps[name] += poly.field is F.field and poly.monic()[0] == F.monic()[0]
+            return real(poly, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(curves, "_distinct_degree", counting("distinct_degree", curves._distinct_degree))
+    monkeypatch.setattr(polyring, "_distinct_degree", counting("distinct_degree", polyring._distinct_degree))
+    monkeypatch.setattr(curves, "roots", counting("roots", curves.roots))
+    path = _write_curve(tmp_path, 37, _OCTIC37)
+    code, out, err = run_cli(capsys, argv[0], "--curve", path, *argv[1:])
+    assert code == 0, err
+    assert steps == {"distinct_degree": 1, "roots": 0}

@@ -9,6 +9,7 @@ from ex37 import EX37_DLP_MULTIPLIER, EX37_F, EX37_JAC_ORDER, EX37_L
 from trigonal.curves import (
     DivisorClass,
     HCurve,
+    Mobius,
     OddModel,
     cantor_add,
     cantor_mul,
@@ -23,7 +24,7 @@ from trigonal.curves import (
 )
 from trigonal.errors import ModelMismatch, NoRationalWeierstrassPoint, NotAFactor, NotAMultiple, TooFewPoints, TooLarge
 from trigonal.fields import ExtField, embed_poly, make_extension, prime_field
-from trigonal.polyring import BinaryForm, Poly, gcd
+from trigonal.polyring import BinaryForm, Poly, gcd, roots
 from trigonal.subgroups import splitting_degree, subgroup_elements
 from trigonal.survey import deterministic_prime, random_curve
 from oracles import cantor_add_by_polys, count_points_by_enumeration, is_irreducible
@@ -544,3 +545,105 @@ def test_cantor_add_on_lists_matches_the_poly_oracle_on_two_torsion(ex37_subgrou
         for B in els:
             got, want = cantor_add(A, B), cantor_add_by_polys(A, B)
             assert (got.a.c, got.b.c) == (want.a.c, want.b.c)
+
+
+def _odd_model_by_roots(H, field):
+    """The odd model as roots() of F over the field gives it: (tau, odd curve), or None with no root."""
+    Hf = H if field is H.field else H.base_change(field)
+    rs = roots(Hf.F)
+    if not rs:
+        return None
+    x0 = min(rs, key=field.encode)
+    tau = Mobius(field, field.zero, field.one, field.one, field.neg(x0))
+    return tau, HCurve(field, tau.pullback_form(Hf.form))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 37, deterministic_prime(30, 0), deterministic_prime(64, 0)])
+def test_odd_model_from_the_split_matches_roots(p):
+    # on the curve's own field the root comes from the kept split; over an
+    # extension, from roots(), keeping nothing; a septic is its own model
+    rng = random.Random(p)
+    kinds = {"root": 0, "no root": 0, "septic": 0}
+    while min(kinds.values()) < 3:
+        H = random_curve(p, rng)
+        try:
+            septic = HCurve.from_coeffs(H.field, list(H.form.c[:8]) + [0])
+        except ValueError:  # not squarefree, or of degree below 7
+            septic = None
+        if septic is not None and septic.F.degree == 7:
+            model = OddModel.from_curve(septic)
+            assert model.tau.is_identity and model.curve is septic and septic._split is None
+            kinds["septic"] += 1
+        if H.F.degree == 7:
+            continue
+        want = _odd_model_by_roots(H, H.field)
+        if want is None:
+            with pytest.raises(NoRationalWeierstrassPoint):
+                OddModel.from_curve(H)
+            kinds["no root"] += 1
+            continue
+        model = OddModel.from_curve(H)
+        assert (model.tau, model.curve) == want
+        assert H._split is not None and sorted(H._split.roots(), key=H.field.encode) == roots(H.F)
+        kinds["root"] += 1
+        if p < 100:
+            H2 = HCurve(H.field, H.form)
+            K = make_extension(p, 2)
+            ext = OddModel.from_curve(H2, K)
+            assert (ext.tau, ext.curve) == _odd_model_by_roots(H2, K) and H2._split is None
+
+
+def test_odd_model_over_an_extension_field_comes_from_its_split():
+    K = make_extension(7, 2)
+    rng = random.Random(49)
+    found = 0
+    while found < 3:
+        try:
+            HK = HCurve(K, BinaryForm(K, 8, [K.random(rng) for _ in range(9)]))
+        except ValueError:
+            continue
+        want = _odd_model_by_roots(HK, K)
+        if HK.F.degree == 8 and want is not None:
+            model = OddModel.from_curve(HK)
+            assert (model.tau, model.curve) == want and HK._split is not None
+            found += 1
+
+
+def test_one_curve_factors_once_across_model_enumeration_and_classes(monkeypatch):
+    from trigonal import curves
+    from trigonal.subgroups import enumerate_tractable
+
+    rng = random.Random(8)
+    while True:
+        H = random_curve(37, rng)
+        if H.F.degree == 8 and roots(H.F):
+            break
+    calls = {"distinct_degree": 0, "roots": 0}
+
+    def counting(name, real):
+        def wrapped(poly, *args):
+            calls[name] += poly.field is H.field
+            return real(poly, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(curves, "_distinct_degree", counting("distinct_degree", curves._distinct_degree))
+    monkeypatch.setattr(curves, "roots", counting("roots", curves.roots))
+    model = OddModel.from_curve(H)
+    enumerate_tractable(H)
+    D1, D2 = random_class(H, 1, rng), random_class(H, 1, rng)
+    assert D1.model == D2.model == model
+    assert calls == {"distinct_degree": 1, "roots": 0}
+
+
+def test_enumeration_and_pattern_keep_no_split():
+    from trigonal.subgroups import enumerate_tractable, pattern_of
+
+    rng = random.Random(9)
+    for p in (37, deterministic_prime(30, 0)):
+        for _ in range(6):
+            H = random_curve(p, rng)
+            enumerate_tractable(H)
+            pattern_of(H)
+            enumerate_tractable(H, fast=True)
+            assert H._split is None

@@ -184,7 +184,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 # wc -l src/trigonal/*.py after the definitions that only the tests called
 # left src/; a change that shortens src/ lowers it
-_SRC_LINES = 4865
+_SRC_LINES = 4864
 
 
 def test_src_does_not_grow_past_its_line_count():

@@ -8,13 +8,12 @@ import pytest
 
 from conftest import curve_with_pattern, run_under
 from oracles import brute_force_tractable, factor_form
-from trigonal.curves import HCurve, cantor_add
+from trigonal.curves import HCurve, OrbitSplit, cantor_add
 from trigonal.errors import NotAPartitionOf8
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import Poly, roots
 from trigonal.subgroups import (
     PATTERN_COUNTS,
-    OrbitSplit,
     _Materializer,
     count_for_pattern,
     enumerate_tractable,
@@ -291,7 +290,7 @@ import types
 from trigonal.errors import ContextMismatch, NotSquarefree
 from trigonal.fields import make_extension, prime_field
 from trigonal.polyring import BinaryForm, Poly, split_root
-from trigonal.subgroups import OrbitSplit
+from trigonal.curves import OrbitSplit
 F = prime_field(37)
 sq = Poly.from_ints(F, [1, 2, 1]) * Poly.from_ints(F, [3, 0, 5, 0, 0, 1])
 try:

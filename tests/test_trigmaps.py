@@ -361,3 +361,35 @@ def test_build_M_reduces_at_most_4_plus_the_largest_degree_rows_at_once(monkeypa
         del calls[:]
         build_M(S, H)
         assert calls and max(calls) <= 4 + max(S.field_degrees()), (S.field_degrees(), calls)
+
+
+@pytest.mark.parametrize("bits", [None, 30, 160])
+def test_map_from_root_matches_row_reduction(bits):
+    # seeded pencils: their quadric points, points off the quadric, and
+    # pencils whose every point has v3 = 0
+    from oracles import map_from_line_by_rref
+    from trigonal.survey import deterministic_prime
+    from trigonal.trigmaps import _map_from_root
+
+    field = prime_field(37 if bits is None else deterministic_prime(bits, 0))
+    rng = random.Random(bits)
+    seen = {"map": 0, "v3 = 0": 0, "off the quadric": 0}
+    for trial in range(120):
+        alpha, beta = ([field.random(rng) for _ in range(6)] for _ in range(2))
+        if trial % 4 == 0:
+            alpha[3] = beta[3] = field.zero
+        try:
+            roots = _pencil_roots(field, alpha, beta)
+        except (NotRational, DegenerateConfiguration):
+            roots = []
+        for mu, lam in roots + [(field.random(rng), field.random(rng))]:
+            v = [field.add(field.mul(mu, a), field.mul(lam, b)) for a, b in zip(alpha, beta)]
+            want = map_from_line_by_rref(field, v)
+            if want is None:
+                with pytest.raises(DegenerateConfiguration):
+                    _map_from_root(field, alpha, beta, (mu, lam))
+                seen["v3 = 0" if v[3] == field.zero else "off the quadric"] += 1
+            else:
+                assert _map_from_root(field, alpha, beta, (mu, lam)) == want
+                seen["map"] += 1
+    assert min(seen.values()) >= 10, seen
